@@ -30,6 +30,7 @@ from .expr import (
     Var,
     VariableSet,
     ZERO,
+    compile_expression,
     const,
     differentiate,
     evaluate,
@@ -167,23 +168,18 @@ def reconstruct_potential(a: DifferentialForm) -> Expression | None:
     return total
 
 
-def potential_at(a: DifferentialForm, point: Mapping[str, float], nodes: int = 64) -> float:
-    """Numeric homotopy potential at a point (for non-polynomial closed forms)."""
+def potential_at(a: DifferentialForm, point: Mapping[str, float]) -> float:
+    """Numeric homotopy potential at a point (for non-polynomial closed forms),
+    by the Gauss-Legendre rule of ``stokes_check``, summed with math.fsum."""
     if a.degree != 1:
         raise AnalysisError("potential evaluation needs a 1-form")
-    ts, ws = np.polynomial.legendre.leggauss(nodes)
-    ts = 0.5 * (ts + 1.0)
-    ws = 0.5 * ws
     names = a.vars.names
-    total = 0.0
-    for t, w in zip(ts.tolist(), ws.tolist()):
-        scaled = {name: t * point[name] for name in names}
-        for i, name in enumerate(names, start=1):
-            ai = a.coefficient((i,))
-            if ai == ZERO:
-                continue
-            total += w * point[name] * evaluate(ai, scaled)
-    return total
+    xs = [float(point[name]) for name in names]
+    terms = [(xs[i - 1], compile_expression(ai, names).scalar)
+             for i in range(1, len(names) + 1)
+             if (ai := a.coefficient((i,))) != ZERO]
+    return math.fsum([w * xi * f(*[t * v for v in xs])
+                      for t, w in _UNIT_RULE for xi, f in terms])
 
 
 def classify_closure(a: DifferentialForm) -> ClosureVerdict:
@@ -317,12 +313,12 @@ def characteristic_curve(phi: Expression, variables: VariableSet,
     if variables.dimension != 2:
         raise AnalysisError("characteristic curves are computed in two dimensions")
     xn, yn = variables.names
-    px = differentiate(phi, xn)
-    py = differentiate(phi, yn)
+    level = compile_expression(phi, variables.names).scalar
+    phi_x = compile_expression(differentiate(phi, xn), variables.names).scalar
+    phi_y = compile_expression(differentiate(phi, yn), variables.names).scalar
 
     def field(x: float, y: float) -> tuple[float, float]:
-        pt = {xn: x, yn: y}
-        return -evaluate(py, pt), evaluate(px, pt)
+        return -phi_y(x, y), phi_x(x, y)
 
     points = [(float(start[0]), float(start[1]))]
     x, y = points[0]
@@ -336,8 +332,7 @@ def characteristic_curve(phi: Expression, variables: VariableSet,
             k4 = field(x + h * k3[0], y + h * k3[1])
             nx = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             ny = y + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            # every returned point must carry a level value
-            evaluate(phi, {xn: nx, yn: ny})
+            level(nx, ny)  # every returned point must carry a level value
         except DomainError:
             break
         x, y = nx, ny
@@ -368,49 +363,6 @@ class StructureReport:
     commutator: Commutator | None = None
 
 
-def _grid_eval(e: Expression, mesh: dict[str, np.ndarray], shape) -> np.ndarray:
-    """Vectorized evaluation on a grid; domain violations become NaN."""
-    with np.errstate(all="ignore"):
-        return np.asarray(_grid_eval_node(e, mesh, shape), dtype=float)
-
-
-def _grid_eval_node(e: Expression, mesh, shape):
-    if isinstance(e, Const):
-        try:
-            value = float(e.value)
-        except OverflowError:
-            raise DomainError("constant exceeds the float range") from None
-        return np.full(shape, value)
-    if isinstance(e, Var):
-        return mesh[e.name]
-    if isinstance(e, Add):
-        out = np.zeros(shape)
-        for t in e.terms:
-            out = out + _grid_eval_node(t, mesh, shape)
-        return out
-    if isinstance(e, Mul):
-        out = np.ones(shape)
-        for f in e.factors:
-            out = out * _grid_eval_node(f, mesh, shape)
-        return out
-    if isinstance(e, Pow):
-        base = _grid_eval_node(e.base, mesh, shape)
-        r = e.exponent
-        if r.denominator == 1:
-            return base ** float(int(r))
-        return np.where(base >= 0, np.abs(base) ** float(r), np.nan)
-    if isinstance(e, Func):
-        arg = _grid_eval_node(e.arg, mesh, shape)
-        if e.name == "sin":
-            return np.sin(arg)
-        if e.name == "cos":
-            return np.cos(arg)
-        if e.name == "exp":
-            return np.exp(arg)
-        return np.where(arg > 0, np.log(np.where(arg > 0, arg, 1.0)), np.nan)
-    raise TypeError(f"not an Expression node: {e!r}")
-
-
 def _axis_zero_hyperplane(comps: Mapping[tuple[int, int], Expression],
                           variables: VariableSet, box) -> tuple[str, float] | None:
     """Check symbolically whether some coordinate hyperplane x_i = 0 inside
@@ -431,37 +383,38 @@ def _hyperplane_chart(variables: VariableSet, axis_name: str) -> Parameterizatio
     return Parameterization(params, coords)
 
 
-def _bisect_component(comp: Expression, names, lo_pt, hi_pt, tol: float,
-                      max_iter: int = 80) -> tuple[float, ...] | None:
-    """Bisect one commutator component along a grid edge to |K| <= tol."""
-
-    def value(pt):
-        return evaluate(comp, dict(zip(names, pt)))
-
-    try:
-        f_lo, f_hi = value(lo_pt), value(hi_pt)
-    except DomainError:
-        return None
-    if f_lo == 0.0:
-        return tuple(lo_pt)
-    if f_hi == 0.0:
-        return tuple(hi_pt)
-    if f_lo * f_hi > 0:
-        return None
-    a, b = list(lo_pt), list(hi_pt)
+def _bisect_edges(fn, lo: np.ndarray, hi: np.ndarray, tol: float,
+                  max_iter: int = 80) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect a compiled component along m grid edges with (n, m) end points
+    lo and hi, each edge as a scalar bisection would: an end point where it
+    is exactly 0 is the root; otherwise the end values must be finite and
+    not of one sign, and the root is the first midpoint with |K| <= tol.
+    Returns the (n, k) roots and the indices of their edges, in edge order.
+    """
+    f_lo, f_hi = fn.array(*lo), fn.array(*hi)
+    valid = np.isfinite(f_lo) & np.isfinite(f_hi)
+    at_lo = valid & (f_lo == 0.0)
+    at_hi = valid & (f_hi == 0.0) & ~at_lo
+    edges = [np.flatnonzero(at_lo), np.flatnonzero(at_hi)]
+    roots = [lo[:, at_lo], hi[:, at_hi]]
+    live = np.flatnonzero(valid & ~at_lo & ~at_hi & ~(f_lo * f_hi > 0))
+    a, b, f_a = lo[:, live], hi[:, live], f_lo[live]
     for _ in range(max_iter):
-        mid = [0.5 * (ai + bi) for ai, bi in zip(a, b)]
-        try:
-            f_mid = value(mid)
-        except DomainError:
-            return None
-        if abs(f_mid) <= tol:
-            return tuple(mid)
-        if f_lo * f_mid < 0:
-            b = mid
-        else:
-            a, f_lo = mid, f_mid
-    return None
+        if not live.size:
+            break
+        mid = 0.5 * (a + b)
+        f_mid = fn.array(*mid)
+        hit = np.abs(f_mid) <= tol
+        edges.append(live[hit])
+        roots.append(mid[:, hit])
+        left = f_a * f_mid < 0
+        a, b = np.where(left, a, mid), np.where(left, mid, b)
+        f_a = np.where(left, f_a, f_mid)
+        keep = np.isfinite(f_mid) & ~hit
+        live, a, b, f_a = live[keep], a[:, keep], b[:, keep], f_a[keep]
+    edges = np.concatenate(edges)
+    order = np.argsort(edges, kind="stable")
+    return np.concatenate(roots, axis=1)[:, order], edges[order]
 
 
 def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
@@ -497,53 +450,55 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
         locus = Locus("whole_box", "entire box (form closed everywhere)")
         return StructureReport(locus, a, dual_residual, 0.0, None, comm)
 
-    names = a.vars.names
-    axes = [np.linspace(lo, hi, gv) for (lo, hi), gv in zip(box, grid)]
-    mesh_arrays = np.meshgrid(*axes, indexing="ij")
-    mesh = {name: arr for name, arr in zip(names, mesh_arrays)}
-    shape = mesh_arrays[0].shape
+    comps = [c for c in comm.components.values() if c != ZERO]
+    if any(isinstance(c, Const) and abs(c.value) > tol for c in comps):
+        # this component vanishes nowhere, so neither can the commutator
+        locus = Locus("empty", "no structure realized")
+        return StructureReport(locus, None, dual_residual, 0.0, None, comm)
 
-    comp_values = {pair: _grid_eval(c, mesh, shape) for pair, c in comm.components.items()}
+    shape = tuple(grid)
+    axes = [np.linspace(lo, hi, gv) for (lo, hi), gv in zip(box, grid)]
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    compiled = [compile_expression(c, a.vars.names) for c in comps]
+    # each component on the grid, broadcastable to shape: a component that
+    # does not depend on a coordinate is computed once along that axis
+    comp_values = [v.reshape(v.shape or (1,) * n) for v in (fn.array(*mesh) for fn in compiled)]
+
+    def coords(nodes: np.ndarray) -> np.ndarray:
+        """(n, m) coordinates of m grid nodes given by their (m, n) indices."""
+        return np.stack([axes[d][nodes[:, d]] for d in range(n)])
+
     with np.errstate(all="ignore"):
         max_abs = np.zeros(shape)
-        for arr in comp_values.values():
-            max_abs = np.maximum(max_abs, np.abs(arr))
-        max_abs = np.where(np.isnan(max_abs), np.inf, max_abs)
+        for arr in comp_values:
+            np.maximum(max_abs, np.abs(arr), out=max_abs)
+        max_abs[np.isnan(max_abs)] = np.inf
 
-    accepted: dict[tuple[float, ...], tuple[int, ...]] = {}
+        # grid hits, then sign-change edges refined per driving component;
+        # each candidate is kept where every component is within tol
+        found_nodes = [np.argwhere(max_abs <= tol)]
+        found_roots = [coords(found_nodes[0])]
+        for fn, arr in zip(compiled, comp_values):
+            for axis in range(n):
+                if arr.shape[axis] == 1:
+                    continue  # constant along this axis: no sign change
+                v = np.moveaxis(arr, axis, 0)
+                flip = np.moveaxis(v[:-1] * v[1:] < 0, 0, axis)
+                edge_shape = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
+                flips = np.argwhere(np.broadcast_to(flip, edge_shape))
+                hi_ends = flips + np.eye(n, dtype=np.intp)[axis]
+                roots, edges = _bisect_edges(fn, coords(flips), coords(hi_ends), tol)
+                found_roots.append(roots)
+                found_nodes.append(flips[edges])
+        roots = np.concatenate(found_roots, axis=1)
+        nodes = np.concatenate(found_nodes)
+        on_locus = np.ones(len(nodes), dtype=bool)
+        for fn in compiled:
+            on_locus &= np.abs(fn.array(*roots)) <= tol
 
-    def accept(pt: tuple[float, ...], node_idx: tuple[int, ...]):
-        key = tuple(round(v, 9) for v in pt)
-        accepted.setdefault(key, node_idx)
-
-    hit_nodes = np.argwhere(max_abs <= tol)
-    for node in hit_nodes:
-        idx = tuple(int(v) for v in node)
-        accept(tuple(float(axes[d][idx[d]]) for d in range(n)), idx)
-
-    # sign-change edges, refined per driving component then checked globally
-    for pair, arr in comp_values.items():
-        comp = comm.components[pair]
-        for axis in range(n):
-            lead = np.take(arr, range(0, shape[axis] - 1), axis=axis)
-            trail = np.take(arr, range(1, shape[axis]), axis=axis)
-            with np.errstate(all="ignore"):
-                flips = np.argwhere((lead * trail) < 0)
-            for node in flips:
-                idx = list(int(v) for v in node)
-                hi_idx = list(idx)
-                hi_idx[axis] += 1
-                lo_pt = [float(axes[d][idx[d]]) for d in range(n)]
-                hi_pt = [float(axes[d][hi_idx[d]]) for d in range(n)]
-                root = _bisect_component(comp, names, lo_pt, hi_pt, tol)
-                if root is None:
-                    continue
-                point = dict(zip(names, root))
-                try:
-                    if all(abs(evaluate(c, point)) <= tol for c in comm.components.values()):
-                        accept(root, tuple(idx))
-                except DomainError:
-                    continue
+    accepted: dict[tuple[float, ...], int] = {}  # rounded point -> its first candidate
+    for k in np.flatnonzero(on_locus).tolist():
+        accepted.setdefault(tuple(round(v, 9) for v in roots[:, k].tolist()), k)
 
     hyperplane = _axis_zero_hyperplane(comm.components, a.vars, box)
     restricted = None
@@ -556,15 +511,15 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
         locus = Locus("empty", "no structure realized")
         return StructureReport(locus, None, dual_residual, 0.0, None, comm)
 
-    # intensity: the largest |K| on grid nodes adjacent to the locus
-    intensity = 0.0
-    for node_idx in accepted.values():
-        for offsets in itertools.product((-1, 0, 1), repeat=n):
-            neighbor = tuple(node_idx[d] + offsets[d] for d in range(n))
-            if all(0 <= neighbor[d] < shape[d] for d in range(n)):
-                value = max_abs[neighbor]
-                if np.isfinite(value):
-                    intensity = max(intensity, float(value))
+    # intensity: the largest finite |K| on grid nodes adjacent to the locus
+    near = np.zeros(shape, dtype=bool)
+    locus_nodes = nodes[list(accepted.values())]
+    for offsets in itertools.product((-1, 0, 1), repeat=n):
+        neighbors = locus_nodes + offsets
+        neighbors = neighbors[((neighbors >= 0) & (neighbors < shape)).all(axis=1)]
+        near[tuple(neighbors.T)] = True
+    near &= np.isfinite(max_abs)
+    intensity = float(max_abs[near].max()) if near.any() else 0.0
 
     points = sorted(accepted)
     if hyperplane is not None:
@@ -613,16 +568,6 @@ def _integrate_exact(e: Expression, name: str, lo: Fraction, hi: Fraction) -> Ex
     return None if unit is None else mul(const(hi - lo), unit)
 
 
-def _constant_value(e: Expression) -> float:
-    """A constant expression as a float, correctly rounded when it is rational."""
-    if isinstance(e, Const):
-        try:
-            return float(e.value)
-        except OverflowError:
-            raise DomainError("result is not finite") from None
-    return evaluate(e, {})
-
-
 def _stokes_exact(a1: Expression, a2: Expression, integrand: Expression, xn: str, yn: str,
                   rect: tuple[Fraction, ...]) -> tuple[float, float, float] | None:
     """Exact boundary and area integrals; None where one is not polynomial."""
@@ -640,8 +585,8 @@ def _stokes_exact(a1: Expression, a2: Expression, integrand: Expression, xn: str
     if None in edges:
         return None
     boundary = edges[0] + edges[1] - edges[2] - edges[3]
-    difference = _constant_value(boundary - area)
-    return _constant_value(boundary), _constant_value(area), abs(difference)
+    difference = evaluate(boundary - area, {})
+    return evaluate(boundary, {}), evaluate(area, {}), abs(difference)
 
 
 def stokes_check(a: DifferentialForm, rect) -> tuple[float, float, float]:
@@ -674,15 +619,14 @@ def stokes_check(a: DifferentialForm, rect) -> tuple[float, float, float]:
     if exact is not None:
         return exact
 
+    f1, f2, curl = (compile_expression(e, a.vars.names).scalar for e in (a1, a2, integrand))
     boundary = math.fsum((
-        _gauss_1d(lambda x: evaluate(a1, {xn: x, yn: y0}), x0, x1),
-        _gauss_1d(lambda y: evaluate(a2, {xn: x1, yn: y}), y0, y1),
-        -_gauss_1d(lambda x: evaluate(a1, {xn: x, yn: y1}), x0, x1),
-        -_gauss_1d(lambda y: evaluate(a2, {xn: x0, yn: y}), y0, y1),
+        _gauss_1d(lambda x: f1(x, y0), x0, x1),
+        _gauss_1d(lambda y: f2(x1, y), y0, y1),
+        -_gauss_1d(lambda x: f1(x, y1), x0, x1),
+        -_gauss_1d(lambda y: f2(x0, y), y0, y1),
     ))
-    area = _gauss_1d(
-        lambda x: _gauss_1d(lambda y: evaluate(integrand, {xn: x, yn: y}), y0, y1),
-        x0, x1)
+    area = _gauss_1d(lambda x: _gauss_1d(lambda y: curl(x, y), y0, y1), x0, x1)
     return boundary, area, abs(boundary - area)
 
 

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .expr import Expression, to_text, evaluate, DomainError
+from .expr import Expression, to_text, compile_expression, DomainError
 from .forms import DifferentialForm, FormError, exterior_derivative, form_to_text, wedge
 from .duality import Metric, hodge_star
 from .analysis import (
@@ -254,9 +254,9 @@ def _cmd_characteristics(args, rep: Reporter):
     if len(start) != 2:
         raise InputError("start point needs two coordinates x,y")
     points = characteristic_curve(phi, doc.vars, start, config.steps, config.step)
-    xn, yn = doc.vars.names
-    phi0 = evaluate(phi, {xn: points[0][0], yn: points[0][1]})
-    drift = max(abs(evaluate(phi, {xn: x, yn: y}) - phi0) for x, y in points)
+    level = compile_expression(phi, doc.vars.names).scalar
+    phi0 = level(*points[0])
+    drift = max(abs(level(x, y) - phi0) for x, y in points)
     truncated = len(points) < config.steps + 1
     sampled = points[:: max(1, args.every)]
     if sampled[-1] != points[-1]:

@@ -119,9 +119,6 @@ class Document:
                 return decl
         return None
 
-    def scalars(self):
-        return [d for d in self.declarations if isinstance(d, ScalarDecl)]
-
     def forms(self):
         return [d for d in self.declarations if isinstance(d, FormDecl)]
 
@@ -512,10 +509,6 @@ def parse(text: str) -> Document:
 # --- printer ---------------------------------------------------------------------
 
 
-def _expr_decl_text(e: Expression) -> str:
-    return to_text(e)
-
-
 def print_document(doc: Document) -> str:
     """Canonical rendering; parsing the output reproduces the document."""
     lines: list[str] = []
@@ -525,17 +518,17 @@ def print_document(doc: Document) -> str:
         lines.append("metric " + ", ".join("+1" if s > 0 else "-1" for s in doc.metric.signature))
     for decl in doc.declarations:
         if isinstance(decl, ScalarDecl):
-            lines.append(f"scalar {decl.name} = {_expr_decl_text(decl.expr)}")
+            lines.append(f"scalar {decl.name} = {to_text(decl.expr)}")
         elif isinstance(decl, FormDecl):
             lines.append(f"form {decl.name} = {form_to_text(decl.form)}")
         elif isinstance(decl, RelationDecl):
             lines.append(f"relation {decl.name}: d({form_to_text(decl.phi)}) = {form_to_text(decl.eta)}")
         elif isinstance(decl, BalanceDecl):
             sys = decl.system
-            actions = ", ".join(_expr_decl_text(a) for a in sys.actions)
+            actions = ", ".join(to_text(a) for a in sys.actions)
             line = f"balance {decl.name}: A = ({actions})"
             if sys.psi is not None:
-                line += f", psi = {_expr_decl_text(sys.psi)}"
+                line += f", psi = {to_text(sys.psi)}"
             lines.append(line)
         else:
             raise TypeError(f"unknown declaration {decl!r}")

@@ -21,11 +21,13 @@ numeric witness.  Everything else is "unknown".
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from types import CodeType, FunctionType
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Expression",
@@ -53,6 +55,8 @@ __all__ = [
     "differentiate",
     "substitute",
     "evaluate",
+    "compile_expression",
+    "CompiledExpression",
     "free_variables",
     "is_zero",
     "to_text",
@@ -234,9 +238,6 @@ class VariableSet:
 
 
 # --- canonicalization -------------------------------------------------------
-
-_RANK = {Const: 0, Var: 1, Func: 2, Pow: 3, Mul: 4, Add: 5}
-
 
 def _sort_key(e: Expression):
     if isinstance(e, Const):
@@ -556,65 +557,133 @@ def free_variables(e: Expression) -> frozenset[str]:
     raise TypeError(f"not an Expression node: {e!r}")
 
 
+# --- compiled evaluation -----------------------------------------------------
+
+def _finite(value: float) -> float:
+    if math.isfinite(value):
+        return value
+    raise DomainError("value is not finite")
+
+
+# The generated code names only these helpers.  Scalar mode raises DomainError
+# where array mode (``_array_helpers``) gives NaN: the generated code turns
+# the ValueError of math.log and math.pow outside the real domain, and any
+# overflow or division by zero, into DomainError.
+_SCALAR_HELPERS = {
+    "_sum": math.fsum,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_exp": lambda a: math.exp(_finite(a)),
+    "_ln": math.log,
+    "_root": math.pow,
+    "_finite": _finite,
+    "_NAN": math.nan,
+    "_ARITH": (OverflowError, ZeroDivisionError, ValueError),
+    "_DomainError": DomainError,
+}
+
+
+@functools.cache
+def _array_helpers() -> dict:
+    import numpy as np
+
+    def finite(a):
+        return np.where(np.isfinite(a), a, np.nan)
+
+    def ln(a):
+        return np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), np.nan)
+
+    def root(base, r):
+        return np.where(base >= 0, np.abs(base) ** r, np.nan)
+
+    return dict(_SCALAR_HELPERS, _sum=sum, _sin=np.sin, _cos=np.cos,
+                _exp=lambda a: np.exp(finite(a)), _ln=ln, _root=root, _finite=finite)
+
+
+class CompiledExpression:
+    """An expression compiled once to Python code, callable in two modes.
+
+    ``scalar(*floats)`` returns what evaluating the tree node by node gives:
+    sums by math.fsum, products left to right, constants rounded once.  It
+    raises DomainError wherever a value, intermediate or final, is not finite.
+
+    ``array(*arrays)`` takes numpy arrays that broadcast together and returns
+    an array that broadcasts against them.  It sums left to right in plain
+    floating point and gives NaN where scalar mode raises, up to the rounding
+    of sums.
+    """
+
+    __slots__ = ("scalar", "_code")
+
+    def __init__(self, code: CodeType):
+        self._code = code
+        self.scalar = FunctionType(code, _SCALAR_HELPERS)
+
+    def array(self, *arrays):
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            return FunctionType(self._code, _array_helpers())(*arrays)
+
+
+def _literal(value: Fraction) -> str:
+    """A constant as Python source, rounded once; NaN beyond the float range."""
+    try:
+        return repr(float(value))
+    except OverflowError:
+        return "_NAN"
+
+
+def compile_expression(e: Expression, names: Sequence[str]) -> CompiledExpression:
+    """Compile a canonical tree into a function of the given names, in order.
+
+    A subtree the tree shares is computed once.  A variable outside
+    ``names`` raises UnknownVariableError.
+    """
+    args = {name: f"_a{i}" for i, name in enumerate(names)}
+    refs: dict[int, str] = {}  # by id: hashing a tree walks all of it
+    lines: list[str] = []
+
+    def emit(node: Expression) -> str:
+        if isinstance(node, Const):
+            return _literal(node.value)
+        if isinstance(node, Var):
+            if node.name not in args:
+                raise UnknownVariableError(f"unbound variable: {node.name!r}")
+            return args[node.name]
+        if id(node) in refs:
+            return refs[id(node)]
+        if isinstance(node, Add):
+            code = f"_sum(({', '.join(map(emit, node.terms))},))"
+        elif isinstance(node, Mul):
+            code = " * ".join(map(emit, node.factors))
+        elif isinstance(node, Pow):
+            base, r = emit(node.base), _literal(node.exponent)
+            if node.exponent < 0:
+                base = f"_finite({base})"  # 1/inf must not pass for a finite value
+            code = f"({base}) ** {r}" if node.exponent.denominator == 1 else f"_root({base}, {r})"
+        elif isinstance(node, Func):
+            code = f"_{node.name}({emit(node.arg)})"
+        else:
+            raise TypeError(f"not an Expression node: {node!r}")
+        ref = refs[id(node)] = f"_t{len(refs)}"
+        lines.append(f"        {ref} = {code}\n")
+        return ref
+
+    result = emit(e)
+    source = (f"def _compiled({', '.join(args.values())}):\n"
+              "    try:\n"
+              + "".join(lines)
+              + f"        return _finite({result})\n"
+              "    except _ARITH:\n"
+              "        raise _DomainError('outside the real domain or the float range') from None\n")
+    module = compile(source, "<compiled expression>", "exec")
+    return CompiledExpression(next(c for c in module.co_consts if isinstance(c, CodeType)))
+
+
 def evaluate(e: Expression, point: Mapping[str, float]) -> float:
     """IEEE double evaluation; yields a finite float or raises DomainError."""
-    value = _eval(e, point)
-    if not math.isfinite(value):
-        raise DomainError("result is not finite")
-    return value
-
-
-def _eval(e: Expression, point: Mapping[str, float]) -> float:
-    if isinstance(e, Const):
-        try:
-            return float(e.value)
-        except OverflowError:
-            raise DomainError("constant exceeds the float range") from None
-    if isinstance(e, Var):
-        try:
-            return float(point[e.name])
-        except KeyError:
-            raise UnknownVariableError(f"unbound variable: {e.name!r}") from None
-    if isinstance(e, Add):
-        return math.fsum(_eval(t, point) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval(f, point)
-        return out
-    if isinstance(e, Pow):
-        base = _eval(e.base, point)
-        r = e.exponent
-        if r.denominator == 1:
-            try:
-                return float(base ** int(r))
-            except ZeroDivisionError:
-                raise DomainError("division by zero") from None
-            except OverflowError:
-                raise DomainError("overflow in power") from None
-        if base < 0:
-            raise DomainError("fractional power of a negative base")
-        if base == 0 and r < 0:
-            raise DomainError("division by zero")
-        try:
-            return base ** float(r)
-        except OverflowError:
-            raise DomainError("overflow in power") from None
-    if isinstance(e, Func):
-        a = _eval(e.arg, point)
-        if e.name == "sin":
-            return math.sin(a)
-        if e.name == "cos":
-            return math.cos(a)
-        if e.name == "exp":
-            try:
-                return math.exp(a)
-            except OverflowError:
-                raise DomainError("overflow in exp") from None
-        if a <= 0:
-            raise DomainError("ln of a nonpositive value")
-        return math.log(a)
-    raise TypeError(f"not an Expression node: {e!r}")
+    return compile_expression(e, tuple(point)).scalar(*map(float, point.values()))
 
 
 # --- zero testing -----------------------------------------------------------
@@ -661,22 +730,16 @@ def _numerator(e: Expression, max_passes: int = 8) -> Expression:
 def _probe_for_witness(e: Expression, points: int = PROBE_POINTS,
                        threshold: float = PROBE_THRESHOLD) -> bool:
     names = sorted(free_variables(e))
+    f = compile_expression(e, names).scalar
     rng = random.Random(0x5EED)
-    if not names:
-        try:
-            return abs(evaluate(e, {})) > threshold
-        except DomainError:
-            return False
     valid = 0
     attempts = 0
     while valid < points and attempts < 8 * points:
         attempts += 1
-        point = {n: rng.uniform(-PROBE_BOX, PROBE_BOX) for n in names}
+        point = [rng.uniform(-PROBE_BOX, PROBE_BOX) for _ in names]
         try:
-            value = evaluate(e, point)
+            value = f(*point)
         except DomainError:
-            continue
-        if math.isnan(value):
             continue
         if abs(value) > threshold:
             return True

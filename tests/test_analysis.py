@@ -1,5 +1,6 @@
 """Classification engines: closure, relations, integrability, loci, Stokes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from skewforms import analysis
 from skewforms.expr import (
-    VariableSet, ZERO, ONE, const, cos, differentiate, evaluate, exp, sin, var,
+    DomainError, VariableSet, ZERO, ONE, compile_expression, const, cos, differentiate, evaluate,
+    exp, ln, sin, var,
 )
 from skewforms.forms import DifferentialForm, commutator, exterior_derivative, zero_verdict
 from skewforms.duality import Metric
@@ -256,6 +258,142 @@ class TestPseudostructure:
         with pytest.raises(AnalysisError):
             find_pseudostructure(DifferentialForm.one_form(V2, [x, y]),
                                  Metric.euclidean(V2), BOX2, 2)
+
+    def test_constant_commutator_component_builds_no_grid(self, monkeypatch):
+        # K_xy = 2 vanishes nowhere, K_xz = z, K_yz = 0
+        a = DifferentialForm.one_form(V3, [-y, x, 1 + x * z])
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        rep = find_pseudostructure(a, Metric.euclidean(V3), [(-1, 1)] * 3, 11)
+        assert rep.locus.kind == "empty"
+        assert rep.locus.description == "no structure realized"
+        assert rep.locus.points == [] and rep.locus.hyperplane is None
+        assert rep.intensity == 0.0
+        assert rep.dual_condition_residual == x
+        assert rep.restricted_form is None and rep.chart is None
+        assert str(rep.commutator) == "K_xy = 2; K_xz = z; K_yz = 0"
+
+    # K_xy = 1/2 - x^2 - y^2 - z^2, a spherical shell; K_xz = -2yz; K_yz = 0
+    SHELL = DifferentialForm.one_form(V3, [x**2 * y + y**3 / 3 + y * z**2 - y / 2, ZERO, ZERO])
+
+    def test_array_bisection_matches_scalar_bisection_per_edge(self):
+        shell = compile_expression(commutator(self.SHELL).components[(1, 2)], V3.names)
+        axis_nodes = np.linspace(-1.0, 1.0, 31)
+        values = shell.array(*np.meshgrid(axis_nodes, axis_nodes, axis_nodes, indexing="ij"))
+        for axis in range(3):
+            lead = np.take(values, range(30), axis=axis)
+            trail = np.take(values, range(1, 31), axis=axis)
+            flips = np.argwhere(lead * trail < 0)
+            lo = axis_nodes[flips].T
+            hi = lo.copy()
+            hi[axis] = axis_nodes[flips[:, axis] + 1]
+            roots, edges = analysis._bisect_edges(shell, lo, hi, 1e-6)
+            expected = [(k, root) for k in range(len(flips))
+                        if (root := _scalar_bisect(shell.scalar, lo[:, k].tolist(),
+                                                   hi[:, k].tolist(), 1e-6)) is not None]
+            assert len(expected) > 500
+            assert edges.tolist() == [k for k, _ in expected]
+            assert roots.T.tolist() == [root for _, root in expected]
+
+    def test_array_bisection_edge_cases(self):
+        # (component, (x, y) lo end, (x, y) hi end)
+        edges = [
+            (x - y, (0.0, 0.0), (1.0, 0.0)),     # zero at the lo end
+            (x - y, (-1.0, 0.0), (0.0, 0.0)),    # zero at the hi end
+            (x - y, (0.0, 0.0), (0.0, 0.0)),     # zero at both ends
+            (x - y, (1.0, 0.0), (2.0, 0.0)),     # no sign change
+            (x - y, (-0.3, 0.0), (0.7, 0.0)),    # a root inside
+            (ln(x), (-1.0, 0.0), (2.0, 0.0)),    # lo end outside the domain
+        ]
+        for e, lo, hi in edges:
+            fn = compile_expression(e, V2.names)
+            roots, found = analysis._bisect_edges(fn, np.array([lo]).T, np.array([hi]).T, 1e-6)
+            expected = _scalar_bisect(fn.scalar, list(lo), list(hi), 1e-6)
+            assert found.tolist() == ([] if expected is None else [0])
+            assert roots.T.tolist() == ([] if expected is None else [expected])
+
+    def test_scan_matches_scalar_bisection_per_edge(self):
+        box, grid, tol = [(-1.0, 1.0)] * 3, 31, 1e-6
+        rep = find_pseudostructure(self.SHELL, Metric.euclidean(V3), box, grid, tol)
+        points, intensity = _scalar_bisection_locus(self.SHELL, box, grid, tol)
+        assert len(points) > 100
+        assert rep.locus.points == points
+        assert rep.intensity == intensity
+
+
+def _scalar_bisect(f, lo, hi, tol):
+    """Bisect a scalar function along one grid edge: the reference for the
+    array bisection of the pseudostructure scan."""
+    try:
+        f_lo, f_hi = f(*lo), f(*hi)
+    except DomainError:
+        return None
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0:
+        return None
+    for _ in range(80):
+        mid = [0.5 * (p + q) for p, q in zip(lo, hi)]
+        try:
+            f_mid = f(*mid)
+        except DomainError:
+            return None
+        if abs(f_mid) <= tol:
+            return mid
+        if f_lo * f_mid < 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return None
+
+
+def _scalar_bisection_locus(a, box, grid, tol):
+    """The reference for the pseudostructure scan: grid nodes where every
+    commutator component is within tol, then one scalar bisection per
+    sign-change grid edge of each component, each root kept where every
+    component is within tol.  Returns the points, rounded to 9 digits and
+    sorted, and the largest finite |K| on the grid nodes next to the grid
+    node that first gave each point."""
+    names = a.vars.names
+    comps = [compile_expression(c, names) for c in commutator(a).components.values()]
+    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    values = [np.broadcast_to(c.array(*mesh), mesh[0].shape) for c in comps]
+
+    def on_locus(point):
+        try:
+            return all(abs(c.scalar(*point)) <= tol for c in comps)
+        except DomainError:
+            return False
+
+    max_abs = np.max(np.abs(values), axis=0)
+    points = {}
+    for node in np.argwhere(max_abs <= tol):
+        points.setdefault(tuple(round(float(axes[d][i]), 9) for d, i in enumerate(node)), node)
+    for c, v in zip(comps, values):
+        for axis in range(len(names)):
+            lead = np.take(v, range(grid - 1), axis=axis)
+            trail = np.take(v, range(1, grid), axis=axis)
+            for node in np.argwhere(lead * trail < 0):
+                lo = [float(axes[d][i]) for d, i in enumerate(node)]
+                hi = list(lo)
+                hi[axis] = float(axes[axis][node[axis] + 1])
+                root = _scalar_bisect(c.scalar, lo, hi, tol)
+                if root is not None and on_locus(root):
+                    points.setdefault(tuple(round(p, 9) for p in root), node)
+    intensity = 0.0
+    for node in points.values():
+        for offsets in itertools.product((-1, 0, 1), repeat=len(names)):
+            neighbor = tuple(node + offsets)
+            if all(0 <= i < grid for i in neighbor) and np.isfinite(max_abs[neighbor]):
+                intensity = max(intensity, float(max_abs[neighbor]))
+    return sorted(points), intensity
 
 
 class TestStokes:

@@ -114,6 +114,15 @@ class TestExitCodes:
         code, _, err = run_cli("pseudostructure", BALANCE, "--box", "1:0,0:1")
         assert code == 2
 
+    def test_overflow_under_sin_exits_2(self, tmp_path):
+        doc = tmp_path / "wave.forms"
+        doc.write_text("vars x, y\nscalar f = sin(x*y)\n")
+        code, out, err = run_cli("characteristics", str(doc), "--scalar", "f",
+                                 "--start", "1e200,1e200", "--steps", "3")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_wedge_degree_error(self):
         code, _, err = run_cli("wedge", CONTACT, "area", "area")
         assert code == 0  # 2+2 clamps to the zero form, not an error

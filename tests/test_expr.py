@@ -1,20 +1,26 @@
 """Expression kernel: canonicalization, calculus, evaluation, zero tests."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewforms import expr as expr_module
 from skewforms.expr import (
     Add,
     Const,
     DomainError,
     Mul,
+    Pow,
     UnknownVariableError,
+    Var,
     VariableSet,
     ZERO,
     ONE,
+    compile_expression,
     const,
     cos,
     differentiate,
@@ -161,6 +167,143 @@ class TestEvaluate:
 
     def test_fractional_power(self):
         assert evaluate(power(x, Fraction(3, 2)), {"x": 4.0}) == pytest.approx(8.0)
+
+    def test_overflow_under_sin_is_a_domain_error(self):
+        # x*y overflows to inf, where math.sin raises a bare ValueError
+        with pytest.raises(DomainError):
+            evaluate(sin(x * y), {"x": 1e200, "y": 1e200})
+
+
+def _walk(e, point):
+    """Node-by-node evaluation, the reference for compiled scalar mode.
+
+    Raises, or returns a complex or non-finite value, wherever scalar mode
+    must raise DomainError.
+    """
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, Var):
+        return point[e.name]
+    if isinstance(e, Add):
+        return math.fsum(_walk(t, point) for t in e.terms)
+    if isinstance(e, Mul):
+        out = 1.0
+        for f in e.factors:
+            out *= _walk(f, point)
+        return out
+    if isinstance(e, Pow):
+        base = _walk(e.base, point)
+        r = e.exponent
+        return base ** int(r) if r.denominator == 1 else base ** float(r)
+    functions = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
+    return functions[e.name](_walk(e.arg, point))
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([const(rng.randint(-5, 5)), x, y])
+    kind = rng.randrange(8)
+    a = _random_tree(rng, depth - 1)
+    if kind == 0:
+        return a + _random_tree(rng, depth - 1)
+    if kind == 1:
+        return a * _random_tree(rng, depth - 1)
+    if kind == 2:
+        return power(a, rng.choice([-2, -1, 2, 3, Fraction(1, 2), Fraction(-3, 2)]))
+    return (sin, cos, exp, ln, sin)[kind - 3](a)
+
+
+class TestCompiled:
+    # (tree, point (x, y) where scalar mode raises DomainError)
+    DOMAIN_CASES = [
+        (ln(x), (0.0, 1.0)),
+        (ln(x), (-1.0, 1.0)),
+        (power(x, Fraction(1, 2)), (-1.0, 1.0)),
+        (power(x, -1), (0.0, 1.0)),
+        (power(x, Fraction(-1, 2)), (0.0, 1.0)),
+        (exp(x), (1000.0, 1.0)),
+        (const(10**400) * x, (1.0, 1.0)),
+        (const(-(10**400)), (1.0, 1.0)),
+        (sin(x * y), (1e200, 1e200)),
+        (x * y, (1e200, 1e200)),
+        (power(x * y + 1, -1), (1e200, 1e200)),   # 1/inf must not pass for 0.0
+        (exp(-x * y), (1e200, 1e200)),            # nor exp(-inf)
+    ]
+
+    @pytest.mark.parametrize("tree, bad", DOMAIN_CASES)
+    def test_scalar_raises_exactly_where_array_gives_nan(self, tree, bad):
+        fn = compile_expression(tree, ["x", "y"])
+        with pytest.raises(DomainError):
+            fn.scalar(*bad)
+        points = [bad, (0.5, 0.25)]
+        values = np.broadcast_to(fn.array(*np.array(points).T), (2,))
+        assert math.isnan(values[0])
+        try:
+            assert values[1] == pytest.approx(fn.scalar(*points[1]), rel=1e-12)
+        except DomainError:
+            assert math.isnan(values[1])
+
+    def test_scalar_mode_matches_the_tree_walk_bit_for_bit(self):
+        rng = random.Random(1)
+        checked = raised = 0
+        for _ in range(400):
+            e = _random_tree(rng, 4)
+            fn = compile_expression(e, ["x", "y"])
+            for _ in range(5):
+                point = {"x": rng.uniform(-2, 2), "y": rng.uniform(-2, 2)}
+                try:
+                    want = _walk(e, point)
+                    ok = isinstance(want, float) and math.isfinite(want)
+                except (ArithmeticError, ValueError, TypeError):
+                    ok = False
+                if ok:
+                    assert fn.scalar(point["x"], point["y"]) == want
+                    checked += 1
+                else:
+                    with pytest.raises(DomainError):
+                        fn.scalar(point["x"], point["y"])
+                    raised += 1
+        assert checked > 1000 and raised > 100
+
+    def test_array_mode_agrees_with_scalar_mode(self):
+        """Plain sums and numpy's sin/cos/exp/log differ from fsum and math's
+        by an ulp or so; sin of a large argument, as in sin(exp(exp(5*y))),
+        magnifies that without bound, so the trees are shallow and the points
+        moderate, as in the evaluation property test below."""
+        rng = random.Random(2)
+        xs = np.array([rng.uniform(0.5, 1.5) for _ in range(16)])
+        ys = np.array([rng.uniform(0.5, 1.5) for _ in range(16)])
+        for _ in range(300):
+            fn = compile_expression(_random_tree(rng, 3), ["x", "y"])
+            values = np.broadcast_to(fn.array(xs, ys), xs.shape)
+            for px, py, value in zip(xs.tolist(), ys.tolist(), values.tolist()):
+                try:
+                    want = fn.scalar(px, py)
+                except DomainError:
+                    assert math.isnan(value)
+                    continue
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_shared_subtrees_are_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted_sin(a):
+            calls.append(a)
+            return math.sin(a)
+
+        monkeypatch.setitem(expr_module._SCALAR_HELPERS, "_sin", counted_sin)
+        wave = sin(x * y)
+        e = wave * x + wave * y
+        assert compile_expression(e, ["x", "y"]).scalar(0.3, 0.7) == _walk(e, {"x": 0.3, "y": 0.7})
+        assert len(calls) == 1
+
+    def test_unknown_variable(self):
+        with pytest.raises(UnknownVariableError):
+            compile_expression(x + y, ["x"])
+
+    def test_variable_names_need_not_be_python_names(self):
+        fn = compile_expression(var("lambda") * var("sin"), ["lambda", "sin"])
+        assert fn.scalar(2.0, 3.0) == 6.0
 
 
 class TestIsZero:
