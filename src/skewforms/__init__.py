@@ -27,7 +27,6 @@ from .expr import (
 )
 from .forms import (
     DifferentialForm,
-    Commutator,
     Parameterization,
     FormError,
     wedge,
@@ -71,7 +70,7 @@ __all__ = [
     "Expression", "VariableSet", "DomainError", "UnknownVariableError",
     "const", "var", "sin", "cos", "exp", "ln",
     "simplify", "differentiate", "substitute", "evaluate", "is_zero", "to_text",
-    "DifferentialForm", "Commutator", "Parameterization", "FormError",
+    "DifferentialForm", "Parameterization", "FormError",
     "wedge", "exterior_derivative", "commutator", "pullback",
     "evaluate_form", "zero_verdict", "form_to_text",
     "Metric", "hodge_star", "dual_closure_check",

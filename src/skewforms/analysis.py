@@ -35,13 +35,11 @@ from .expr import (
     differentiate,
     evaluate,
     free_variables,
-    is_zero,
     mul,
     substitute,
     var,
 )
 from .forms import (
-    Commutator,
     DifferentialForm,
     Parameterization,
     commutator,
@@ -229,7 +227,7 @@ class Relation:
     eta: DifferentialForm
     verdict: str                      # "identical" | "nonidentical" | "unknown"
     residual: DifferentialForm        # d(phi) - eta
-    eta_commutator: Commutator | None
+    eta_commutator: DifferentialForm | None   # d(eta) when eta is a 1-form
 
 
 def classify_relation(phi: DifferentialForm, eta: DifferentialForm) -> Relation:
@@ -242,16 +240,10 @@ def classify_relation(phi: DifferentialForm, eta: DifferentialForm) -> Relation:
             raise AnalysisError(
                 f"relation needs deg(eta) = deg(phi)+1, got {eta.degree} and {phi.degree}")
     residual = exterior_derivative(phi) - eta
-    residual_v = zero_verdict(residual)
-    deta_v = zero_verdict(exterior_derivative(eta))
-    if "nonzero" in (residual_v, deta_v):
-        verdict = "nonidentical"
-    elif residual_v == "zero" and deta_v == "zero":
-        verdict = "identical"
-    else:
-        verdict = "unknown"
-    comm = commutator(eta) if eta.degree == 1 else None
-    return Relation(phi, eta, verdict, residual, comm)
+    d_eta = exterior_derivative(eta)
+    verdict = {"zero": "identical", "nonzero": "nonidentical",
+               "unknown": "unknown"}[zero_verdict(residual, d_eta)]
+    return Relation(phi, eta, verdict, residual, d_eta if eta.degree == 1 else None)
 
 
 # --- integrability -------------------------------------------------------------
@@ -360,19 +352,16 @@ class StructureReport:
     dual_condition_residual: Expression
     intensity: float
     chart: Parameterization | None = None
-    commutator: Commutator | None = None
+    commutator: DifferentialForm | None = None   # d(a) of the scanned 1-form
 
 
-def _axis_zero_hyperplane(comps: Mapping[tuple[int, int], Expression],
-                          variables: VariableSet, box) -> tuple[str, float] | None:
+def _axis_zero_hyperplane(comm: DifferentialForm, box) -> tuple[str, float] | None:
     """Check symbolically whether some coordinate hyperplane x_i = 0 inside
     the box lies in the common zero locus of all commutator components."""
-    for i, name in enumerate(variables.names):
-        lo, hi = box[i]
+    for name, (lo, hi) in zip(comm.vars.names, box):
         if not lo <= 0.0 <= hi:
             continue
-        restricted = [substitute(c, {name: ZERO}) for c in comps.values()]
-        if all(is_zero(r) == "zero" for r in restricted):
+        if zero_verdict(comm.map_coefficients(lambda c: substitute(c, {name: ZERO}))) == "zero":
             return name, 0.0
     return None
 
@@ -435,6 +424,8 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != n:
         raise AnalysisError(f"box must give {n} coordinate ranges")
+    if not all(lo < hi and math.isfinite(hi - lo) for lo, hi in box):
+        raise AnalysisError("box ranges must satisfy lo < hi with a finite width")
     if isinstance(grid, int):
         grid = [grid] * n
     grid = [int(gv) for gv in grid]
@@ -446,11 +437,11 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
     top_key = tuple(range(1, n + 1))
     dual_residual = dual_derivative.coefficient(top_key)
 
-    if comm.zero_verdict() == "zero":
+    if zero_verdict(comm) == "zero":
         locus = Locus("whole_box", "entire box (form closed everywhere)")
         return StructureReport(locus, a, dual_residual, 0.0, None, comm)
 
-    comps = [c for c in comm.components.values() if c != ZERO]
+    comps = [c for _, c in comm.items()]
     if any(isinstance(c, Const) and abs(c.value) > tol for c in comps):
         # this component vanishes nowhere, so neither can the commutator
         locus = Locus("empty", "no structure realized")
@@ -500,7 +491,7 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
     for k in np.flatnonzero(on_locus).tolist():
         accepted.setdefault(tuple(round(v, 9) for v in roots[:, k].tolist()), k)
 
-    hyperplane = _axis_zero_hyperplane(comm.components, a.vars, box)
+    hyperplane = _axis_zero_hyperplane(comm, box)
     restricted = None
     chart = None
     if hyperplane is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import Expression, VariableSet
-from .forms import Commutator, DifferentialForm, commutator, exterior_derivative, pullback, zero_verdict
+from .forms import DifferentialForm, commutator, exterior_derivative, pullback, zero_verdict
 from .duality import Metric
 from .analysis import (
     Relation,
@@ -46,7 +46,7 @@ class BalanceSystem:
 class EvolutionaryRelation:
     system: BalanceSystem
     omega: DifferentialForm
-    commutator: Commutator
+    commutator: DifferentialForm      # d(omega)
     verdict: str                      # "identical" | "nonidentical" | "unknown"
     relation: Relation | None
     psi: Expression | None
@@ -61,14 +61,14 @@ def build_relation(system: BalanceSystem) -> EvolutionaryRelation:
     functional that verifies d(psi) = omega symbolically.
     """
     omega = DifferentialForm.one_form(system.vars, system.actions)
-    comm = commutator(omega)
-    comm_verdict = comm.zero_verdict()
-    notes: list[str] = []
-
     if system.psi is not None:
         relation = classify_relation(DifferentialForm.scalar(system.vars, system.psi), omega)
-        return EvolutionaryRelation(system, omega, comm, relation.verdict,
+        return EvolutionaryRelation(system, omega, relation.eta_commutator, relation.verdict,
                                     relation, system.psi)
+
+    comm = commutator(omega)
+    comm_verdict = zero_verdict(comm)
+    notes: list[str] = []
 
     if comm_verdict == "nonzero":
         return EvolutionaryRelation(system, omega, comm, "nonidentical", None, None)

@@ -9,6 +9,7 @@ Output is human-readable text by default or JSON-lines with
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -203,9 +204,11 @@ def _cmd_classify(args, rep: Reporter):
                         "notes": verdict.notes})
 
 
-def _commutator_json(comm) -> dict:
-    return {f"{comm.vars.name_at(a)},{comm.vars.name_at(b)}": to_text(c)
-            for (a, b), c in comm.components.items()}
+def _commutator_json(comm: DifferentialForm) -> dict:
+    """K_ab of a commutator 2-form for every pair a < b, zeros included."""
+    pairs = itertools.combinations(range(1, comm.vars.dimension + 1), 2)
+    return {f"{comm.vars.name_at(a)},{comm.vars.name_at(b)}": to_text(comm.coefficient((a, b)))
+            for a, b in pairs}
 
 
 def _cmd_relation(args, rep: Reporter):
@@ -222,10 +225,8 @@ def _cmd_relation(args, rep: Reporter):
         rep.note_verdicts(rel.verdict)
         detail = []
         if rel.eta_commutator is not None:
-            nonzero = [f"K_{rel.eta.vars.name_at(a)}{rel.eta.vars.name_at(b)} = {to_text(c)}"
-                       for (a, b), c in rel.eta_commutator.components.items()
-                       if c != 0 and to_text(c) != "0"]
-            detail.extend(nonzero)
+            detail.extend(f"K_{rel.eta.vars.name_at(a)}{rel.eta.vars.name_at(b)} = {to_text(c)}"
+                          for (a, b), c in rel.eta_commutator.items())
         if not rel.residual.is_structurally_zero():
             detail.append(f"residual = {form_to_text(rel.residual)}")
         line = f"{decl.name}: {rel.verdict.upper()}"
@@ -234,7 +235,7 @@ def _cmd_relation(args, rep: Reporter):
         rep.emit(line, {"kind": "relation", "name": decl.name, "verdict": rel.verdict,
                         "residual": form_to_text(rel.residual),
                         "commutator": _commutator_json(rel.eta_commutator)
-                        if rel.eta_commutator else None})
+                        if rel.eta_commutator is not None else None})
 
 
 def _cmd_frobenius(args, rep: Reporter):

@@ -67,6 +67,7 @@ __all__ = [
 KEYWORDS = {"vars", "metric", "form", "scalar", "relation", "balance"}
 RESERVED = KEYWORDS | {"psi", "d", "sin", "cos", "exp", "ln"}
 FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln}
+MAX_NESTING = 100   # parentheses, calls, '^' chains and signs; deeper input is an error
 
 
 class DslError(ValueError):
@@ -209,6 +210,7 @@ class _Parser:
         self.pos = 0
         self.doc = Document()
         self.names: dict[str, str] = {}   # name -> declaration kind
+        self.depth = 0                    # open _unary calls, bounded by MAX_NESTING
 
     # token plumbing
 
@@ -435,14 +437,21 @@ class _Parser:
         return left
 
     def _unary(self) -> DifferentialForm:
-        # unary minus binds looser than '^': -x^2 means -(x^2)
-        if self.at_op("-"):
-            self.advance()
-            return -self._unary()
-        if self.at_op("+"):
-            self.advance()
-            return self._unary()
-        return self._wedge_level()
+        # every nesting (parentheses, calls, '^' chains, signs) passes here
+        if self.depth >= MAX_NESTING:
+            self.error(f"expression nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
+        try:
+            # unary minus binds looser than '^': -x^2 means -(x^2)
+            if self.at_op("-"):
+                self.advance()
+                return -self._unary()
+            if self.at_op("+"):
+                self.advance()
+                return self._unary()
+            return self._wedge_level()
+        finally:
+            self.depth -= 1
 
     def _wedge_level(self) -> DifferentialForm:
         left = self._atom()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Expression, VariableSet, mul, const
+from .expr import VariableSet, mul, const
 from .forms import DifferentialForm, FormError, exterior_derivative, sort_index_tuple, zero_verdict
 
 __all__ = ["Metric", "hodge_star", "dual_closure_check"]
@@ -46,17 +46,14 @@ def hodge_star(a: DifferentialForm, g: Metric) -> DifferentialForm:
     if a.vars != g.vars:
         raise FormError("form and metric live over different variable sets")
     n = a.vars.dimension
-    acc: dict[tuple[int, ...], Expression] = {}
+    pairs = []
     for idx, c in a.items():
         complement = tuple(i for i in range(1, n + 1) if i not in idx)
-        sign, _ = sort_index_tuple(idx + complement)
-        factor = sign
+        factor, _ = sort_index_tuple(idx + complement)
         for i in idx:
             factor *= g.signature[i - 1]
-        term = mul(const(factor), c)
-        prev = acc.get(complement)
-        acc[complement] = term if prev is None else prev + term
-    return DifferentialForm(a.vars, n - a.degree, acc)
+        pairs.append((complement, mul(const(factor), c)))
+    return DifferentialForm(a.vars, n - a.degree, pairs)
 
 
 def dual_closure_check(a: DifferentialForm, g: Metric) -> str:

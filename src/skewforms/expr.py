@@ -461,17 +461,7 @@ def simplify(e: Expression) -> Expression:
 
     Identity on trees that are already canonical.
     """
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Add):
-        return add(*[simplify(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[simplify(f) for f in e.factors])
-    if isinstance(e, Pow):
-        return power(simplify(e.base), e.exponent)
-    if isinstance(e, Func):
-        return _fn(e.name, simplify(e.arg))
-    raise TypeError(f"not an Expression node: {e!r}")
+    return substitute(e, {})
 
 
 # --- calculus ---------------------------------------------------------------
@@ -750,11 +740,11 @@ def _probe_for_witness(e: Expression, points: int = PROBE_POINTS,
 def is_zero(e: Expression) -> str:
     """Three-valued zero test: "zero", "nonzero" or "unknown".
 
-    "zero" only when normalization (after clearing denominators) cancels the
-    tree to the literal 0; "nonzero" from an exact nonzero constant or a
-    numeric witness above the probe threshold; "unknown" otherwise.
+    Expects a canonical tree, as every factory builds.  "zero" only when
+    normalization (after clearing denominators) cancels the tree to the
+    literal 0; "nonzero" from an exact nonzero constant or a numeric witness
+    above the probe threshold; "unknown" otherwise.
     """
-    e = simplify(e)
     if e == ZERO:
         return "zero"
     if isinstance(e, Const):

@@ -1,10 +1,12 @@
 """Exterior algebra: degree-p skew-symmetric forms over a coordinate set.
 
 A form is a sparse map from strictly increasing 1-based index tuples to
-coefficient expressions.  Unsorted index tuples are accepted on input; the
-permutation sign is folded into the coefficient and repeated indices
-annihilate the term.  Structurally zero coefficients are dropped, so the
-dd = 0 identity is a structural test.
+coefficient expressions.  The constructor is the one place where terms are
+accumulated: it takes (index tuple, coefficient) pairs whose tuples may be
+unsorted or repeated, folds each permutation sign into the coefficient,
+drops terms with a repeated index and sums the terms of each key once.
+Structurally zero coefficients are dropped, so the dd = 0 identity is a
+structural test.
 
 Degrees above the space dimension collapse to a canonical zero form of the
 clamped degree rather than erroring, matching the algebra (Lambda^k = 0 for
@@ -14,15 +16,16 @@ k > n).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .expr import (
     Expression,
     VariableSet,
     ZERO,
     ONE,
+    add,
     const,
     differentiate,
     evaluate,
@@ -36,7 +39,6 @@ from .expr import (
 __all__ = [
     "FormError",
     "DifferentialForm",
-    "Commutator",
     "Parameterization",
     "sort_index_tuple",
     "wedge",
@@ -85,12 +87,18 @@ class DifferentialForm:
     __slots__ = ("vars", "degree", "_coeffs")
 
     def __init__(self, variables: VariableSet, degree: int,
-                 coeffs: Mapping[Sequence[int], Expression] | None = None):
+                 coeffs: Mapping[Sequence[int], Expression]
+                 | Iterable[tuple[Sequence[int], Expression]] | None = None):
+        """Build a form from a mapping or from (index tuple, coefficient) pairs;
+        unsorted tuples get their permutation sign, repeated indices drop the
+        term and the terms of each key are summed."""
         n = variables.dimension
         if not 0 <= degree <= n:
             raise FormError(f"degree must be between 0 and {n}, got {degree}")
-        acc: dict[tuple[int, ...], Expression] = {}
-        for raw_idx, raw_c in (coeffs or {}).items():
+        if isinstance(coeffs, Mapping):
+            coeffs = coeffs.items()
+        parts: dict[tuple[int, ...], list[Expression]] = {}
+        for raw_idx, raw_c in coeffs or ():
             idx = tuple(int(i) for i in raw_idx)
             if len(idx) != degree:
                 raise FormError(f"index tuple {idx} has length {len(idx)}, expected {degree}")
@@ -98,16 +106,13 @@ class DifferentialForm:
                 if not 1 <= i <= n:
                     raise FormError(f"coordinate index {i} outside 1..{n}")
             sign, key = sort_index_tuple(idx)
-            if sign == 0:
-                continue
             c = _coerce_coeff(raw_c)
-            if sign < 0:
-                c = -c
-            prev = acc.get(key)
-            acc[key] = c if prev is None else prev + c
+            if sign and c != ZERO:
+                parts.setdefault(key, []).append(c if sign > 0 else -c)
         self.vars = variables
         self.degree = degree
-        self._coeffs = {k: c for k, c in sorted(acc.items()) if c != ZERO}
+        self._coeffs = {k: c for k, cs in sorted(parts.items())
+                        if (c := cs[0] if len(cs) == 1 else add(*cs)) != ZERO}
 
     @classmethod
     def zero(cls, variables: VariableSet, degree: int) -> "DifferentialForm":
@@ -162,10 +167,8 @@ class DifferentialForm:
             if other.is_structurally_zero():
                 return self
             raise FormError(f"cannot add forms of degree {self.degree} and {other.degree}")
-        acc = dict(self._coeffs)
-        for k, c in other.items():
-            acc[k] = acc[k] + c if k in acc else c
-        return DifferentialForm(self.vars, self.degree, acc)
+        return DifferentialForm(self.vars, self.degree,
+                                itertools.chain(self.items(), other.items()))
 
     def __neg__(self):
         return self.map_coefficients(lambda c: -c)
@@ -209,18 +212,10 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     total = a.degree + b.degree
     if total > n:
         return DifferentialForm.zero(a.vars, n)
-    acc: dict[tuple[int, ...], Expression] = {}
-    for ia, ca in a.items():
-        for ib, cb in b.items():
-            sign, key = sort_index_tuple(ia + ib)
-            if sign == 0:
-                continue
-            term = mul(ca, cb)
-            if sign < 0:
-                term = -term
-            prev = acc.get(key)
-            acc[key] = term if prev is None else prev + term
-    return DifferentialForm(a.vars, total, acc)
+    return DifferentialForm(a.vars, total, ((ia + ib, mul(ca, cb))
+                                            for ia, ca in a.items()
+                                            for ib, cb in b.items()
+                                            if set(ia).isdisjoint(ib)))
 
 
 def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
@@ -228,72 +223,33 @@ def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
     n = a.vars.dimension
     if a.degree >= n:
         return DifferentialForm.zero(a.vars, n)
-    acc: dict[tuple[int, ...], Expression] = {}
-    for idx, c in a.items():
-        for j, name in enumerate(a.vars.names, start=1):
-            dc = differentiate(c, name)
-            if dc == ZERO:
-                continue
-            sign, key = sort_index_tuple((j,) + idx)
-            if sign == 0:
-                continue
-            if sign < 0:
-                dc = -dc
-            prev = acc.get(key)
-            acc[key] = dc if prev is None else prev + dc
-    return DifferentialForm(a.vars, a.degree + 1, acc)
+    names = a.vars.names
+    return DifferentialForm(a.vars, a.degree + 1, (((j,) + idx, differentiate(c, names[j - 1]))
+                                                   for idx, c in a.items()
+                                                   for j in range(1, n + 1) if j not in idx))
 
 
-def zero_verdict(a: DifferentialForm) -> str:
-    """Aggregate three-valued zero test over every coefficient."""
-    verdicts = [is_zero(c) for _, c in a.items()]
-    if any(v == "nonzero" for v in verdicts):
-        return "nonzero"
-    if all(v == "zero" for v in verdicts):
-        return "zero"
-    return "unknown"
+def zero_verdict(*forms: DifferentialForm) -> str:
+    """Three-valued zero test over every coefficient of the forms: "nonzero"
+    at the first nonzero coefficient, "zero" when every one is zero and
+    "unknown" otherwise."""
+    verdict = "zero"
+    for form in forms:
+        for _, c in form.items():
+            v = is_zero(c)
+            if v == "nonzero":
+                return v
+            if v == "unknown":
+                verdict = v
+    return verdict
 
 
-@dataclass
-class Commutator:
-    """Antisymmetrized coefficient derivatives of a 1-form, pairs a < b."""
-
-    vars: VariableSet
-    components: dict[tuple[int, int], Expression]
-
-    def component(self, alpha: int, beta: int) -> Expression:
-        if alpha == beta:
-            return ZERO
-        if alpha < beta:
-            return self.components[(alpha, beta)]
-        return -self.components[(beta, alpha)]
-
-    def zero_verdict(self) -> str:
-        verdicts = [is_zero(c) for c in self.components.values()]
-        if any(v == "nonzero" for v in verdicts):
-            return "nonzero"
-        if all(v == "zero" for v in verdicts):
-            return "zero"
-        return "unknown"
-
-    def __str__(self):
-        parts = [f"K_{self.vars.name_at(a)}{self.vars.name_at(b)} = {to_text(c)}"
-                 for (a, b), c in self.components.items()]
-        return "; ".join(parts)
-
-
-def commutator(a: DifferentialForm) -> Commutator:
-    """K_ab = d(a_b)/dx^a - d(a_a)/dx^b for a 1-form; zero iff d(a) is."""
+def commutator(a: DifferentialForm) -> DifferentialForm:
+    """The commutator of a 1-form as the 2-form d(a): coefficient((alpha, beta))
+    is K_ab = d(a_b)/dx^a - d(a_a)/dx^b, and coefficient((beta, alpha)) is -K_ab."""
     if a.degree != 1:
         raise FormError(f"commutator needs a 1-form, got degree {a.degree}")
-    names = a.vars.names
-    comps: dict[tuple[int, int], Expression] = {}
-    for alpha, beta in itertools.combinations(range(1, len(names) + 1), 2):
-        c_beta = a.coefficient((beta,))
-        c_alpha = a.coefficient((alpha,))
-        comps[(alpha, beta)] = (differentiate(c_beta, names[alpha - 1])
-                                - differentiate(c_alpha, names[beta - 1]))
-    return Commutator(a.vars, comps)
+    return exterior_derivative(a)
 
 
 class Parameterization:
@@ -327,21 +283,15 @@ def pullback(a: DifferentialForm, chart: Parameterization) -> DifferentialForm:
         return DifferentialForm.zero(chart.params, m)
     subs = {name: chart.coords[i] for i, name in enumerate(a.vars.names)}
     jac = chart.jacobian()
-    acc: dict[tuple[int, ...], Expression] = {}
+    pairs = []
     for idx, c in a.items():
         c0 = substitute(c, subs)
-        for choice in itertools.product(range(1, m + 1), repeat=a.degree):
-            sign, key = sort_index_tuple(choice)
-            if sign == 0:
-                continue
+        for choice in itertools.permutations(range(1, m + 1), a.degree):
             term = c0
-            for slot, i in enumerate(idx):
-                term = mul(term, jac[i - 1][choice[slot] - 1])
-            if sign < 0:
-                term = -term
-            prev = acc.get(key)
-            acc[key] = term if prev is None else prev + term
-    return DifferentialForm(chart.params, a.degree, acc)
+            for i, j in zip(idx, choice):
+                term = mul(term, jac[i - 1][j - 1])
+            pairs.append((choice, term))
+    return DifferentialForm(chart.params, a.degree, pairs)
 
 
 def evaluate_form(a: DifferentialForm, point: Mapping[str, float]) -> dict[tuple[int, ...], float]:

@@ -117,7 +117,7 @@ class TestClassifyRelation:
         eta = DifferentialForm.one_form(V2, [y, ZERO])
         rel = classify_relation(phi, eta)
         assert rel.verdict == "nonidentical"
-        assert rel.eta_commutator.components[(1, 2)] == const(-1)
+        assert rel.eta_commutator.coefficient((1, 2)) == const(-1)
 
     def test_nonidentical_residual_only(self):
         """Closed eta that is not d(phi): zero commutator, nonzero residual."""
@@ -125,7 +125,7 @@ class TestClassifyRelation:
         eta = DifferentialForm.one_form(V2, [y, x])  # closed, but != dx
         rel = classify_relation(phi, eta)
         assert rel.verdict == "nonidentical"
-        assert rel.eta_commutator.zero_verdict() == "zero"
+        assert zero_verdict(rel.eta_commutator) == "zero"
         assert not rel.residual.is_structurally_zero()
 
     def test_degree_mismatch(self):
@@ -213,7 +213,7 @@ class TestPseudostructure:
         K = commutator(a)
         for p in rep.locus.points:
             point = dict(zip(xi.names, p))
-            assert all(abs(evaluate(c, point)) < 1e-6 for c in K.components.values())
+            assert all(abs(evaluate(c, point)) < 1e-6 for _, c in K.items())
         assert rep.intensity == pytest.approx(0.02, abs=1e-12)
         assert rep.restricted_form.is_structurally_zero()
         assert classify_closure(rep.restricted_form).closed == "closed"
@@ -240,7 +240,7 @@ class TestPseudostructure:
         K = commutator(a)
         for p in rep.locus.points:
             point = dict(zip(V2.names, p))
-            assert all(abs(evaluate(c, point)) <= 1e-6 for c in K.components.values())
+            assert all(abs(evaluate(c, point)) <= 1e-6 for _, c in K.items())
 
     def test_3d_scan(self):
         a = DifferentialForm.one_form(V3, [z * y, ZERO, ZERO])
@@ -259,6 +259,20 @@ class TestPseudostructure:
             find_pseudostructure(DifferentialForm.one_form(V2, [x, y]),
                                  Metric.euclidean(V2), BOX2, 2)
 
+    def test_box_needs_finite_increasing_ranges(self):
+        from skewforms.balance import BalanceSystem, build_relation, equilibrium_scan
+
+        a = DifferentialForm.one_form(V2, [y**2, x * y])
+        relation = build_relation(BalanceSystem(V2, (y**2, x * y)))
+        inf = math.inf
+        for bad in ([(-inf, inf), (0.0, 1.0)], [(-1e308, 1e308), (0.0, 1.0)],
+                    [(0.0, 1.0), (0.0, math.nan)], [(1.0, 0.0), (0.0, 1.0)],
+                    [(0.0, 0.0), (0.0, 1.0)]):
+            with pytest.raises(AnalysisError):
+                find_pseudostructure(a, Metric.euclidean(V2), bad, 11)
+            with pytest.raises(AnalysisError):
+                equilibrium_scan(relation, bad, 11)
+
     def test_constant_commutator_component_builds_no_grid(self, monkeypatch):
         # K_xy = 2 vanishes nowhere, K_xz = z, K_yz = 0
         a = DifferentialForm.one_form(V3, [-y, x, 1 + x * z])
@@ -275,13 +289,13 @@ class TestPseudostructure:
         assert rep.intensity == 0.0
         assert rep.dual_condition_residual == x
         assert rep.restricted_form is None and rep.chart is None
-        assert str(rep.commutator) == "K_xy = 2; K_xz = z; K_yz = 0"
+        assert str(rep.commutator) == "2*dx^dy + z*dx^dz"
 
     # K_xy = 1/2 - x^2 - y^2 - z^2, a spherical shell; K_xz = -2yz; K_yz = 0
     SHELL = DifferentialForm.one_form(V3, [x**2 * y + y**3 / 3 + y * z**2 - y / 2, ZERO, ZERO])
 
     def test_array_bisection_matches_scalar_bisection_per_edge(self):
-        shell = compile_expression(commutator(self.SHELL).components[(1, 2)], V3.names)
+        shell = compile_expression(commutator(self.SHELL).coefficient((1, 2)), V3.names)
         axis_nodes = np.linspace(-1.0, 1.0, 31)
         values = shell.array(*np.meshgrid(axis_nodes, axis_nodes, axis_nodes, indexing="ij"))
         for axis in range(3):
@@ -361,7 +375,7 @@ def _scalar_bisection_locus(a, box, grid, tol):
     sorted, and the largest finite |K| on the grid nodes next to the grid
     node that first gave each point."""
     names = a.vars.names
-    comps = [compile_expression(c, names) for c in commutator(a).components.values()]
+    comps = [compile_expression(c, names) for _, c in commutator(a).items()]
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     values = [np.broadcast_to(c.array(*mesh), mesh[0].shape) for c in comps]

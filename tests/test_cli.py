@@ -111,8 +111,20 @@ class TestExitCodes:
         assert "grid" in err
 
     def test_bad_box(self):
-        code, _, err = run_cli("pseudostructure", BALANCE, "--box", "1:0,0:1")
+        for box in ("1:0,0:1", "-inf:inf,0:1", "-1e308:1e308,0:1"):
+            code, out, err = run_cli("pseudostructure", BALANCE, f"--box={box}")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "Traceback" not in err
+
+    def test_deep_nesting_exits_2(self, tmp_path):
+        doc = tmp_path / "deep.forms"
+        doc.write_text("vars x, y\nform w = " + "(" * 300 + "x" + ")" * 300 + "*dy\n")
+        code, out, err = run_cli("d", str(doc))
         assert code == 2
+        assert out == ""
+        assert "line 2, column " in err and "nested more than 100 levels" in err
+        assert "Traceback" not in err
 
     def test_overflow_under_sin_exits_2(self, tmp_path):
         doc = tmp_path / "wave.forms"

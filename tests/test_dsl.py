@@ -101,6 +101,11 @@ class TestParseErrors:
         ("vars x\nscalar s = x @", "unexpected character"),
         ("vars x\nform w = q", "unknown variable 'q'"),
         ("vars x\nform w = x form q = x", "expected end of statement"),
+        # nesting past the cap is an error, not a RecursionError
+        ("vars x\nscalar s = " + "(" * 200 + "x" + ")" * 200, "nested more than 100 levels"),
+        ("vars x\nscalar s = " + "sin(" * 200 + "x" + ")" * 200, "nested more than 100 levels"),
+        ("vars x\nscalar s = x" + "^1" * 500, "nested more than 100 levels"),
+        ("vars x\nscalar s = " + "-" * 1000 + "x", "nested more than 100 levels"),
     ]
 
     @pytest.mark.parametrize("text,fragment", CASES)

@@ -2,8 +2,9 @@
 
 import pytest
 
+from skewforms import forms
 from skewforms.expr import (
-    VariableSet, ZERO, ONE, const, differentiate, evaluate, exp, sin, var,
+    VariableSet, ZERO, ONE, const, cos, differentiate, evaluate, exp, sin, var,
 )
 from skewforms.forms import (
     DifferentialForm,
@@ -21,7 +22,7 @@ from skewforms.forms import (
 
 from conftest import VARSETS, random_form, random_point, random_polynomial
 
-x, y = var("x"), var("y")
+x, y, z = var("x"), var("y"), var("z")
 V2 = VARSETS[2]
 V3 = VARSETS[3]
 
@@ -54,6 +55,68 @@ class TestIndexTuples:
             DifferentialForm(V2, 1, {(1, 2): ONE})
         with pytest.raises(FormError):
             DifferentialForm(V2, 5, {})
+
+
+class TestAccumulator:
+    @staticmethod
+    def pairwise(pairs):
+        """Reference: fold each sign, drop repeated indices and add each term
+        to the running coefficient of its key, one pair at a time."""
+        acc = {}
+        for idx, c in pairs:
+            sign, key = sort_index_tuple(idx)
+            if sign == 0:
+                continue
+            if sign < 0:
+                c = -c
+            prev = acc.get(key)
+            acc[key] = c if prev is None else prev + c
+        return {k: c for k, c in sorted(acc.items()) if c != ZERO}
+
+    def test_pairs_match_pairwise_accumulation(self, rng):
+        for n in (2, 3, 4):
+            vs = VARSETS[n]
+            for _ in range(60):
+                p = rng.randint(1, n)
+                pairs = [(tuple(rng.randint(1, n) for _ in range(p)),
+                          random_polynomial(rng, vs.names, 2))
+                         for _ in range(rng.randint(0, 8))]
+                if p >= 2 and pairs and rng.random() < 0.5:
+                    idx, c = rng.choice(pairs)  # a swapped copy cancels the term
+                    pairs.append(((idx[1], idx[0]) + idx[2:], c))
+                rng.shuffle(pairs)
+                assert DifferentialForm(vs, p, pairs).coefficients == self.pairwise(pairs)
+
+    def test_mapping_and_pairs_agree(self):
+        coeffs = {(2, 1): x, (1, 2): y, (2, 2): ONE}
+        assert DifferentialForm(V2, 2, coeffs) == DifferentialForm(V2, 2, coeffs.items())
+        assert DifferentialForm(V2, 2, coeffs).coefficient((1, 2)) == y - x
+
+
+class TestZeroVerdict:
+    UNKNOWN = sin(x) ** 2 + cos(x) ** 2 - 1   # beyond the zero test
+
+    def test_empty_form_is_zero(self):
+        assert zero_verdict(DifferentialForm.zero(V2, 1)) == "zero"
+        assert zero_verdict(DifferentialForm.zero(V2, 1), DifferentialForm.zero(V2, 2)) == "zero"
+
+    def test_nonzero_in_any_form_wins(self):
+        unknown = DifferentialForm.scalar(V2, self.UNKNOWN)
+        nonzero = DifferentialForm(V2, 1, {(2,): x})
+        zero = DifferentialForm.zero(V2, 1)
+        assert zero_verdict(unknown) == "unknown"
+        assert zero_verdict(unknown, nonzero) == "nonzero"
+        assert zero_verdict(nonzero, unknown) == "nonzero"
+        assert zero_verdict(DifferentialForm(V2, 1, {(1,): self.UNKNOWN, (2,): x})) == "nonzero"
+        assert zero_verdict(zero, unknown, zero) == "unknown"
+
+    def test_stops_at_first_nonzero(self, monkeypatch):
+        calls = []
+        real = forms.is_zero
+        monkeypatch.setattr(forms, "is_zero", lambda c: calls.append(c) or real(c))
+        a = DifferentialForm(V3, 1, {(1,): ONE, (2,): self.UNKNOWN, (3,): y})
+        assert zero_verdict(a, a) == "nonzero"
+        assert calls == [ONE]
 
 
 class TestWedge:
@@ -132,33 +195,46 @@ class TestExteriorDerivative:
         top = DifferentialForm(V2, 2, {(1, 2): x})
         assert d(top).is_structurally_zero()
 
+    def test_repeated_indices_are_not_differentiated(self, monkeypatch):
+        w = DifferentialForm.one_form(V3, [x * y, y * z, z * x])
+        expected = d(w)
+        calls = []
+        real = forms.differentiate
+        monkeypatch.setattr(forms, "differentiate", lambda e, v: calls.append(v) or real(e, v))
+        assert d(w) == expected
+        assert len(calls) == 6  # not 9: d(w_i)/dx^i would only be dropped
+
 
 class TestCommutator:
     def test_gradient_commutes(self):
         f = x**3 * y + sin(x)
         w = DifferentialForm.one_form(V2, [differentiate(f, "x"), differentiate(f, "y")])
         K = commutator(w)
-        assert K.zero_verdict() == "zero"
+        assert zero_verdict(K) == "zero"
 
     def test_y_dx(self):
         w = DifferentialForm(V2, 1, {(1,): y})
         K = commutator(w)
-        assert K.components[(1, 2)] == const(-1)
+        assert K.coefficient((1, 2)) == const(-1)
 
     def test_exact_form_zero(self):
         w = DifferentialForm.one_form(V2, [2 * x * y, x**2])
-        assert commutator(w).zero_verdict() == "zero"
+        assert zero_verdict(commutator(w)) == "zero"
 
     def test_commutator_matches_derivative(self, rng):
         """Commutator zero iff exterior derivative zero; components equal the
-        2-form coefficients."""
+        2-form coefficients and K_ab = d(w_b)/dx^a - d(w_a)/dx^b."""
         for _ in range(25):
             w = random_form(rng, V3, 1)
             K = commutator(w)
             dw = d(w)
-            for (a, b), comp in K.components.items():
-                assert comp == dw.coefficient((a, b))
-            assert (K.zero_verdict() == "zero") == (zero_verdict(dw) == "zero")
+            for a, b in ((1, 2), (1, 3), (2, 3)):
+                assert K.coefficient((a, b)) == dw.coefficient((a, b))
+                k_ab = (differentiate(w.coefficient((b,)), V3.names[a - 1])
+                        - differentiate(w.coefficient((a,)), V3.names[b - 1]))
+                assert K.coefficient((a, b)) == k_ab
+                assert K.coefficient((b, a)) == -k_ab
+            assert (zero_verdict(K) == "zero") == (zero_verdict(dw) == "zero")
 
     def test_wrong_degree(self):
         with pytest.raises(FormError):
@@ -167,8 +243,8 @@ class TestCommutator:
     def test_antisymmetric_lookup(self):
         w = DifferentialForm(V2, 1, {(1,): y})
         K = commutator(w)
-        assert K.component(2, 1) == ONE
-        assert K.component(1, 1) == ZERO
+        assert K.coefficient((2, 1)) == ONE
+        assert K.coefficient((1, 1)) == ZERO
 
 
 class TestPullback:
