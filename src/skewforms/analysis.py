@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 CRITICAL_GRADIENT_TOL = 1e-12
+MAX_GRID_NODES = 10_000_000  # 201^3 fits; each scanned array holds this many floats
 
 
 class AnalysisError(ValueError):
@@ -431,6 +432,8 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
     grid = [int(gv) for gv in grid]
     if len(grid) != n or any(gv < 3 for gv in grid):
         raise AnalysisError("grid needs at least 3 nodes per axis")
+    if math.prod(grid) > MAX_GRID_NODES:
+        raise AnalysisError(f"grid needs at most {MAX_GRID_NODES} nodes in all")
 
     comm = commutator(a)
     dual_derivative = exterior_derivative(hodge_star(a, g))

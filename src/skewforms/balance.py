@@ -76,8 +76,11 @@ def build_relation(system: BalanceSystem) -> EvolutionaryRelation:
     if comm_verdict == "zero":
         psi = reconstruct_potential(omega)
         if psi is not None:
-            relation = classify_relation(DifferentialForm.scalar(system.vars, psi), omega)
-            if relation.verdict == "identical":
+            # d(omega) is known to vanish: only the residual is left to test
+            psi_form = DifferentialForm.scalar(system.vars, psi)
+            residual = exterior_derivative(psi_form) - omega
+            if zero_verdict(residual) == "zero":
+                relation = Relation(psi_form, omega, "identical", residual, comm)
                 notes.append("state functional reconstructed by homotopy integration")
                 return EvolutionaryRelation(system, omega, comm, "identical",
                                             relation, psi, "; ".join(notes))

@@ -57,8 +57,6 @@ class RunConfig:
             raise InputError("tolerance must be positive")
         if self.step <= 0:
             raise InputError("step size must be positive")
-        if self.grid < 3:
-            raise InputError("grid needs at least 3 nodes per axis")
         if self.steps < 1:
             raise InputError("step count must be at least 1")
 

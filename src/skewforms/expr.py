@@ -70,7 +70,9 @@ PROBE_BOX = 2.0
 
 
 class DomainError(ArithmeticError):
-    """Numeric evaluation left the real domain (ln <= 0, 1/0, overflow)."""
+    """Numeric evaluation left the real domain (ln <= 0, 1/0, overflow), or
+    expanding one product would form more than _MAX_EXPANSION_PRODUCTS
+    term products."""
 
 
 class UnknownVariableError(ValueError):
@@ -264,6 +266,10 @@ def _as_term(e: Expression) -> tuple[Fraction, tuple[Expression, ...]]:
     return Fraction(1), (e,)
 
 
+def _terms(e: Expression) -> tuple[Expression, ...]:
+    return e.terms if isinstance(e, Add) else (e,)
+
+
 def _from_term(coeff: Fraction, monomial: tuple[Expression, ...]) -> Expression:
     if not monomial:
         return Const(coeff)
@@ -287,8 +293,7 @@ def add(*parts: Expression) -> Expression:
     """Canonical sum: flatten, fold constants, collect like terms, sort."""
     acc: dict[tuple[Expression, ...], Fraction] = {}
     for part in parts:
-        terms = part.terms if isinstance(part, Add) else (part,)
-        for t in terms:
+        for t in _terms(part):
             coeff, mono = _as_term(t)
             acc[mono] = acc.get(mono, Fraction(0)) + coeff
     kept = [(mono, c) for mono, c in acc.items() if c != 0]
@@ -322,45 +327,33 @@ def mul(*parts: Expression) -> Expression:
 
     factors: list[Expression] = []
     sums: list[Add] = []
-    for base in sorted(powers, key=_sort_key):
-        e = powers[base]
+    for base, e in powers.items():
         if e == 0:
             continue
         if isinstance(base, Add) and e.denominator == 1 and 1 <= e <= _MAX_EXPANSION_EXPONENT:
             sums.extend([base] * int(e))
             continue
-        folded = power(base, e)
-        if isinstance(folded, Const):
-            if folded.value == 0:
-                return ZERO
-            coeff *= folded.value
-        elif isinstance(folded, Add):
-            sums.append(folded)
-        elif isinstance(folded, Mul):
-            # content extraction or exponent folding can re-split the power
-            sub_c, sub_m = _as_term(folded)
-            coeff *= sub_c
-            for f in sub_m:
-                (sums if isinstance(f, Add) else factors).append(f)
-        else:
-            factors.append(folded)
+        # content extraction or exponent folding can re-split the power
+        sub_c, sub_m = _as_term(power(base, e))
+        coeff *= sub_c
+        for f in sub_m:
+            (sums if isinstance(f, Add) else factors).append(f)
+    if coeff == 0:
+        return ZERO
 
-    if sums:
-        cross: list[tuple[Expression, ...]] = [()]
-        for s in sums:
-            cross = [chosen + (t,) for chosen in cross for t in s.terms]
-        pieces = [mul(Const(coeff), *factors, *chosen) for chosen in cross]
-        return add(*pieces)
-
-    factors.sort(key=_factor_key)
-    if not factors:
-        return Const(coeff)
-    if coeff == 1:
-        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
-    return Mul((Const(coeff),) + tuple(factors))
+    # distribute one sum at a time, collecting like terms after each step
+    result = _from_term(coeff, tuple(sorted(factors, key=_factor_key)))
+    products = 0
+    for s in sums:
+        products += len(_terms(result)) * len(s.terms)
+        if products > _MAX_EXPANSION_PRODUCTS:
+            raise DomainError(f"expansion needs more than {_MAX_EXPANSION_PRODUCTS} term products")
+        result = add(*[mul(r, t) for r in _terms(result) for t in s.terms])
+    return result
 
 
 _MAX_EXPANSION_EXPONENT = 64
+_MAX_EXPANSION_PRODUCTS = 100_000
 
 
 def _nth_root_exact(value: int, n: int) -> int | None:
@@ -682,8 +675,7 @@ def evaluate(e: Expression, point: Mapping[str, float]) -> float:
 def _denominator_clearings(e: Expression) -> dict[Expression, Fraction]:
     """Bases raised to negative exponents anywhere in the top-level terms."""
     need: dict[Expression, Fraction] = {}
-    terms = e.terms if isinstance(e, Add) else (e,)
-    for t in terms:
+    for t in _terms(e):
         _, mono = _as_term(t)
         for f in mono:
             base, exponent = _as_power(f)
@@ -712,8 +704,7 @@ def _numerator(e: Expression, max_passes: int = 8) -> Expression:
             clearers.extend([base] * whole)
             if k != whole:
                 clearers.append(power(base, k - whole))
-        terms = cur.terms if isinstance(cur, Add) else (cur,)
-        cur = add(*[mul(t, *clearers) for t in terms])
+        cur = add(*[mul(t, *clearers) for t in _terms(cur)])
     return cur
 
 
@@ -771,7 +762,8 @@ def _fraction_text(value: Fraction) -> str:
 def _power_text(e: Pow) -> str:
     base = e.base
     base_text = to_text(base)
-    if isinstance(base, (Add, Mul, Pow)) or (isinstance(base, Const) and base.value < 0):
+    if isinstance(base, (Add, Mul, Pow)) or (
+            isinstance(base, Const) and (base.value < 0 or base.value.denominator != 1)):
         base_text = f"({base_text})"
     r = e.exponent
     if r.denominator == 1:

@@ -259,6 +259,24 @@ class TestPseudostructure:
             find_pseudostructure(DifferentialForm.one_form(V2, [x, y]),
                                  Metric.euclidean(V2), BOX2, 2)
 
+    def test_grid_node_count_is_bounded(self, monkeypatch):
+        from skewforms.balance import BalanceSystem, build_relation, equilibrium_scan
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("an oversized grid must be rejected before it is built")
+
+        monkeypatch.setattr(analysis.np, "linspace", no_grid)
+        over = analysis.MAX_GRID_NODES + 1
+        a2 = DifferentialForm.one_form(V2, [y**2, x * y])
+        a3 = DifferentialForm.one_form(V3, [z * y, ZERO, ZERO])
+        relation = build_relation(BalanceSystem(V2, (y**2, x * y)))
+        for form, grid in ((a2, 100_000), (a2, [3, over // 3 + 1]), (a3, 216), (a3, [over, 3, 3])):
+            with pytest.raises(AnalysisError, match="grid"):
+                find_pseudostructure(form, Metric.euclidean(form.vars),
+                                     [(-1, 1)] * form.vars.dimension, grid)
+        with pytest.raises(AnalysisError, match="grid"):
+            equilibrium_scan(relation, BOX2, 100_000)
+
     def test_box_needs_finite_increasing_ranges(self):
         from skewforms.balance import BalanceSystem, build_relation, equilibrium_scan
 

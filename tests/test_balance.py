@@ -2,6 +2,9 @@
 
 import pytest
 
+from skewforms import analysis as analysis_module
+from skewforms import balance as balance_module
+from skewforms import forms as forms_module
 from skewforms.expr import VariableSet, ZERO, const, evaluate, sin, var
 from skewforms.forms import DifferentialForm, exterior_derivative
 from skewforms.balance import BalanceSystem, build_relation, equilibrium_scan
@@ -18,6 +21,26 @@ class TestBuildRelation:
         assert rel.psi == xi1 * xi2
         lhs = exterior_derivative(DifferentialForm.scalar(XI, rel.psi))
         assert lhs == rel.omega
+
+    def test_reconstructed_relation_differentiates_omega_once(self, monkeypatch):
+        degrees = []
+
+        def counted(form):
+            degrees.append(form.degree)
+            return exterior_derivative(form)
+
+        monkeypatch.setattr(forms_module, "exterior_derivative", counted)
+        monkeypatch.setattr(balance_module, "exterior_derivative", counted)
+        monkeypatch.setattr(analysis_module, "exterior_derivative", counted)
+        rel = build_relation(BalanceSystem(XI, (xi2, xi1)))
+        assert degrees == [1, 0]  # d(omega) for the commutator, then d(psi)
+        assert rel.verdict == "identical"
+        assert rel.notes == "state functional reconstructed by homotopy integration"
+        assert rel.relation.verdict == "identical"
+        assert rel.relation.residual.is_structurally_zero()
+        assert rel.relation.eta_commutator == rel.commutator
+        assert rel.relation.phi == DifferentialForm.scalar(XI, xi1 * xi2)
+        assert rel.relation.eta == rel.omega
 
     def test_rotation_nonidentical_everywhere(self):
         rel = build_relation(BalanceSystem(XI, (xi2, -xi1)))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
@@ -109,6 +110,12 @@ class TestExitCodes:
         code, _, err = run_cli("pseudostructure", BALANCE, "--grid", "2")
         assert code == 2
         assert "grid" in err
+        # 10^10 nodes: rejected by the node-count bound before any array is built
+        for command in ("pseudostructure", "balance-scan"):
+            code, out, err = run_cli(command, BALANCE, "--grid", "100000")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "grid" in err
 
     def test_bad_box(self):
         for box in ("1:0,0:1", "-inf:inf,0:1", "-1e308:1e308,0:1"):
@@ -124,6 +131,17 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "line 2, column " in err and "nested more than 100 levels" in err
+        assert "Traceback" not in err
+
+    def test_oversized_expansion_exits_2(self, tmp_path):
+        doc = tmp_path / "big.forms"
+        doc.write_text("vars x, y, z, w\nscalar s = (x + y + z + w)^64\n")
+        start = time.perf_counter()
+        code, out, err = run_cli("d", str(doc))
+        assert time.perf_counter() - start < 30.0  # unbounded, it runs for minutes
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "term products" in err
         assert "Traceback" not in err
 
     def test_overflow_under_sin_exits_2(self, tmp_path):

@@ -136,6 +136,13 @@ class TestPrinting:
         doc = parse("vars x,y\nform w = dx^dx")
         assert "form w = 0" in print_document(doc)
 
+    def test_fractional_base_keeps_its_parentheses(self):
+        doc = parse("vars x\nscalar s = (2/3)^(1/2)*x\nscalar t = (-1/2)^(1/3) + (3/4)^(-1/2)\n")
+        out = print_document(doc)
+        assert "scalar s = (2/3)^(1/2)*x" in out
+        assert "scalar t = (-1/2)^(1/3) + (3/4)^(-1/2)" in out
+        assert parse(out) == doc
+
     def test_parse_print_fixpoint(self):
         text = ("vars x, y\nmetric +1, -1\nscalar f = x^2 + y^2\n"
                 "form grad = 2*x*dx + 2*y*dy\nrelation r: d(x*y) = y*dx\n"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from skewforms.expr import (
     VariableSet,
     ZERO,
     ONE,
+    add,
     compile_expression,
     const,
     cos,
@@ -56,6 +58,9 @@ class TestCanonicalForm:
         assert x * ZERO == ZERO
         assert power(x, 0) == ONE
         assert power(x, 1) == x
+        # two factors (0^(-1/2))^(-1/2) in one product fold to 0^(1/2) = 0
+        q = power(power(ZERO, Fraction(-1, 2)), Fraction(-1, 2))
+        assert q * (q * x) == ZERO
 
     def test_like_terms_collect(self):
         assert x + x == const(2) * x
@@ -98,6 +103,107 @@ class TestCanonicalForm:
             const(0.5)
         with pytest.raises(TypeError):
             power(x, 0.5)
+
+
+def _cross_product_mul(*parts):
+    """Reference product: fold exponents like ``mul``, then take the cross
+    product of every sum factor's terms and collect once at the end."""
+    coeff = Fraction(1)
+    powers = {}
+    stack = list(parts)
+    while stack:
+        p = stack.pop()
+        if isinstance(p, Mul):
+            stack.extend(p.factors)
+        elif isinstance(p, Const):
+            if p.value == 0:
+                return ZERO
+            coeff *= p.value
+        else:
+            base, e = expr_module._as_power(p)
+            powers[base] = powers.get(base, Fraction(0)) + e
+    factors, sums = [], []
+    for base in sorted(powers, key=expr_module._sort_key):
+        e = powers[base]
+        if e == 0:
+            continue
+        if isinstance(base, Add) and e.denominator == 1 and 1 <= e <= expr_module._MAX_EXPANSION_EXPONENT:
+            sums.extend([base] * int(e))
+            continue
+        sub_c, sub_m = expr_module._as_term(power(base, e))
+        coeff *= sub_c
+        for f in sub_m:
+            (sums if isinstance(f, Add) else factors).append(f)
+    if sums:
+        cross = [()]
+        for s in sums:
+            cross = [chosen + (t,) for chosen in cross for t in s.terms]
+        return add(*[_cross_product_mul(Const(coeff), *factors, *chosen) for chosen in cross])
+    if coeff == 0:
+        return ZERO
+    return expr_module._from_term(coeff, tuple(sorted(factors, key=expr_module._factor_key)))
+
+
+def _random_sum(rng, names):
+    """A polynomial, rational-function or sin/exp sum of two or three terms."""
+    kind = rng.randrange(3)
+    while True:
+        terms = []
+        for _ in range(rng.randint(2, 3)):
+            term = const(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3])))
+            for _ in range(rng.randint(0, 2)):
+                term = term * var(rng.choice(names))
+            if kind == 1 and rng.random() < 0.6:
+                term = term * power(var(rng.choice(names)) + rng.choice([1, 2]), rng.choice([-1, -2]))
+            if kind == 2 and rng.random() < 0.6:
+                term = term * rng.choice([sin, exp])(var(rng.choice(names)))
+            terms.append(term)
+        total = add(*terms)
+        if isinstance(total, Add):
+            return total
+
+
+class TestExpansion:
+    def test_matches_the_cross_product_reference(self):
+        rng = random.Random(1974)
+        names = ["x", "y", "z"]
+        for _ in range(150):
+            parts = [_random_sum(rng, names) for _ in range(rng.randint(2, 4))]
+            if rng.random() < 0.4:
+                parts.append(power(rng.choice(parts), rng.randint(-1, 2)))
+            if rng.random() < 0.5:
+                parts.append(const(Fraction(rng.randint(1, 5), rng.randint(1, 3))) * var(rng.choice(names)))
+            rng.shuffle(parts)
+            assert expr_module.mul(*parts) == _cross_product_mul(*parts)
+
+    def test_large_powers_expand_quickly(self):
+        z, w = var("z"), var("w")
+        start = time.perf_counter()
+        binomial = power(x + y, 18)
+        quartic = power(x + y + z + w, 8)
+        assert time.perf_counter() - start < 5.0  # the cross product took over 30 s
+        assert len(binomial.terms) == 19 and len(quartic.terms) == math.comb(11, 3)
+        assert Mul((const(math.comb(18, 9)), power(x, 9), power(y, 9))) in binomial.terms
+        point = {"x": 0.5, "y": -0.25, "z": 0.125, "w": 0.75}
+        assert evaluate(quartic, point) == pytest.approx(1.125**8, rel=1e-12)
+
+    def test_term_products_are_bounded(self, monkeypatch):
+        # (x+y)^3 forms 2 + 4 + 6 = 12 term products, (x+y)^4 another 8
+        monkeypatch.setattr(expr_module, "_MAX_EXPANSION_PRODUCTS", 12)
+        assert len(power(x + y, 3).terms) == 4
+        with pytest.raises(DomainError, match="term products"):
+            power(x + y, 4)
+        with pytest.raises(DomainError, match="term products"):
+            # four binomials in one call: the last step alone forms 8 products
+            expr_module.mul(x + y, x - y, x + 2 * y, 2 * x + y)
+
+    def test_product_does_not_depend_on_association(self):
+        r2, rx = power(const(2), Fraction(1, 2)), power(x, Fraction(1, 2))
+        a, b, c = r2 + rx, r2 + y, rx + r2 * y
+        assert a * b * c == c * b * a == a * (b * c)
+        assert expr_module.mul(a, b, c) == expr_module.mul(c, b, a) == a * b * c
+        assert a**3 == a * a * a
+        assert is_zero(a**3 - a * a * a) == "zero"
 
 
 class TestDifferentiate:
