@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .expr import (
     Add,
     Const,
@@ -381,6 +379,8 @@ def _bisect_edges(fn, lo: np.ndarray, hi: np.ndarray, tol: float,
     not of one sign, and the root is the first midpoint with |K| <= tol.
     Returns the (n, k) roots and the indices of their edges, in edge order.
     """
+    import numpy as np
+
     f_lo, f_hi = fn.array(*lo), fn.array(*hi)
     valid = np.isfinite(f_lo) & np.isfinite(f_hi)
     at_lo = valid & (f_lo == 0.0)
@@ -449,6 +449,8 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
         # this component vanishes nowhere, so neither can the commutator
         locus = Locus("empty", "no structure realized")
         return StructureReport(locus, None, dual_residual, 0.0, None, comm)
+
+    import numpy as np
 
     shape = tuple(grid)
     axes = [np.linspace(lo, hi, gv) for (lo, hi), gv in zip(box, grid)]

@@ -450,6 +450,12 @@ def main(argv=None) -> int:
     except (InputError, FormError, AnalysisError, DomainError, DslError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     if args.strict and reporter.saw_unknown:
         return 1
     return 0

@@ -266,7 +266,13 @@ class _Parser:
                 self.error("expected a declaration (vars, metric, scalar, form, relation, balance)")
             if tok.text != "vars" and self.doc.vars is None:
                 self.error("the vars declaration must come first")
-            getattr(self, f"_parse_{tok.text}")()
+            try:
+                getattr(self, f"_parse_{tok.text}")()
+            except RecursionError:
+                # names are inlined, so a chain of references can nest a tree
+                # deeper than MAX_NESTING lets the text nest
+                raise DslError("expression nested too deeply once names are inlined",
+                               tok.line, tok.column) from None
             self.end_statement()
             self.skip_separators()
         return self.doc

@@ -265,7 +265,7 @@ class TestPseudostructure:
         def no_grid(*args, **kwargs):
             raise AssertionError("an oversized grid must be rejected before it is built")
 
-        monkeypatch.setattr(analysis.np, "linspace", no_grid)
+        monkeypatch.setattr(np, "linspace", no_grid)
         over = analysis.MAX_GRID_NODES + 1
         a2 = DifferentialForm.one_form(V2, [y**2, x * y])
         a3 = DifferentialForm.one_form(V3, [z * y, ZERO, ZERO])

@@ -153,6 +153,35 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_deep_name_chain_exits_2(self, tmp_path):
+        # each name is inlined, so the chain nests 1200 calls though no
+        # statement nests more than two levels
+        lines = ["vars x, y", "scalar s0 = x"]
+        lines += [f"scalar s{i} = sin(s{i - 1})" for i in range(1, 1200)]
+        lines.append("form a = s1199*dx + y*dy")
+        doc = tmp_path / "chain.forms"
+        doc.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli("d", str(doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "line 1202, column 1" in err
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_resource_errors_exit_2(self, monkeypatch, error):
+        import skewforms.cli
+
+        def exhausted(args, reporter):
+            raise error()
+
+        monkeypatch.setattr(skewforms.cli, "_cmd_d", exhausted)
+        code, out, err = run_cli("d", BASIC)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_wedge_degree_error(self):
         code, _, err = run_cli("wedge", CONTACT, "area", "area")
         assert code == 0  # 2+2 clamps to the zero form, not an error
@@ -223,3 +252,27 @@ def test_module_entrypoint_runs_without_install():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "k=1 dim=2" in proc.stdout
+
+
+NUMPY_PROBE = """
+import sys
+import skewforms, skewforms.cli
+code = skewforms.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    ((), False),
+    (("d", BASIC), False),
+    (("--format", "jsonl", "classify", BASIC), False),
+    (("characteristics", BASIC, "--scalar", "f", "--start", "1,0", "--steps", "20"), False),
+    (("table", "1", "2"), False),
+    (("pseudostructure", BALANCE, "--name", "omega", "--grid", "21"), True),
+], ids=["import", "d", "classify", "characteristics", "table", "pseudostructure"])
+def test_numpy_is_imported_only_by_grid_scans(argv, loads_numpy):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"
