@@ -118,11 +118,11 @@ def _integrate_unit_interval(e: Expression, t: str) -> Expression | None:
     out = ZERO
     for term in terms:
         factors = term.factors if isinstance(term, Mul) else (term,)
-        degree = Fraction(0)
+        degree = 0
         rest: list[Expression] = []
         ok = True
         for f in factors:
-            base, exponent = (f.base, f.exponent) if isinstance(f, Pow) else (f, Fraction(1))
+            base, exponent = (f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
             if isinstance(base, Var) and base.name == t:
                 if exponent.denominator != 1 or exponent < 0:
                     ok = False
@@ -135,7 +135,7 @@ def _integrate_unit_interval(e: Expression, t: str) -> Expression | None:
                 rest.append(f)
         if not ok:
             return None
-        out = out + mul(const(Fraction(1, int(degree) + 1)), *rest)
+        out = out + mul(const(Fraction(1, degree + 1)), *rest)
     return out
 
 

@@ -10,8 +10,11 @@ power of a base that cannot be expanded (a sum raised to a negative or
 fractional exponent).  Two expressions that normalize to the same tree
 compare equal with ``==``.
 
-Constants are exact ``Fraction`` values; floats are rejected so that
-structural zero tests (e.g. dd = 0) stay exact.
+Constants and exponents are exact rationals with one representation: a
+plain ``int`` when the denominator is 1, otherwise a ``Fraction`` with
+denominator > 1.  ``int`` and ``Fraction`` compare and hash alike, so the
+choice never changes equality; integral arithmetic just skips ``Fraction``.
+Floats are rejected so that structural zero tests (e.g. dd = 0) stay exact.
 
 Zero-testing is three-valued.  "zero" is certified only by exact
 normalization, including clearing denominators of rational functions.
@@ -134,7 +137,7 @@ class Expression:
 
 @dataclass(frozen=True, slots=True)
 class Const(Expression):
-    value: Fraction
+    value: int | Fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +158,7 @@ class Mul(Expression):
 @dataclass(frozen=True, slots=True)
 class Pow(Expression):
     base: Expression
-    exponent: Fraction
+    exponent: int | Fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,11 +167,20 @@ class Func(Expression):
     arg: Expression
 
 
+def _rational(value) -> int | Fraction:
+    """An exact rational as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def const(value) -> Const:
     """Exact rational constant. Floats are rejected; use Fraction or str."""
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a Fraction, int or str")
-    return Const(Fraction(value))
+    return Const(_rational(value))
 
 
 ZERO = const(0)
@@ -255,22 +267,23 @@ def _sort_key(e: Expression):
     return (5, tuple(_sort_key(t) for t in e.terms))
 
 
-def _as_term(e: Expression) -> tuple[Fraction, tuple[Expression, ...]]:
+def _as_term(e: Expression) -> tuple[int | Fraction, tuple[Expression, ...]]:
     """Split a canonical term into (rational coefficient, monomial factors)."""
     if isinstance(e, Const):
         return e.value, ()
     if isinstance(e, Mul):
         if isinstance(e.factors[0], Const):
             return e.factors[0].value, e.factors[1:]
-        return Fraction(1), e.factors
-    return Fraction(1), (e,)
+        return 1, e.factors
+    return 1, (e,)
 
 
 def _terms(e: Expression) -> tuple[Expression, ...]:
     return e.terms if isinstance(e, Add) else (e,)
 
 
-def _from_term(coeff: Fraction, monomial: tuple[Expression, ...]) -> Expression:
+def _from_term(coeff: int | Fraction, monomial: tuple[Expression, ...]) -> Expression:
+    coeff = _rational(coeff)
     if not monomial:
         return Const(coeff)
     if coeff == 1:
@@ -278,10 +291,10 @@ def _from_term(coeff: Fraction, monomial: tuple[Expression, ...]) -> Expression:
     return Mul((Const(coeff),) + monomial)
 
 
-def _as_power(e: Expression) -> tuple[Expression, Fraction]:
+def _as_power(e: Expression) -> tuple[Expression, int | Fraction]:
     if isinstance(e, Pow):
         return e.base, e.exponent
-    return e, Fraction(1)
+    return e, 1
 
 
 def _factor_key(f: Expression):
@@ -291,11 +304,11 @@ def _factor_key(f: Expression):
 
 def add(*parts: Expression) -> Expression:
     """Canonical sum: flatten, fold constants, collect like terms, sort."""
-    acc: dict[tuple[Expression, ...], Fraction] = {}
+    acc: dict[tuple[Expression, ...], int | Fraction] = {}
     for part in parts:
         for t in _terms(part):
             coeff, mono = _as_term(t)
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+            acc[mono] = acc.get(mono, 0) + coeff
     kept = [(mono, c) for mono, c in acc.items() if c != 0]
     if not kept:
         return ZERO
@@ -310,8 +323,8 @@ def mul(*parts: Expression) -> Expression:
     Sums accumulate in the same base/exponent table as their inverse-power
     atoms, so (x+y) * (x+y)^-1 cancels exactly before any distribution.
     """
-    coeff = Fraction(1)
-    powers: dict[Expression, Fraction] = {}
+    coeff = 1
+    powers: dict[Expression, int | Fraction] = {}
     stack = list(parts)
     while stack:
         p = stack.pop()
@@ -323,7 +336,7 @@ def mul(*parts: Expression) -> Expression:
             coeff *= p.value
         else:
             base, e = _as_power(p)
-            powers[base] = powers.get(base, Fraction(0)) + e
+            powers[base] = powers.get(base, 0) + e
 
     factors: list[Expression] = []
     sums: list[Add] = []
@@ -331,7 +344,7 @@ def mul(*parts: Expression) -> Expression:
         if e == 0:
             continue
         if isinstance(base, Add) and e.denominator == 1 and 1 <= e <= _MAX_EXPANSION_EXPONENT:
-            sums.extend([base] * int(e))
+            sums.extend([base] * int(e))  # e may sum to Fraction(n, 1)
             continue
         # content extraction or exponent folding can re-split the power
         sub_c, sub_m = _as_term(power(base, e))
@@ -357,19 +370,20 @@ _MAX_EXPANSION_PRODUCTS = 100_000
 
 
 def _nth_root_exact(value: int, n: int) -> int | None:
-    if value < 0:
-        return None
-    try:
-        root = round(value ** (1.0 / n))
-    except OverflowError:
-        return None
-    for candidate in (root - 1, root, root + 1):
-        if candidate >= 0 and candidate**n == value:
-            return candidate
-    return None
+    """The integer n-th root of value when it is exact, else None."""
+    if value < 2:
+        return value if value >= 0 else None
+    if n == 2:
+        root = math.isqrt(value)
+    else:
+        # Newton's iteration falls from 2^ceil(bits/n) >= root to floor(root)
+        root = 1 << -(-value.bit_length() // n)
+        while (step := ((n - 1) * root + value // root ** (n - 1)) // n) < root:
+            root = step
+    return root if root**n == value else None
 
 
-def _content(e: Add, signed: bool) -> Fraction:
+def _content(e: Add, signed: bool) -> int | Fraction:
     """Rational content of a sum's coefficients; signed content carries the
     leading term's sign so that content-free bases are sign-normalized."""
     num_gcd = 0
@@ -378,9 +392,10 @@ def _content(e: Add, signed: bool) -> Fraction:
         c, _ = _as_term(t)
         num_gcd = math.gcd(num_gcd, abs(c.numerator))
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    if content == 0:
-        return Fraction(1)
+    if num_gcd == 0:
+        return 1
+    # gcd of numerators is coprime to the lcm of denominators
+    content = num_gcd if den_lcm == 1 else Fraction(num_gcd, den_lcm)
     if signed and _as_term(e.terms[0])[0] < 0:
         return -content
     return content
@@ -390,22 +405,28 @@ def power(base: Expression, exponent) -> Expression:
     """Canonical power with an exact rational exponent."""
     if isinstance(exponent, float):
         raise TypeError("exponents must be exact; pass a Fraction, int or str")
-    e = Fraction(exponent)
+    e = _rational(exponent)
     if e == 0:
         return ONE  # 0^0 := 1 by convention
     if e == 1:
         return base
     if isinstance(base, Const):
-        if base.value == 0 and e < 0:
+        c = base.value
+        if c == 0 and e < 0:
             return Pow(base, e)  # undefined; evaluation raises
         if e.denominator == 1:
-            return Const(base.value ** int(e))
-        if base.value >= 0:
-            num = _nth_root_exact(base.value.numerator, e.denominator)
-            den = _nth_root_exact(base.value.denominator, e.denominator)
-            if num is not None and den is not None:
-                return Const(Fraction(num, den) ** e.numerator)
-        return Pow(base, e)
+            return Const(c**e if e > 0 else _rational(Fraction(c) ** e))
+        if c < 0:
+            return Pow(base, e)
+        num = _nth_root_exact(c.numerator, e.denominator)
+        den = _nth_root_exact(c.denominator, e.denominator)
+        if num is not None and den is not None:
+            return Const(_rational(Fraction(num, den) ** e.numerator))
+        # c^(p/q) = c^floor(p/q) * c^(r/q) with 0 < r < q: one form per radical
+        whole, r = divmod(e.numerator, e.denominator)
+        if whole == 0:
+            return Pow(base, e)
+        return mul(power(base, whole), Pow(base, Fraction(r, e.denominator)))
     if isinstance(base, Pow):
         if e.denominator == 1:
             return power(base.base, base.exponent * e)
@@ -414,10 +435,10 @@ def power(base: Expression, exponent) -> Expression:
         return mul(*[power(f, e) for f in base.factors])
     if isinstance(base, Add):
         if e.denominator == 1 and 1 < e <= _MAX_EXPANSION_EXPONENT:
-            return mul(*([base] * int(e)))
+            return mul(*([base] * e))
         content = _content(base, signed=e.denominator == 1)
         if content != 1:
-            reduced = mul(Const(1 / content), base)
+            reduced = mul(const(Fraction(1) / content), base)
             return mul(power(Const(content), e), power(reduced, e))
     return Pow(base, e)
 
@@ -609,7 +630,7 @@ class CompiledExpression:
             return FunctionType(self._code, _array_helpers())(*arrays)
 
 
-def _literal(value: Fraction) -> str:
+def _literal(value: int | Fraction) -> str:
     """A constant as Python source, rounded once; NaN beyond the float range."""
     try:
         return repr(float(value))
@@ -672,15 +693,15 @@ def evaluate(e: Expression, point: Mapping[str, float]) -> float:
 # --- zero testing -----------------------------------------------------------
 
 
-def _denominator_clearings(e: Expression) -> dict[Expression, Fraction]:
+def _denominator_clearings(e: Expression) -> dict[Expression, int | Fraction]:
     """Bases raised to negative exponents anywhere in the top-level terms."""
-    need: dict[Expression, Fraction] = {}
+    need: dict[Expression, int | Fraction] = {}
     for t in _terms(e):
         _, mono = _as_term(t)
         for f in mono:
             base, exponent = _as_power(f)
             if exponent < 0:
-                need[base] = max(need.get(base, Fraction(0)), -exponent)
+                need[base] = max(need.get(base, 0), -exponent)
     return need
 
 
@@ -753,12 +774,6 @@ def is_zero(e: Expression) -> str:
 # --- rendering --------------------------------------------------------------
 
 
-def _fraction_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _power_text(e: Pow) -> str:
     base = e.base
     base_text = to_text(base)
@@ -766,26 +781,24 @@ def _power_text(e: Pow) -> str:
             isinstance(base, Const) and (base.value < 0 or base.value.denominator != 1)):
         base_text = f"({base_text})"
     r = e.exponent
-    if r.denominator == 1:
-        return f"{base_text}^{r.numerator}"
-    return f"{base_text}^({r.numerator}/{r.denominator})"
+    return f"{base_text}^{r}" if r.denominator == 1 else f"{base_text}^({r})"
 
 
-def _product_text(coeff: Fraction, monomial: tuple[Expression, ...]) -> str:
+def _product_text(coeff: int | Fraction, monomial: tuple[Expression, ...]) -> str:
     parts = [to_text(f) if not isinstance(f, Add) else f"({to_text(f)})" for f in monomial]
     if not parts:
-        return _fraction_text(coeff)
+        return str(coeff)
     if coeff == 1:
         return "*".join(parts)
     if coeff == -1:
         return "-" + "*".join(parts)
-    return "*".join([_fraction_text(coeff)] + parts)
+    return "*".join([str(coeff)] + parts)
 
 
 def to_text(e: Expression) -> str:
     """Render a canonical tree; the DSL parser reads the output back."""
     if isinstance(e, Const):
-        return _fraction_text(e.value)
+        return str(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Func):

@@ -140,7 +140,7 @@ class TestPrinting:
         doc = parse("vars x\nscalar s = (2/3)^(1/2)*x\nscalar t = (-1/2)^(1/3) + (3/4)^(-1/2)\n")
         out = print_document(doc)
         assert "scalar s = (2/3)^(1/2)*x" in out
-        assert "scalar t = (-1/2)^(1/3) + (3/4)^(-1/2)" in out
+        assert "scalar t = (-1/2)^(1/3) + 4/3*(3/4)^(1/2)" in out
         assert parse(out) == doc
 
     def test_parse_print_fixpoint(self):

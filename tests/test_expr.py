@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewforms import expr as expr_module
+from skewforms.dsl import parse
 from skewforms.expr import (
     Add,
     Const,
@@ -161,6 +162,70 @@ def _random_sum(rng, names):
         total = add(*terms)
         if isinstance(total, Add):
             return total
+
+
+class TestExactRationals:
+    def test_integral_values_are_plain_ints(self):
+        assert const(Fraction(4, 2)) == const(2)
+        assert hash(const(Fraction(4, 2))) == hash(const(2))
+        assert type(const(Fraction(4, 2)).value) is int
+        assert type(const(True).value) is int
+        assert type(power(x, Fraction(6, 3)).exponent) is int
+
+    def test_integral_arithmetic_constructs_no_fraction(self, monkeypatch):
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        z = var("z")
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        e = power(x + 2 * y + 3 * z, 6)
+        e = substitute(differentiate(e, "x"), {"y": x * z})
+        monkeypatch.undo()
+        assert made == []
+        assert len(e.terms) > 20
+
+    def test_radical_products_do_not_depend_on_grouping(self):
+        a, b = power(const(2), Fraction(3, 2)), power(const(2), Fraction(1, 2))
+        assert a == 2 * b
+        assert (a * b) * b == a * (b * b) == 4 * b
+        assert is_zero((a * b) * b - a * (b * b)) == "zero"
+        assert a * b == const(4)
+
+    def test_exponents_summing_to_an_integer_expand(self):
+        root = power(x + 1, Fraction(1, 2))
+        assert root * power(x + 1, Fraction(3, 2)) == x**2 + 2 * x + 1
+        assert power(x, Fraction(1, 2)) * power(x, Fraction(3, 2)) == x**2
+
+    def test_negative_radical_exponents_fold(self):
+        assert to_text(power(const(2), Fraction(-1, 2))) == "1/2*2^(1/2)"
+        assert to_text(power(const(Fraction(3, 4)), Fraction(-5, 2))) == "64/27*(3/4)^(1/2)"
+        # 0 to a negative power stays the undefined power; evaluation raises
+        assert power(ZERO, Fraction(-3, 2)) == Pow(ZERO, Fraction(-3, 2))
+        assert power(const(-8), Fraction(3, 2)) == Pow(const(-8), Fraction(3, 2))
+
+    def test_exact_roots_of_large_constants(self):
+        assert expr_module._nth_root_exact(3**100, 2) == 3**50
+        assert expr_module._nth_root_exact(10**400, 2) == 10**200
+        assert expr_module._nth_root_exact(7**300, 3) == 7**100
+        assert expr_module._nth_root_exact(10**400, 5) == 10**80
+        assert power(const(3**100), Fraction(1, 2)) == const(3**50)
+        assert is_zero(power(const(3**100), Fraction(1, 2)) - 3**50) == "zero"
+        assert is_zero(power(const(Fraction(1, 10**400)), Fraction(3, 4)) - Fraction(1, 10**300)) == "zero"
+
+    def test_values_without_an_exact_root(self):
+        for value, n in ((3**100 + 1, 2), (10**400 - 1, 2), (2 * 10**399, 3), (7**300 - 7, 3), (-4, 2)):
+            assert expr_module._nth_root_exact(value, n) is None
+        assert power(const(3**101), Fraction(1, 2)) == Pow(const(3**101), Fraction(1, 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+    def test_roots_match_the_table_of_powers(self, n):
+        powers = {k**n: k for k in range(300)}
+        for value in {p + d for p in powers for d in (-1, 0, 1)} - {-1}:
+            assert expr_module._nth_root_exact(value, n) == powers.get(value)
 
 
 class TestExpansion:
@@ -499,9 +564,16 @@ class TestVariableSet:
 _names = st.sampled_from(["x", "y", "z"])
 
 
+_exponents = st.one_of(
+    st.integers(-2, 3),
+    st.sampled_from([Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]),
+)
+
+
 def _exprs(depth=3):
     leaf = st.one_of(
         st.integers(-5, 5).map(const),
+        st.fractions(-5, 5, max_denominator=6).map(const),
         _names.map(var),
     )
     if depth == 0:
@@ -511,8 +583,8 @@ def _exprs(depth=3):
         leaf,
         st.tuples(sub, sub).map(lambda p: p[0] + p[1]),
         st.tuples(sub, sub).map(lambda p: p[0] * p[1]),
-        st.tuples(sub, st.integers(-2, 3)).map(lambda p: power(p[0], p[1])
-                                               if not (p[0] == ZERO and p[1] < 0) else p[0]),
+        st.tuples(sub, _exponents).map(lambda p: power(p[0], p[1])
+                                       if not (p[0] == ZERO and p[1] < 0) else p[0]),
         sub.map(sin),
         sub.map(exp),
     )
@@ -542,3 +614,35 @@ def test_evaluation_matches_structural_rebuild(e):
     except DomainError:
         return
     assert evaluate(simplify(e), p) == pytest.approx(first, rel=1e-9, abs=1e-9)
+
+
+def _rationals_in(e):
+    if isinstance(e, Const):
+        yield e.value
+    elif isinstance(e, Pow):
+        yield e.exponent
+        yield from _rationals_in(e.base)
+    elif isinstance(e, (Add, Mul)):
+        for child in e.terms if isinstance(e, Add) else e.factors:
+            yield from _rationals_in(child)
+    elif not isinstance(e, Var):
+        yield from _rationals_in(e.arg)
+
+
+def _assert_one_representation(e):
+    for q in _rationals_in(e):
+        assert type(q) is int or (type(q) is Fraction and q.denominator > 1), repr(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs())
+def test_integral_rationals_are_plain_ints(e):
+    """Every Const value and Pow exponent is an int when integral and a
+    Fraction with denominator > 1 otherwise: never a bool or a float."""
+    _assert_one_representation(e)
+    for name in ("x", "y"):
+        _assert_one_representation(differentiate(e, name))
+    _assert_one_representation(substitute(e, {"y": x * var("z"), "z": const(Fraction(1, 2))}))
+    reparsed = parse(f"vars x, y, z\nscalar s = {to_text(e)}\n").find("s").expr
+    _assert_one_representation(reparsed)
+    assert reparsed == e
