@@ -68,6 +68,7 @@ __all__ = [
 
 CRITICAL_GRADIENT_TOL = 1e-12
 MAX_GRID_NODES = 10_000_000  # 201^3 fits; each scanned array holds this many floats
+MAX_CURVE_STEPS = 1_000_000  # each returned curve point holds about 112 bytes
 
 
 class AnalysisError(ValueError):
@@ -303,6 +304,12 @@ def characteristic_curve(phi: Expression, variables: VariableSet,
     """
     if variables.dimension != 2:
         raise AnalysisError("characteristic curves are computed in two dimensions")
+    if len(start) != 2 or not all(math.isfinite(v) for v in start):
+        raise AnalysisError("start point needs two finite coordinates x, y")
+    if not 1 <= steps <= MAX_CURVE_STEPS:
+        raise AnalysisError(f"step count must be between 1 and {MAX_CURVE_STEPS}")
+    if not 0 < h < math.inf:
+        raise AnalysisError("step size must be positive and finite")
     xn, yn = variables.names
     level = compile_expression(phi, variables.names).scalar
     phi_x = compile_expression(differentiate(phi, xn), variables.names).scalar
@@ -434,6 +441,8 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
         raise AnalysisError("grid needs at least 3 nodes per axis")
     if math.prod(grid) > MAX_GRID_NODES:
         raise AnalysisError(f"grid needs at most {MAX_GRID_NODES} nodes in all")
+    if not 0 < tol < math.inf:
+        raise AnalysisError("tolerance must be positive and finite")
 
     comm = commutator(a)
     dual_derivative = exterior_derivative(hodge_star(a, g))
@@ -600,7 +609,10 @@ def stokes_check(a: DifferentialForm, rect) -> tuple[float, float, float]:
     """
     if a.degree != 1 or a.vars.dimension != 2:
         raise AnalysisError("stokes check needs a 1-form in two dimensions")
-    x0, x1, y0, y1 = (float(v) for v in rect)
+    rect = [float(v) for v in rect]
+    if len(rect) != 4:
+        raise AnalysisError("rectangle needs four numbers x0, x1, y0, y1")
+    x0, x1, y0, y1 = rect
     if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
         raise AnalysisError("rectangle corners must be finite")
     if not (x0 < x1 and y0 < y1):

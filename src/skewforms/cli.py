@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 
 from .expr import Expression, to_text, compile_expression, DomainError
 from .forms import DifferentialForm, FormError, exterior_derivative, form_to_text, wedge
@@ -30,7 +29,7 @@ from .analysis import (
 from .balance import build_relation, equilibrium_scan
 from .dsl import Document, DslError, FormDecl, ScalarDecl, parse
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 DEFAULT_GRID = 101
 DEFAULT_STEP = 1e-3
@@ -40,32 +39,6 @@ DEFAULT_STEPS = 10_000
 
 class InputError(Exception):
     """User-facing error: bad file, name or option (exit code 2)."""
-
-
-@dataclass
-class RunConfig:
-    """Numeric options shared by the scanning and integration commands."""
-
-    box: list[tuple[float, float]] | None = None
-    grid: int = DEFAULT_GRID
-    step: float = DEFAULT_STEP
-    tol: float = DEFAULT_TOL
-    steps: int = DEFAULT_STEPS
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise InputError("tolerance must be positive")
-        if self.step <= 0:
-            raise InputError("step size must be positive")
-        if self.steps < 1:
-            raise InputError("step count must be at least 1")
-
-    def box_for(self, dimension: int) -> list[tuple[float, float]]:
-        if self.box is None:
-            return [(-1.0, 1.0)] * dimension
-        if len(self.box) != dimension:
-            raise InputError(f"box needs {dimension} ranges")
-        return self.box
 
 
 class Reporter:
@@ -140,20 +113,31 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise InputError(f"cannot parse {what}: {text!r}") from None
 
 
-def _parse_box(text: str) -> list[tuple[float, float]]:
+def _parse_box(text: str | None, dimension: int) -> list[tuple[float, float]]:
+    """Ranges lo:hi per axis; [-1, 1] on every axis by default."""
+    if not text:
+        return [(-1.0, 1.0)] * dimension
     out = []
     for chunk in text.split(","):
         pieces = chunk.split(":")
         if len(pieces) != 2:
             raise InputError(f"box ranges look like lo:hi, got {chunk!r}")
         try:
-            lo, hi = float(pieces[0]), float(pieces[1])
+            out.append((float(pieces[0]), float(pieces[1])))
         except ValueError:
             raise InputError(f"cannot parse box range {chunk!r}") from None
-        if not lo < hi:
-            raise InputError(f"box range must satisfy lo < hi, got {chunk!r}")
-        out.append((lo, hi))
     return out
+
+
+def _select(decls: list, name: str | None, kind: str) -> list:
+    """The declarations of one kind: the one named, or all of them."""
+    if name is not None:
+        decls = [d for d in decls if d.name == name]
+        if not decls:
+            raise InputError(f"no {kind} named {name!r}")
+    if not decls:
+        raise InputError(f"no {kind} declarations in the document")
+    return decls
 
 
 # --- subcommand handlers ---------------------------------------------------------
@@ -211,14 +195,7 @@ def _commutator_json(comm: DifferentialForm) -> dict:
 
 def _cmd_relation(args, rep: Reporter):
     doc = _load(args.file)
-    decls = doc.relations()
-    if args.name is not None:
-        decls = [d for d in decls if d.name == args.name]
-        if not decls:
-            raise InputError(f"no relation named {args.name!r}")
-    if not decls:
-        raise InputError("no relation declarations in the document")
-    for decl in decls:
+    for decl in _select(doc.relations(), args.name, "relation"):
         rel = classify_relation(decl.phi, decl.eta)
         rep.note_verdicts(rel.verdict)
         detail = []
@@ -247,16 +224,13 @@ def _cmd_frobenius(args, rep: Reporter):
 
 def _cmd_characteristics(args, rep: Reporter):
     doc = _load(args.file)
-    config = RunConfig(step=args.h, steps=args.steps)
     phi = _scalar_expr(doc, args.scalar)
     start = _parse_floats(args.start, "start point")
-    if len(start) != 2:
-        raise InputError("start point needs two coordinates x,y")
-    points = characteristic_curve(phi, doc.vars, start, config.steps, config.step)
+    points = characteristic_curve(phi, doc.vars, start, args.steps, args.h)
     level = compile_expression(phi, doc.vars.names).scalar
     phi0 = level(*points[0])
     drift = max(abs(level(x, y) - phi0) for x, y in points)
-    truncated = len(points) < config.steps + 1
+    truncated = len(points) < args.steps + 1
     sampled = points[:: max(1, args.every)]
     if sampled[-1] != points[-1]:
         sampled.append(points[-1])
@@ -267,7 +241,7 @@ def _cmd_characteristics(args, rep: Reporter):
         print(f"{args.scalar}: {len(points)} points, level drift = {_fmt_float(drift)}{status}")
     else:
         rep.emit("", {"kind": "characteristics", "scalar": args.scalar,
-                      "start": start, "steps": config.steps, "h": config.step,
+                      "start": start, "steps": args.steps, "h": args.h,
                       "drift": drift, "truncated": truncated,
                       "points": [[x, y] for x, y in sampled]})
 
@@ -279,11 +253,9 @@ def _locus_points_json(points):
 def _cmd_pseudostructure(args, rep: Reporter):
     doc = _load(args.file)
     g = _metric(doc)
-    config = RunConfig(box=_parse_box(args.box) if args.box else None,
-                       grid=args.grid, tol=args.tol)
+    box = _parse_box(args.box, doc.vars.dimension)
     for name, form in _select_forms(doc, args.name, degree=1):
-        report = find_pseudostructure(form, g, config.box_for(doc.vars.dimension),
-                                      config.grid, config.tol)
+        report = find_pseudostructure(form, g, box, args.grid, args.tol)
         locus = report.locus
         restricted = form_to_text(report.restricted_form) if report.restricted_form else None
         closure = None
@@ -306,8 +278,6 @@ def _cmd_pseudostructure(args, rep: Reporter):
 def _cmd_stokes(args, rep: Reporter):
     doc = _load(args.file)
     rect = _parse_floats(args.rect, "rectangle") if args.rect else [0.0, 1.0, 0.0, 1.0]
-    if len(rect) != 4:
-        raise InputError("rectangle needs four numbers x0,x1,y0,y1")
     for name, form in _select_forms(doc, args.name, degree=1):
         boundary, area, diff = stokes_check(form, rect)
         rep.emit(f"{name}: boundary = {_fmt_float(boundary)}, area = {_fmt_float(area)},"
@@ -318,20 +288,12 @@ def _cmd_stokes(args, rep: Reporter):
 
 def _cmd_balance_scan(args, rep: Reporter):
     doc = _load(args.file)
-    decls = doc.balances()
-    if args.name is not None:
-        decls = [d for d in decls if d.name == args.name]
-        if not decls:
-            raise InputError(f"no balance system named {args.name!r}")
-    if not decls:
-        raise InputError("no balance declarations in the document")
-    config = RunConfig(box=_parse_box(args.box) if args.box else None,
-                       grid=args.grid, tol=args.tol)
+    decls = _select(doc.balances(), args.name, "balance")
+    box = _parse_box(args.box, doc.vars.dimension)
     for decl in decls:
         relation = build_relation(decl.system)
         rep.note_verdicts(relation.verdict)
-        report = equilibrium_scan(relation, config.box_for(doc.vars.dimension),
-                                  config.grid, config.tol)
+        report = equilibrium_scan(relation, box, args.grid, args.tol)
         if report.identity_on_locus is not None:
             rep.note_verdicts(report.identity_on_locus)
         line = (f"{decl.name}: {relation.verdict.upper()}; {report.label};"

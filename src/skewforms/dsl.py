@@ -135,6 +135,7 @@ class Document:
 _OPS = set("+-*/^(),:;=")
 _ASCII_DIGITS = set("0123456789")
 _ASCII_ALPHA = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_NAME_CHARS = _ASCII_ALPHA | _ASCII_DIGITS
 
 
 @dataclass
@@ -148,56 +149,39 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
+    line, line_start = 1, 0   # line_start: offset of the current line's first character
+    i, n = 0, len(text)
     while i < n:
+        start = i
         ch = text[i]
-        if ch == "\n":
-            tokens.append(Token("NEWLINE", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
+        i += 1
         if ch in " \t\r":
-            i += 1
-            col += 1
             continue
         if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
+            i = text.find("\n", i)
+            i = n if i < 0 else i
             continue
-        if ch in _ASCII_DIGITS:
-            start = i
-            start_col = col
+        col = start - line_start + 1
+        if ch == "\n":
+            tokens.append(Token("NEWLINE", ch, line, col))
+            line, line_start = line + 1, i
+        elif ch in _OPS:
+            tokens.append(Token("OP", ch, line, col))
+        elif ch in _ASCII_DIGITS:
             while i < n and text[i] in _ASCII_DIGITS:
                 i += 1
-                col += 1
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in _ASCII_DIGITS:
-                i += 1
-                col += 1
+            if text[i:i + 1] == "." and text[i + 1:i + 2] in _ASCII_DIGITS:
+                i += 2
                 while i < n and text[i] in _ASCII_DIGITS:
                     i += 1
-                    col += 1
-            literal = text[start:i]
-            tokens.append(Token("NUMBER", literal, line, start_col, Fraction(literal)))
-            continue
-        if ch in _ASCII_ALPHA:
-            start = i
-            start_col = col
-            while i < n and (text[i] in _ASCII_ALPHA or text[i] in _ASCII_DIGITS):
+            tokens.append(Token("NUMBER", text[start:i], line, col, Fraction(text[start:i])))
+        elif ch in _ASCII_ALPHA:
+            while i < n and text[i] in _NAME_CHARS:
                 i += 1
-                col += 1
-            tokens.append(Token("IDENT", text[start:i], line, start_col))
-            continue
-        if ch in _OPS:
-            tokens.append(Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+            tokens.append(Token("IDENT", text[start:i], line, col))
+        else:
+            raise DslError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("EOF", "", line, n - line_start + 1))
     return tokens
 
 
@@ -209,8 +193,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.doc = Document()
-        self.names: dict[str, str] = {}   # name -> declaration kind
-        self.depth = 0                    # open _unary calls, bounded by MAX_NESTING
+        self.names: dict[str, object] = {}   # name -> its declaration; None for a variable
+        self.depth = 0   # open _unary calls, bounded by MAX_NESTING
 
     # token plumbing
 
@@ -243,18 +227,12 @@ class _Parser:
         return self.advance()
 
     def skip_separators(self):
-        while True:
-            tok = self.peek()
-            if tok.kind == "NEWLINE" or (tok.kind == "OP" and tok.text == ";"):
-                self.advance()
-            else:
-                return
+        while self.peek().kind == "NEWLINE" or self.at_op(";"):
+            self.advance()
 
     def end_statement(self):
-        tok = self.peek()
-        if tok.kind in ("NEWLINE", "EOF") or (tok.kind == "OP" and tok.text == ";"):
-            return
-        self.error("expected end of statement")
+        if self.peek().kind not in ("NEWLINE", "EOF") and not self.at_op(";"):
+            self.error("expected end of statement")
 
     # document
 
@@ -277,7 +255,8 @@ class _Parser:
             self.skip_separators()
         return self.doc
 
-    def _declare(self, tok: Token, kind: str) -> str:
+    def _declare(self, tok: Token, decl) -> str:
+        """Register a name with its declaration (None for a variable)."""
         name = tok.text
         if name in RESERVED:
             self.error(f"{name!r} is a reserved word", tok)
@@ -285,22 +264,55 @@ class _Parser:
             self.error(f"duplicate name {name!r}", tok)
         if self.doc.vars is not None and name.startswith("d") and name[1:] in self.doc.vars:
             self.error(f"name {name!r} collides with the differential of {name[1:]!r}", tok)
-        self.names[name] = kind
+        self.names[name] = decl
+        if decl is not None:
+            self.doc.declarations.append(decl)
         return name
+
+    # shapes shared by several statements
+
+    def _list(self, item) -> list:
+        """item { "," item }"""
+        items = [item()]
+        while self.at_op(","):
+            self.advance()
+            items.append(item())
+        return items
+
+    def _word(self, word: str) -> Token:
+        tok = self.peek()
+        if tok.kind != "IDENT" or tok.text != word:
+            self.error(f"expected {word!r}")
+        return self.advance()
+
+    def _scalar(self, what: str, tok: Token | None = None) -> Expression:
+        """An expression of degree 0, blamed on tok (default: its first token)."""
+        tok = tok or self.peek()
+        value = self._expr()
+        if value.degree != 0 and not value.is_structurally_zero():
+            self.error(f"{what} must have degree 0", tok)
+        return value.coefficient(())
+
+    def _parens(self) -> DifferentialForm:
+        self.expect_op("(")
+        inner = self._expr()
+        self.expect_op(")")
+        return inner
+
+    def _head(self, kind: str, sep: str) -> Token:
+        """The keyword, name and separator opening a named declaration."""
+        self.advance()
+        tok = self.expect_ident(f"a {kind} name")
+        self.expect_op(sep)
+        return tok
+
+    # statements
 
     def _parse_vars(self):
         kw = self.advance()
         if self.doc.vars is not None:
             self.error("vars was already declared", kw)
-        names: list[str] = []
-        while True:
-            tok = self.expect_ident("a variable name")
-            self._declare(tok, "var")
-            names.append(tok.text)
-            if self.at_op(","):
-                self.advance()
-            else:
-                break
+        names = self._list(lambda: self._declare(self.expect_ident("a variable name"), None))
         for name in names:
             if name.startswith("d") and name[1:] in names:
                 self.error(f"variable {name!r} collides with the differential of {name[1:]!r}", kw)
@@ -310,101 +322,59 @@ class _Parser:
         kw = self.advance()
         if self.doc.metric is not None:
             self.error("metric was already declared", kw)
-        signs: list[int] = []
-        while True:
-            sign = 1
-            if self.at_op("+") or self.at_op("-"):
-                sign = -1 if self.advance().text == "-" else 1
+
+        def sign() -> int:
+            negative = self.at_op("-")
+            if negative or self.at_op("+"):
+                self.advance()
             tok = self.peek()
             if tok.kind != "NUMBER" or tok.value != 1:
                 self.error("metric entries must be +1 or -1")
             self.advance()
-            signs.append(sign)
-            if self.at_op(","):
-                self.advance()
-            else:
-                break
+            return -1 if negative else 1
+
+        signs = self._list(sign)
         if len(signs) != self.doc.vars.dimension:
             self.error(f"metric needs {self.doc.vars.dimension} entries", kw)
         self.doc.metric = Metric(self.doc.vars, tuple(signs))
 
     def _parse_scalar(self):
-        self.advance()
-        tok = self.expect_ident("a scalar name")
-        self.expect_op("=")
-        value = self._expr()
-        if value.degree != 0 and not value.is_structurally_zero():
-            self.error(f"scalar {tok.text!r} must have degree 0", tok)
-        name = self._declare(tok, "scalar")
-        self.doc.declarations.append(ScalarDecl(name, value.coefficient(())))
+        tok = self._head("scalar", "=")
+        self._declare(tok, ScalarDecl(tok.text, self._scalar(f"scalar {tok.text!r}", tok)))
 
     def _parse_form(self):
-        self.advance()
-        tok = self.expect_ident("a form name")
-        self.expect_op("=")
-        value = self._expr()
-        name = self._declare(tok, "form")
-        self.doc.declarations.append(FormDecl(name, value))
+        tok = self._head("form", "=")
+        self._declare(tok, FormDecl(tok.text, self._expr()))
 
     def _parse_relation(self):
-        self.advance()
-        tok = self.expect_ident("a relation name")
-        self.expect_op(":")
-        d_tok = self.expect_ident("'d'")
-        if d_tok.text != "d":
-            self.error("expected 'd'", d_tok)
-        self.expect_op("(")
-        phi = self._expr()
-        self.expect_op(")")
+        tok = self._head("relation", ":")
+        self._word("d")
+        phi = self._parens()
         eq = self.expect_op("=")
         eta = self._expr()
-        expected = min(phi.degree + 1, self.doc.vars.dimension)
         if eta.degree != phi.degree + 1:
             if not eta.is_structurally_zero():
                 self.error(
                     f"relation needs deg(eta) = deg(phi)+1, got {eta.degree} and {phi.degree}", eq)
-            eta = DifferentialForm.zero(self.doc.vars, expected)
-        name = self._declare(tok, "relation")
-        self.doc.declarations.append(RelationDecl(name, phi, eta))
+            eta = DifferentialForm.zero(self.doc.vars, min(phi.degree + 1, self.doc.vars.dimension))
+        self._declare(tok, RelationDecl(tok.text, phi, eta))
 
     def _parse_balance(self):
-        self.advance()
-        tok = self.expect_ident("a balance name")
-        self.expect_op(":")
-        a_tok = self.expect_ident("'A'")
-        if a_tok.text != "A":
-            self.error("expected 'A'", a_tok)
+        tok = self._head("balance", ":")
+        a_tok = self._word("A")
         self.expect_op("=")
         self.expect_op("(")
-        actions: list[Expression] = []
-        while True:
-            start = self.peek()
-            value = self._expr()
-            if value.degree != 0 and not value.is_structurally_zero():
-                self.error("action coefficients must have degree 0", start)
-            actions.append(value.coefficient(()))
-            if self.at_op(","):
-                self.advance()
-            else:
-                break
+        actions = self._list(lambda: self._scalar("action coefficients"))
         self.expect_op(")")
         if len(actions) != self.doc.vars.dimension:
             self.error(f"balance needs {self.doc.vars.dimension} action coefficients", a_tok)
         psi = None
         if self.at_op(","):
             self.advance()
-            psi_tok = self.expect_ident("'psi'")
-            if psi_tok.text != "psi":
-                self.error("expected 'psi'", psi_tok)
+            self._word("psi")
             self.expect_op("=")
-            start = self.peek()
-            value = self._expr()
-            if value.degree != 0 and not value.is_structurally_zero():
-                self.error("psi must have degree 0", start)
-            psi = value.coefficient(())
-        name = self._declare(tok, "balance")
-        self.doc.declarations.append(
-            BalanceDecl(name, BalanceSystem(self.doc.vars, tuple(actions), psi)))
+            psi = self._scalar("psi")
+        self._declare(tok, BalanceDecl(tok.text, BalanceSystem(self.doc.vars, tuple(actions), psi)))
 
     # expressions: everything is a DifferentialForm; scalars have degree 0
 
@@ -482,34 +452,29 @@ class _Parser:
             self.advance()
             return self._scalar_value(const(tok.value))
         if tok.kind == "OP" and tok.text == "(":
-            self.advance()
-            inner = self._expr()
-            self.expect_op(")")
-            return inner
+            return self._parens()
         if tok.kind == "IDENT":
             self.advance()
             name = tok.text
             if name in FUNCTIONS:
-                self.expect_op("(")
-                arg = self._expr()
-                self.expect_op(")")
+                arg = self._parens()
                 if arg.degree != 0:
                     self.error(f"{name} needs a scalar argument", tok)
                 return self._scalar_value(FUNCTIONS[name](arg.coefficient(())))
-            if self.doc.vars is not None and name in self.doc.vars:
-                return self._scalar_value(var(name))
-            kind = self.names.get(name)
-            if kind == "scalar":
-                return self._scalar_value(self.doc.find(name).expr)
-            if kind == "form":
-                return self.doc.find(name).form
-            if kind in ("relation", "balance"):
+            if name in self.names:
+                decl = self.names[name]
+                if decl is None:
+                    return self._scalar_value(var(name))
+                if isinstance(decl, ScalarDecl):
+                    return self._scalar_value(decl.expr)
+                if isinstance(decl, FormDecl):
+                    return decl.form
+                kind = "relation" if isinstance(decl, RelationDecl) else "balance"
                 self.error(f"{name!r} is a {kind} and cannot be used in an expression", tok)
             if name.startswith("d") and len(name) > 1:
-                suffix = name[1:]
-                if self.doc.vars is not None and suffix in self.doc.vars:
-                    return DifferentialForm.basis(self.doc.vars, suffix)
-                self.error(f"unknown variable {suffix!r}", tok)
+                if name[1:] in self.doc.vars:
+                    return DifferentialForm.basis(self.doc.vars, name[1:])
+                self.error(f"unknown variable {name[1:]!r}", tok)
             self.error(f"unknown variable {name!r}", tok)
         self.error("expected an expression")
 

@@ -201,6 +201,22 @@ class TestCharacteristicCurve:
         with pytest.raises(AnalysisError):
             characteristic_curve(x, V3, (0.0, 0.0, 0.0))
 
+    def test_step_size_must_be_positive_and_finite(self):
+        for h in (math.nan, math.inf, 0.0, -1e-3):
+            with pytest.raises(AnalysisError, match="step size"):
+                characteristic_curve(x + y, V2, (1.0, 0.0), steps=10, h=h)
+
+    def test_step_count_is_bounded(self):
+        # the start is a critical point, so an unchecked call returns at once
+        for steps in (0, -1, analysis.MAX_CURVE_STEPS + 1):
+            with pytest.raises(AnalysisError, match="step count"):
+                characteristic_curve(x**2 + y**2, V2, (0.0, 0.0), steps=steps)
+
+    def test_start_needs_two_finite_coordinates(self):
+        for start in ((1.0,), (1.0, 0.0, 3.0), (math.nan, 0.0), (0.0, math.inf)):
+            with pytest.raises(AnalysisError, match="start point"):
+                characteristic_curve(x + y, V2, start, steps=10)
+
 
 class TestPseudostructure:
     def test_hyperplane_locus(self):
@@ -290,6 +306,19 @@ class TestPseudostructure:
                 find_pseudostructure(a, Metric.euclidean(V2), bad, 11)
             with pytest.raises(AnalysisError):
                 equilibrium_scan(relation, bad, 11)
+
+    def test_tolerance_must_be_positive_and_finite(self):
+        from skewforms.balance import BalanceSystem, build_relation, equilibrium_scan
+
+        # a locus on an axis, a closed form and a commutator that vanishes nowhere
+        for actions in ((y**2, x * y), (y, x), (y, -x)):
+            a = DifferentialForm.one_form(V2, list(actions))
+            relation = build_relation(BalanceSystem(V2, actions))
+            for tol in (math.nan, math.inf, 0.0, -1e-6):
+                with pytest.raises(AnalysisError, match="tolerance"):
+                    find_pseudostructure(a, Metric.euclidean(V2), BOX2, 11, tol)
+                with pytest.raises(AnalysisError, match="tolerance"):
+                    equilibrium_scan(relation, BOX2, 11, tol)
 
     def test_constant_commutator_component_builds_no_grid(self, monkeypatch):
         # K_xy = 2 vanishes nowhere, K_xz = z, K_yz = 0
@@ -461,6 +490,9 @@ class TestStokes:
             stokes_check(a, (1, 0, 0, 1))
         with pytest.raises(AnalysisError):
             stokes_check(a, (0, math.inf, 0, 1))
+        for rect in ((0, 1, 0), (0, 1, 0, 1, 2)):
+            with pytest.raises(AnalysisError, match="four numbers"):
+                stokes_check(a, rect)
 
     def test_y_dx_unit_square_is_exact(self):
         a = DifferentialForm.one_form(V2, [y, ZERO])

@@ -124,6 +124,31 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error:") and "Traceback" not in err
 
+    @staticmethod
+    def assert_one_error(*argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.count("error:") == 1
+
+    def test_tolerance_must_be_positive_and_finite(self):
+        for command in ("pseudostructure", "balance-scan"):
+            for tol in ("nan", "inf", "0"):
+                self.assert_one_error(command, BALANCE, "--grid", "21", "--tol", tol)
+
+    def test_step_size_must_be_positive_and_finite(self):
+        for h in ("nan", "inf", "0"):
+            self.assert_one_error("characteristics", BASIC, "--scalar", "f",
+                                  "--start", "1,0", "--h", h)
+
+    def test_curve_steps_and_start_are_checked(self):
+        # (0, 0) is a critical point of f, so an unchecked run stops at once
+        for steps in ("0", "100000000"):
+            self.assert_one_error("characteristics", BASIC, "--scalar", "f",
+                                  "--start", "0,0", "--steps", steps)
+        self.assert_one_error("characteristics", BASIC, "--scalar", "f", "--start", "1,0,3")
+
     def test_deep_nesting_exits_2(self, tmp_path):
         doc = tmp_path / "deep.forms"
         doc.write_text("vars x, y\nform w = " + "(" * 300 + "x" + ")" * 300 + "*dy\n")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,11 +20,15 @@ from skewforms.dsl import (
     FormDecl,
     RelationDecl,
     ScalarDecl,
+    Token,
+    _tokenize,
     parse,
     print_document,
 )
 
 from conftest import random_form
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestParseBasics:
@@ -273,3 +278,105 @@ def test_hypothesis_text_never_crashes(text):
         parse(text)
     except DslError:
         pass
+
+
+# --- lexer -----------------------------------------------------------------------
+
+_REF_OPS = set("+-*/^(),:;=")
+_REF_DIGITS = set("0123456789")
+_REF_ALPHA = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+
+
+def _reference_tokenize(text: str) -> list[Token]:
+    """The earlier lexer, which counted columns by hand: the oracle for the
+    offset-based one."""
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            tokens.append(Token("NEWLINE", "\n", line, col))
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if ch in _REF_DIGITS:
+            start = i
+            start_col = col
+            while i < n and text[i] in _REF_DIGITS:
+                i += 1
+                col += 1
+            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in _REF_DIGITS:
+                i += 1
+                col += 1
+                while i < n and text[i] in _REF_DIGITS:
+                    i += 1
+                    col += 1
+            literal = text[start:i]
+            tokens.append(Token("NUMBER", literal, line, start_col, Fraction(literal)))
+            continue
+        if ch in _REF_ALPHA:
+            start = i
+            start_col = col
+            while i < n and (text[i] in _REF_ALPHA or text[i] in _REF_DIGITS):
+                i += 1
+                col += 1
+            tokens.append(Token("IDENT", text[start:i], line, start_col))
+            continue
+        if ch in _REF_OPS:
+            tokens.append(Token("OP", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise DslError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
+
+
+def _lex(tokenize, text):
+    try:
+        return tokenize(text)
+    except DslError as err:
+        return ("error", err.message, err.line, err.column)
+
+
+LEXER_PIECES = ("\r", "\t", "\n", "\f", " ", "#", ".", "1.", "٣", "é", "@",
+                "x", "dx", "_a9", "0", "12", "3.25", "+", "-", "^", "(", ")", ",", ";", ":", "=")
+
+
+def test_lexer_matches_reference_on_fuzzed_text():
+    rng = random.Random(0x1E7)
+    for _ in range(20_000):
+        text = "".join(rng.choice(LEXER_PIECES) for _ in range(rng.randrange(0, 24)))
+        assert _lex(_tokenize, text) == _lex(_reference_tokenize, text), repr(text)
+
+
+def test_parse_never_scans_the_document(monkeypatch):
+    """Names resolve through the parser's declaration table, so a chain of
+    references costs no linear scan per reference."""
+    calls = []
+    real_find = Document.find
+
+    def spy(self, name):
+        calls.append(name)
+        return real_find(self, name)
+
+    monkeypatch.setattr(Document, "find", spy)
+    chain = "vars x, y\nscalar s0 = x\n" + "".join(
+        f"scalar s{i} = s{i - 1} + y\n" for i in range(1, 2000))
+    texts = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.forms"))]
+    for text in texts + [chain]:
+        parse(text)
+    assert calls == []
+    assert parse(chain).find("s1999").expr == var("x") + 1999 * var("y")
