@@ -312,6 +312,10 @@ def characteristic_curve(phi: Expression, variables: VariableSet,
         raise AnalysisError("step size must be positive and finite")
     xn, yn = variables.names
     level = compile_expression(phi, variables.names).scalar
+    try:
+        level(*map(float, start))
+    except DomainError:
+        raise AnalysisError("phi is not finite at the start point") from None
     phi_x = compile_expression(differentiate(phi, xn), variables.names).scalar
     phi_y = compile_expression(differentiate(phi, yn), variables.names).scalar
 

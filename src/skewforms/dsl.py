@@ -40,10 +40,12 @@ from .expr import (
     Expression,
     VariableSet,
     ZERO,
+    add,
     const,
     cos,
     exp,
     ln,
+    mul,
     power,
     sin,
     to_text,
@@ -288,12 +290,17 @@ class _Parser:
     def _scalar(self, what: str, tok: Token | None = None) -> Expression:
         """An expression of degree 0, blamed on tok (default: its first token)."""
         tok = tok or self.peek()
-        value = self._expr()
+        value = self._form(self._expr())
         if value.degree != 0 and not value.is_structurally_zero():
             self.error(f"{what} must have degree 0", tok)
         return value.coefficient(())
 
-    def _parens(self) -> DifferentialForm:
+    def _form(self, value: Expression | DifferentialForm) -> DifferentialForm:
+        if isinstance(value, DifferentialForm):
+            return value
+        return DifferentialForm.scalar(self.doc.vars, value)
+
+    def _parens(self) -> Expression | DifferentialForm:
         self.expect_op("(")
         inner = self._expr()
         self.expect_op(")")
@@ -344,14 +351,14 @@ class _Parser:
 
     def _parse_form(self):
         tok = self._head("form", "=")
-        self._declare(tok, FormDecl(tok.text, self._expr()))
+        self._declare(tok, FormDecl(tok.text, self._form(self._expr())))
 
     def _parse_relation(self):
         tok = self._head("relation", ":")
         self._word("d")
-        phi = self._parens()
+        phi = self._form(self._parens())
         eq = self.expect_op("=")
-        eta = self._expr()
+        eta = self._form(self._expr())
         if eta.degree != phi.degree + 1:
             if not eta.is_structurally_zero():
                 self.error(
@@ -376,43 +383,51 @@ class _Parser:
             psi = self._scalar("psi")
         self._declare(tok, BalanceDecl(tok.text, BalanceSystem(self.doc.vars, tuple(actions), psi)))
 
-    # expressions: everything is a DifferentialForm; scalars have degree 0
+    # expressions: scalars are Expressions; a form (degree >= 1) comes from a differential or name
 
-    def _scalar_value(self, e: Expression) -> DifferentialForm:
-        return DifferentialForm.scalar(self.doc.vars, e)
-
-    def _expr(self) -> DifferentialForm:
-        left = self._mul_level()
+    def _expr(self) -> Expression | DifferentialForm:
+        """A '+'/'-' chain with a left fold's degree checks; one add call sums each run of scalars."""
+        run = [self._mul_level()]   # operands whose sum is the value so far
         while self.at_op("+") or self.at_op("-"):
             op = self.advance()
-            right = self._mul_level()
-            if op.text == "-":
-                right = -right
+            right = -self._mul_level() if op.text == "-" else self._mul_level()
+            if isinstance(right, Expression) and isinstance(run[0], Expression):
+                run.append(right)
+                continue
+            left, right = self._form(add(*run) if len(run) > 1 else run[0]), self._form(right)
             try:
-                left = left + right
+                total = left + right
             except ValueError:
                 self.error(f"cannot add forms of degree {left.degree} and {right.degree}", op)
-        return left
+            run = [total if total.degree else total.coefficient(())]
+        return add(*run) if len(run) > 1 else run[0]
 
-    def _mul_level(self) -> DifferentialForm:
-        left = self._unary()
+    def _mul_level(self) -> Expression | DifferentialForm:
+        """A '*'/'/' chain of scalars and at most one form; one mul call multiplies the scalars."""
+        factors = [self._unary()]
+        form = factors.pop() if isinstance(factors[0], DifferentialForm) else None
         while self.at_op("*") or self.at_op("/"):
             op = self.advance()
             right = self._unary()
             if op.text == "*":
-                if left.degree > 0 and right.degree > 0:
+                if not isinstance(right, DifferentialForm):
+                    factors.append(right)
+                elif form is not None:
                     self.error("cannot '*' two forms of degree >= 1; use '^' for the exterior product", op)
-                left = wedge(left, right)
+                else:
+                    form = right
             else:
-                if right.degree != 0:
+                if isinstance(right, DifferentialForm):
                     self.error("cannot divide by a form of degree >= 1", op)
-                denom = right.coefficient(())
-                if denom == ZERO:
+                if right == ZERO:
                     self.error("division by zero", op)
-                left = left * power(denom, -1)
-        return left
+                factors.append(power(right, -1))
+        if not factors:
+            return form
+        scalar = mul(*factors) if len(factors) > 1 else factors[0]
+        return scalar if form is None else form * scalar
 
-    def _unary(self) -> DifferentialForm:
+    def _unary(self) -> Expression | DifferentialForm:
         # every nesting (parentheses, calls, '^' chains, signs) passes here
         if self.depth >= MAX_NESTING:
             self.error(f"expression nested more than {MAX_NESTING} levels deep")
@@ -429,28 +444,26 @@ class _Parser:
         finally:
             self.depth -= 1
 
-    def _wedge_level(self) -> DifferentialForm:
+    def _wedge_level(self) -> Expression | DifferentialForm:
         left = self._atom()
         while self.at_op("^"):
             op = self.advance()
             right = self._unary()  # right-associative; accepts x^-2
-            if left.degree == 0 and right.degree == 0:
-                exponent = right.coefficient(())
-                if not isinstance(exponent, Const):
-                    self.error("exponent must be an integer constant", op)
-                base = left.coefficient(())
-                if base == ZERO and exponent.value < 0:
-                    self.error("division by zero", op)
-                left = self._scalar_value(power(base, exponent.value))
+            if isinstance(left, DifferentialForm) or isinstance(right, DifferentialForm):
+                left = wedge(self._form(left), self._form(right))
+            elif not isinstance(right, Const):
+                self.error("exponent must be an integer constant", op)
+            elif left == ZERO and right.value < 0:
+                self.error("division by zero", op)
             else:
-                left = wedge(left, right)
+                left = power(left, right.value)
         return left
 
-    def _atom(self) -> DifferentialForm:
+    def _atom(self) -> Expression | DifferentialForm:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return self._scalar_value(const(tok.value))
+            return const(tok.value)
         if tok.kind == "OP" and tok.text == "(":
             return self._parens()
         if tok.kind == "IDENT":
@@ -458,17 +471,17 @@ class _Parser:
             name = tok.text
             if name in FUNCTIONS:
                 arg = self._parens()
-                if arg.degree != 0:
+                if isinstance(arg, DifferentialForm):
                     self.error(f"{name} needs a scalar argument", tok)
-                return self._scalar_value(FUNCTIONS[name](arg.coefficient(())))
+                return FUNCTIONS[name](arg)
             if name in self.names:
                 decl = self.names[name]
                 if decl is None:
-                    return self._scalar_value(var(name))
+                    return var(name)
                 if isinstance(decl, ScalarDecl):
-                    return self._scalar_value(decl.expr)
+                    return decl.expr
                 if isinstance(decl, FormDecl):
-                    return decl.form
+                    return decl.form if decl.form.degree else decl.form.coefficient(())
                 kind = "relation" if isinstance(decl, RelationDecl) else "balance"
                 self.error(f"{name!r} is a {kind} and cannot be used in an expression", tok)
             if name.startswith("d") and len(name) > 1:

@@ -8,7 +8,10 @@ term is an exact rational constant times a product of atomic powers, where
 an atom is a variable, one of the elementary functions sin/cos/exp/ln, or a
 power of a base that cannot be expanded (a sum raised to a negative or
 fractional exponent).  Two expressions that normalize to the same tree
-compare equal with ``==``.
+compare equal with ``==``.  A product distributes its sums one at a time
+over a {monomial: coefficient} map, where two monomials multiply by merging
+their factors; each node computes its hash and its sort key once, on first
+use, and equality ignores both.
 
 Constants and exponents are exact rationals with one representation: a
 plain ``int`` when the denominator is 1, otherwise a ``Fraction`` with
@@ -90,9 +93,18 @@ def _coerce(value):
     return None
 
 
-@dataclass(frozen=True, slots=True)
 class Expression:
     """Base node. Instances built via the factories are always canonical."""
+
+    __slots__ = ("_hash", "_key")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((type(self), *map(self.__getattribute__, self.__match_args__)))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __add__(self, other):
         other = _coerce(other)
@@ -165,6 +177,10 @@ class Pow(Expression):
 class Func(Expression):
     name: str
     arg: Expression
+
+
+for _node in (Const, Var, Add, Mul, Pow, Func):
+    _node.__hash__ = Expression.__hash__  # a dataclass's own hash walks the tree on every call
 
 
 def _rational(value) -> int | Fraction:
@@ -254,17 +270,21 @@ class VariableSet:
 # --- canonicalization -------------------------------------------------------
 
 def _sort_key(e: Expression):
-    if isinstance(e, Const):
-        return (0, e.value)
-    if isinstance(e, Var):
-        return (1, e.name)
-    if isinstance(e, Func):
-        return (2, e.name, _sort_key(e.arg))
-    if isinstance(e, Pow):
-        return (3, _sort_key(e.base), e.exponent)
-    if isinstance(e, Mul):
-        return (4, tuple(_sort_key(f) for f in e.factors))
-    return (5, tuple(_sort_key(t) for t in e.terms))
+    try:
+        return e._key
+    except AttributeError:
+        object.__setattr__(e, "_key", _SORT_KEYS[type(e)](e))
+        return e._key
+
+
+_SORT_KEYS = {
+    Const: lambda e: (0, e.value),
+    Var: lambda e: (1, e.name),
+    Func: lambda e: (2, e.name, _sort_key(e.arg)),
+    Pow: lambda e: (3, _sort_key(e.base), e.exponent),
+    Mul: lambda e: (4, tuple(map(_sort_key, e.factors))),
+    Add: lambda e: (5, tuple(map(_sort_key, e.terms))),
+}
 
 
 def _as_term(e: Expression) -> tuple[int | Fraction, tuple[Expression, ...]]:
@@ -302,26 +322,49 @@ def _factor_key(f: Expression):
     return (_sort_key(base), e)
 
 
+def _assemble(acc: dict[tuple[Expression, ...], int | Fraction]) -> Expression:
+    """The canonical sum of a {monomial: coefficient} map: drop zeros, sort, build terms."""
+    kept = sorted(((mono, c) for mono, c in acc.items() if c != 0),
+                  key=lambda item: tuple(map(_sort_key, item[0])))
+    if not kept:
+        return ZERO
+    out = [_from_term(c, mono) for mono, c in kept]
+    return out[0] if len(out) == 1 else Add(tuple(out))
+
+
 def add(*parts: Expression) -> Expression:
     """Canonical sum: flatten, fold constants, collect like terms, sort."""
     acc: dict[tuple[Expression, ...], int | Fraction] = {}
     for part in parts:
         for t in _terms(part):
             coeff, mono = _as_term(t)
-            acc[mono] = acc.get(mono, 0) + coeff
-    kept = [(mono, c) for mono, c in acc.items() if c != 0]
-    if not kept:
-        return ZERO
-    kept.sort(key=lambda item: tuple(_sort_key(f) for f in item[0]))
-    out = [_from_term(c, mono) for mono, c in kept]
-    return out[0] if len(out) == 1 else Add(tuple(out))
+            acc[mono] = acc[mono] + coeff if mono in acc else coeff
+    return _assemble(acc)
+
+
+def _times(a: tuple[Expression, ...], b: tuple[Expression, ...]) -> tuple[Expression, ...] | None:
+    """Sorted factors of the product of two canonical monomials; None where they share
+    a base other than a variable or function with integer exponents, which needs mul."""
+    merged = {_as_power(f)[0]: f for f in a}
+    for f in b:
+        base, e = _as_power(f)
+        if base in merged:
+            e += _as_power(merged.pop(base))[1]  # an int only when both are
+            if type(e) is not int or not isinstance(base, (Var, Func)):
+                return None
+            if e == 0:
+                continue
+            f = base if e == 1 else Pow(base, e)
+        merged[base] = f
+    return tuple(sorted(merged.values(), key=_factor_key))
 
 
 def mul(*parts: Expression) -> Expression:
     """Canonical product: fold constants, merge exponents, distribute sums.
 
     Sums accumulate in the same base/exponent table as their inverse-power
-    atoms, so (x+y) * (x+y)^-1 cancels exactly before any distribution.
+    atoms, so (x+y) * (x+y)^-1 cancels exactly before any distribution,
+    which then carries one {monomial: coefficient} map through the sums.
     """
     coeff = 1
     powers: dict[Expression, int | Fraction] = {}
@@ -338,10 +381,18 @@ def mul(*parts: Expression) -> Expression:
             base, e = _as_power(p)
             powers[base] = powers.get(base, 0) + e
 
+    # a power base with an integral total joins its own base: (x^2)^(1/2) squared is x^2
+    for b in [b for b in powers if isinstance(b, Pow)]:
+        if powers[b].denominator == 1:
+            powers[b.base] = powers.get(b.base, 0) + powers.pop(b) * b.exponent
+
     factors: list[Expression] = []
     sums: list[Add] = []
     for base, e in powers.items():
         if e == 0:
+            continue
+        if type(e) is int and isinstance(base, (Var, Func)):  # what power(base, e) gives
+            factors.append(base if e == 1 else Pow(base, e))
             continue
         if isinstance(base, Add) and e.denominator == 1 and 1 <= e <= _MAX_EXPANSION_EXPONENT:
             sums.extend([base] * int(e))  # e may sum to Fraction(n, 1)
@@ -353,16 +404,30 @@ def mul(*parts: Expression) -> Expression:
             (sums if isinstance(f, Add) else factors).append(f)
     if coeff == 0:
         return ZERO
+    mono = tuple(sorted(factors, key=_factor_key))
+    if not sums:
+        return _from_term(coeff, mono)
 
-    # distribute one sum at a time, collecting like terms after each step
-    result = _from_term(coeff, tuple(sorted(factors, key=_factor_key)))
+    acc = {mono: coeff}
     products = 0
     for s in sums:
-        products += len(_terms(result)) * len(s.terms)
+        # a map that cancelled to nothing is the one term 0
+        products += max(len(acc), 1) * len(s.terms)
         if products > _MAX_EXPANSION_PRODUCTS:
             raise DomainError(f"expansion needs more than {_MAX_EXPANSION_PRODUCTS} term products")
-        result = add(*[mul(r, t) for r in _terms(result) for t in s.terms])
-    return result
+        right = [(t, *_as_term(t)) for t in s.terms]
+        step: dict[tuple[Expression, ...], int | Fraction] = {}
+        for ma, ca in acc.items():
+            for t, cb, mb in right:
+                mono = _times(ma, mb)
+                if mono is not None:
+                    step[mono] = step[mono] + ca * cb if mono in step else ca * cb
+                    continue
+                for u in _terms(mul(_from_term(ca, ma), t)):
+                    c, mono = _as_term(u)
+                    step[mono] = step[mono] + c if mono in step else c
+        acc = {mono: c for mono, c in step.items() if c != 0}
+    return _assemble(acc)
 
 
 _MAX_EXPANSION_EXPONENT = 64
@@ -645,7 +710,7 @@ def compile_expression(e: Expression, names: Sequence[str]) -> CompiledExpressio
     ``names`` raises UnknownVariableError.
     """
     args = {name: f"_a{i}" for i, name in enumerate(names)}
-    refs: dict[int, str] = {}  # by id: hashing a tree walks all of it
+    refs: dict[int, str] = {}  # by id: a shared subtree is one object
     lines: list[str] = []
 
     def emit(node: Expression) -> str:

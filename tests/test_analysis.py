@@ -217,6 +217,11 @@ class TestCharacteristicCurve:
             with pytest.raises(AnalysisError, match="start point"):
                 characteristic_curve(x + y, V2, start, steps=10)
 
+    def test_phi_must_be_finite_at_the_start(self):
+        with pytest.raises(AnalysisError, match="not finite at the start point"):
+            characteristic_curve(ln(x), V2, (-1.0, 0.0))
+        assert characteristic_curve(ln(x), V2, (1.0, 0.0), steps=5, h=1e-2)[0] == (1.0, 0.0)
+
 
 class TestPseudostructure:
     def test_hyperplane_locus(self):

@@ -149,6 +149,17 @@ class TestExitCodes:
                                   "--start", "0,0", "--steps", steps)
         self.assert_one_error("characteristics", BASIC, "--scalar", "f", "--start", "1,0,3")
 
+    def test_curve_start_outside_the_domain_exits_2(self, tmp_path):
+        doc = tmp_path / "log.forms"
+        doc.write_text("vars x, y\nscalar f = ln(x)\n")
+        self.assert_one_error("characteristics", str(doc), "--scalar", "f", "--start=-1,0")
+        # as a separate word, argparse takes -1,0 for an option and exits 2 itself
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+            main(["characteristics", str(doc), "--scalar", "f", "--start", "-1,0"])
+        assert exit_info.value.code == 2
+        assert err.getvalue().count("error:") == 1 and "Traceback" not in err.getvalue()
+
     def test_deep_nesting_exits_2(self, tmp_path):
         doc = tmp_path / "deep.forms"
         doc.write_text("vars x, y\nform w = " + "(" * 300 + "x" + ")" * 300 + "*dy\n")

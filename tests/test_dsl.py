@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewforms import dsl
 from skewforms.expr import (
-    VariableSet, ZERO, const, cos, exp, ln, power, sin, var,
+    Const, VariableSet, ZERO, const, cos, exp, ln, power, sin, var,
 )
-from skewforms.forms import DifferentialForm
+from skewforms.forms import DifferentialForm, wedge
 from skewforms.duality import Metric
 from skewforms.balance import BalanceSystem
 from skewforms.dsl import (
@@ -380,3 +381,124 @@ def test_parse_never_scans_the_document(monkeypatch):
         parse(text)
     assert calls == []
     assert parse(chain).find("s1999").expr == var("x") + 1999 * var("y")
+
+
+# --- scalar chains -----------------------------------------------------------------
+
+
+class _PairwiseParser(dsl._Parser):
+    """The reference for chain folding: every value is a DifferentialForm and
+    each operator combines two of them, as the parser did before it folded
+    scalar chains into one add or mul call."""
+
+    def _expr(self):
+        left = self._mul_level()
+        while self.at_op("+") or self.at_op("-"):
+            op = self.advance()
+            right = self._mul_level()
+            if op.text == "-":
+                right = -right
+            try:
+                left = left + right
+            except ValueError:
+                self.error(f"cannot add forms of degree {left.degree} and {right.degree}", op)
+        return left
+
+    def _mul_level(self):
+        left = self._unary()
+        while self.at_op("*") or self.at_op("/"):
+            op = self.advance()
+            right = self._unary()
+            if op.text == "*":
+                if left.degree > 0 and right.degree > 0:
+                    self.error("cannot '*' two forms of degree >= 1; use '^' for the exterior product", op)
+                left = wedge(left, right)
+            else:
+                if right.degree != 0:
+                    self.error("cannot divide by a form of degree >= 1", op)
+                denom = right.coefficient(())
+                if denom == ZERO:
+                    self.error("division by zero", op)
+                left = left * power(denom, -1)
+        return left
+
+    def _wedge_level(self):
+        left = self._atom()
+        while self.at_op("^"):
+            op = self.advance()
+            right = self._unary()
+            if left.degree == 0 and right.degree == 0:
+                exponent = right.coefficient(())
+                if not isinstance(exponent, Const):
+                    self.error("exponent must be an integer constant", op)
+                base = left.coefficient(())
+                if base == ZERO and exponent.value < 0:
+                    self.error("division by zero", op)
+                left = self._form(power(base, exponent.value))
+            else:
+                left = wedge(left, right)
+        return left
+
+    def _atom(self):
+        tok = self.peek()
+        if tok.kind == "IDENT" and tok.text in dsl.FUNCTIONS:
+            self.advance()
+            arg = self._parens()
+            if arg.degree != 0:
+                self.error(f"{tok.text} needs a scalar argument", tok)
+            return self._form(dsl.FUNCTIONS[tok.text](arg.coefficient(())))
+        return self._form(super()._atom())
+
+
+def _outcome(parser, text):
+    try:
+        return print_document(parser(text).parse_document())
+    except DslError as err:
+        return ("DslError", err.message, err.line, err.column)
+    except (ArithmeticError, ValueError) as err:
+        return (type(err).__name__, str(err))
+
+
+def _random_chain_text(rng, refs, depth=3):
+    """Expression text mixing scalars, differentials and names over x, y, z."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.15:
+            return rng.choice(("dx", "dy", "dz"))
+        return rng.choice(("x", "y", "z", "0", "1", "2", "3", "0.5", *refs))
+    roll = rng.random()
+    if roll < 0.6:
+        operands = [_random_chain_text(rng, refs, depth - 1) for _ in range(rng.randint(2, 4))]
+        text = operands[0]
+        for operand in operands[1:]:
+            text += rng.choice(" + | - | + | - |*|*|*|/|/|^".split("|")) + operand
+        return f"({text})" if rng.random() < 0.5 else text
+    if roll < 0.7:
+        return "-" + _random_chain_text(rng, refs, depth - 1)
+    if roll < 0.8:
+        return f"({_random_chain_text(rng, refs, depth - 1)})^{rng.choice(['2', '3', '-1', '(1/2)'])}"
+    return f"{rng.choice(['sin', 'cos', 'exp', 'ln'])}({_random_chain_text(rng, refs, depth - 1)})"
+
+
+CHAIN_EDGE_CASES = ("dx - dx + x", "x + dx - dx", "0*dx + x", "x/0", "dx*dy", "dx/x",
+                    "sin(dx)", "2^x", "x - x + dx", "dx*x*y/z", "x*(dx - dx)*dy",
+                    "(x^2)^(1/2)*(x^2)^(1/2)*x^-2", "x^-2*(x^2)^(1/2)*(x^2)^(1/2)")
+
+
+@pytest.mark.parametrize("expression", CHAIN_EDGE_CASES)
+@pytest.mark.parametrize("keyword", ["scalar", "form"])
+def test_chain_edge_cases_match_the_pairwise_parser(keyword, expression):
+    text = f"vars x, y, z\n{keyword} s = {expression}\n"
+    assert _outcome(dsl._Parser, text) == _outcome(_PairwiseParser, text)
+
+
+def test_folded_chains_match_the_pairwise_parser():
+    """The parser that folds scalar chains gives the same document, or the
+    same error at the same line and column, as a pairwise left fold."""
+    rng = random.Random(0xC4A1)
+    for _ in range(1000):
+        lines, refs = ["vars x, y, z"], []
+        for i in range(rng.randint(1, 4)):
+            lines.append(f"{rng.choice(['scalar', 'form'])} n{i} = {_random_chain_text(rng, refs)}")
+            refs.append(f"n{i}")
+        text = "\n".join(lines) + "\n"
+        assert _outcome(dsl._Parser, text) == _outcome(_PairwiseParser, text), text

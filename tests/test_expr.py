@@ -240,6 +240,21 @@ class TestExpansion:
                 parts.append(const(Fraction(rng.randint(1, 5), rng.randint(1, 3))) * var(rng.choice(names)))
             rng.shuffle(parts)
             assert expr_module.mul(*parts) == _cross_product_mul(*parts)
+        # terms that share a base the monomial merge leaves to mul: a constant
+        # radical, the inverse of a sum, a fractional power; and shared atoms
+        # whose integer exponents it adds, up to cancelling
+        shared = [power(const(2), Fraction(1, 2)), power(x + y, -1), power(x, Fraction(1, 2)),
+                  sin(x) ** 2, exp(y), power(sin(x), -2), power(y, -1)]
+        for _ in range(150):
+            parts = []
+            while len(parts) < rng.randint(2, 3):
+                s = add(*[t * rng.choice(shared) for t in _random_sum(rng, names).terms])
+                if isinstance(s, Add):
+                    parts.append(s)
+            if rng.random() < 0.5:
+                parts.append(rng.choice(shared))
+            rng.shuffle(parts)
+            assert expr_module.mul(*parts) == _cross_product_mul(*parts)
 
     def test_large_powers_expand_quickly(self):
         z, w = var("z"), var("w")
@@ -269,6 +284,21 @@ class TestExpansion:
         assert expr_module.mul(a, b, c) == expr_module.mul(c, b, a) == a * b * c
         assert a**3 == a * a * a
         assert is_zero(a**3 - a * a * a) == "zero"
+        # a power base whose exponents sum to an integer joins its own base
+        p = power(x**2, Fraction(1, 2))
+        assert p * p * power(x, -2) == power(x, -2) * p * p == expr_module.mul(p, power(x, -2), p) == ONE
+
+    def test_cached_hash_and_key_leave_equality_alone(self):
+        a = (x + 2 * y) * sin(x) ** 2 - exp(y) / (x + y)
+        b = sin(x) ** 2 * (2 * y + x) + -exp(y) * power(y + x, -1)
+        assert a is not b
+        key = expr_module._sort_key(a)  # a caches its hash and key, b not yet
+        assert hash(a) == hash(a) and a == b and repr(a) == repr(b)
+        assert hash(a) == hash(b) and key == expr_module._sort_key(b)
+        assert {a: 1}[b] == 1
+        for t, u in zip(a.terms, b.terms):
+            assert t == u and hash(t) == hash(u)
+        assert expr_module._sort_key(a) is key  # computed once
 
 
 class TestDifferentiate:
