@@ -3,7 +3,9 @@
 Closed/exact verdicts with potential reconstruction, identical vs
 nonidentical relations, Frobenius integrability, characteristic curves,
 pseudostructure (degenerate-locus) detection, Stokes checks, and
-the (p, k, n) classification table.
+the (p, k, n) classification table.  Potentials and exact Stokes
+integrals read each term's degree k in the variable of integration off
+``expr._split_degree`` and integrate it as t^k, substituting nothing.
 
 Verdicts are three-valued throughout; "unknown" zero tests propagate and
 are never coerced into a definite answer.
@@ -18,24 +20,21 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .expr import (
-    Add,
     Const,
     DomainError,
     Expression,
-    Func,
-    Mul,
-    Pow,
-    Var,
     VariableSet,
     ZERO,
+    add,
     compile_expression,
     const,
     differentiate,
     evaluate,
-    free_variables,
     mul,
     substitute,
     var,
+    _split_degree,
+    _terms,
 )
 from .forms import (
     DifferentialForm,
@@ -86,84 +85,26 @@ class ClosureVerdict:
     notes: str = ""
 
 
-def _polynomial_in(e: Expression, names: set[str]) -> bool:
-    """True when e is polynomial in the given names (integer powers >= 0,
-    no name under a function or inside a non-monomial power base)."""
-    if isinstance(e, Const):
-        return True
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Add):
-        return all(_polynomial_in(t, names) for t in e.terms)
-    if isinstance(e, Mul):
-        return all(_polynomial_in(f, names) for f in e.factors)
-    if isinstance(e, Pow):
-        if not (free_variables(e.base) & names):
-            return True
-        return e.exponent.denominator == 1 and e.exponent >= 0 and _polynomial_in(e.base, names)
-    if isinstance(e, Func):
-        return not (free_variables(e.arg) & names)
-    return False
-
-
-def _fresh_name(base: str, taken) -> str:
-    name = base
-    while name in taken:
-        name += "_"
-    return name
-
-
-def _integrate_unit_interval(e: Expression, t: str) -> Expression | None:
-    """Exact integral over t in [0, 1] of an expression polynomial in t."""
-    terms = e.terms if isinstance(e, Add) else (e,)
-    out = ZERO
-    for term in terms:
-        factors = term.factors if isinstance(term, Mul) else (term,)
-        degree = 0
-        rest: list[Expression] = []
-        ok = True
-        for f in factors:
-            base, exponent = (f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
-            if isinstance(base, Var) and base.name == t:
-                if exponent.denominator != 1 or exponent < 0:
-                    ok = False
-                    break
-                degree += exponent
-            else:
-                if t in free_variables(f):
-                    ok = False
-                    break
-                rest.append(f)
-        if not ok:
-            return None
-        out = out + mul(const(Fraction(1, degree + 1)), *rest)
-    return out
-
-
 def reconstruct_potential(a: DifferentialForm) -> Expression | None:
     """Potential of a 1-form by homotopy integration from the origin.
 
     phi(x) = sum_i x_i * integral_0^1 a_i(t*x) dt, evaluated exactly for
-    polynomial coefficients.  Valid on star-shaped domains about the
-    origin.  Returns None when a coefficient is not polynomial.
+    polynomial coefficients: a term of degree m in the coordinates scales
+    as t^m, so it contributes x_i * term / (m + 1).  Valid on star-shaped
+    domains about the origin.  Returns None when a coefficient is not
+    polynomial.
     """
     if a.degree != 1:
         raise AnalysisError("potential reconstruction needs a 1-form")
-    names = a.vars.names
-    if not all(_polynomial_in(c, set(names)) for _, c in a.items()):
-        return None
-    t = _fresh_name("t", set(names))
-    scale = {name: mul(var(t), var(name)) for name in names}
-    total = ZERO
-    for i, name in enumerate(names, start=1):
-        ai = a.coefficient((i,))
-        if ai == ZERO:
-            continue
-        integrated = _integrate_unit_interval(substitute(ai, scale), t)
-        if integrated is None:
-            return None
-        total = total + mul(var(name), integrated)
-    return total
+    names = set(a.vars.names)
+    parts = []
+    for (i,), ai in a.items():
+        for term in _terms(ai):
+            split = _split_degree(term, names)
+            if split is None:
+                return None
+            parts.append(mul(const(Fraction(1, split[0] + 1)), var(a.vars.name_at(i)), term))
+    return add(*parts)
 
 
 def potential_at(a: DifferentialForm, point: Mapping[str, float]) -> float:
@@ -569,27 +510,32 @@ def _gauss_1d(f, lo: float, hi: float) -> float:
     return math.fsum([weight * f(lo + width * t) for t, weight in _UNIT_RULE]) * width
 
 
-def _integrate_exact(e: Expression, name: str, lo: Fraction, hi: Fraction) -> Expression | None:
-    """Exact integral of e over name in [lo, hi]; None unless e is polynomial in name."""
-    t = _fresh_name("t", free_variables(e) | {name})
-    scaled = substitute(e, {name: const(lo) + const(hi - lo) * var(t)})
-    unit = _integrate_unit_interval(scaled, t)
-    return None if unit is None else mul(const(hi - lo), unit)
+def _integrate(e: Expression, name: str, lo: Fraction, hi: Fraction) -> Expression | None:
+    """Exact integral of e over name in [lo, hi]; None unless e is polynomial in name.
+    A term name^k * rest contributes rest * (hi^(k+1) - lo^(k+1)) / (k+1)."""
+    parts = []
+    for term in _terms(e):
+        split = _split_degree(term, {name})
+        if split is None:
+            return None
+        k, rest = split
+        parts.append(mul(const((hi ** (k + 1) - lo ** (k + 1)) / (k + 1)), rest))
+    return add(*parts)
 
 
 def _stokes_exact(a1: Expression, a2: Expression, integrand: Expression, xn: str, yn: str,
                   rect: tuple[Fraction, ...]) -> tuple[float, float, float] | None:
     """Exact boundary and area integrals; None where one is not polynomial."""
     x0, x1, y0, y1 = rect
-    inner = _integrate_exact(integrand, yn, y0, y1)
-    area = None if inner is None else _integrate_exact(inner, xn, x0, x1)
+    inner = _integrate(integrand, yn, y0, y1)
+    area = None if inner is None else _integrate(inner, xn, x0, x1)
     if area is None:
         return None
     edges = (
-        _integrate_exact(substitute(a1, {yn: const(y0)}), xn, x0, x1),
-        _integrate_exact(substitute(a2, {xn: const(x1)}), yn, y0, y1),
-        _integrate_exact(substitute(a1, {yn: const(y1)}), xn, x0, x1),
-        _integrate_exact(substitute(a2, {xn: const(x0)}), yn, y0, y1),
+        _integrate(substitute(a1, {yn: const(y0)}), xn, x0, x1),
+        _integrate(substitute(a2, {xn: const(x1)}), yn, y0, y1),
+        _integrate(substitute(a1, {yn: const(y1)}), xn, x0, x1),
+        _integrate(substitute(a2, {xn: const(x0)}), yn, y0, y1),
     )
     if None in edges:
         return None

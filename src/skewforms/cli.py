@@ -223,6 +223,8 @@ def _cmd_frobenius(args, rep: Reporter):
 
 
 def _cmd_characteristics(args, rep: Reporter):
+    if args.every < 1:
+        raise InputError(f"--every must be at least 1, got {args.every}")
     doc = _load(args.file)
     phi = _scalar_expr(doc, args.scalar)
     start = _parse_floats(args.start, "start point")
@@ -231,7 +233,7 @@ def _cmd_characteristics(args, rep: Reporter):
     phi0 = level(*points[0])
     drift = max(abs(level(x, y) - phi0) for x, y in points)
     truncated = len(points) < args.steps + 1
-    sampled = points[:: max(1, args.every)]
+    sampled = points[:: args.every]
     if sampled[-1] != points[-1]:
         sampled.append(points[-1])
     if rep.fmt == "text":
@@ -344,6 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
+    box_help = "ranges lo:hi per axis, comma separated; write --box=-2:2,-2:2 for negatives"
+
     p = add("d", _cmd_d, "exterior derivative of forms")
     p.add_argument("file")
     p.add_argument("--name", help="operate on one named declaration")
@@ -372,27 +376,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("characteristics", _cmd_characteristics, "level-set curve of a scalar")
     p.add_argument("file")
     p.add_argument("--scalar", required=True)
-    p.add_argument("--start", required=True, help="start point x,y")
+    p.add_argument("--start", required=True,
+                   help="start point x,y; write --start=-1,0 for a negative x")
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p.add_argument("--h", type=float, default=DEFAULT_STEP, help="RK4 step size")
-    p.add_argument("--every", type=int, default=1, help="emit every k-th point")
+    p.add_argument("--every", type=int, default=1, help="emit every k-th point (k >= 1)")
 
     p = add("pseudostructure", _cmd_pseudostructure, "commutator zero-locus scan")
     p.add_argument("file")
     p.add_argument("--name")
-    p.add_argument("--box", help="ranges lo:hi per axis, comma separated")
+    p.add_argument("--box", help=box_help)
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("stokes", _cmd_stokes, "boundary vs area integral on a rectangle")
     p.add_argument("file")
     p.add_argument("--name")
-    p.add_argument("--rect", help="x0,x1,y0,y1 (default unit square)")
+    p.add_argument("--rect", help="x0,x1,y0,y1 (default unit square);"
+                   " write --rect=-1,0,-1,0 for a negative x0")
 
     p = add("balance-scan", _cmd_balance_scan, "equilibrium scan of balance systems")
     p.add_argument("file")
     p.add_argument("--name")
-    p.add_argument("--box")
+    p.add_argument("--box", help=box_help)
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 

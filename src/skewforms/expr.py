@@ -302,6 +302,26 @@ def _terms(e: Expression) -> tuple[Expression, ...]:
     return e.terms if isinstance(e, Add) else (e,)
 
 
+def _split_degree(term: Expression, names: set[str]) -> tuple[int, Expression] | None:
+    """Split a canonical term into (its degree in the names, the term without
+    their powers); None where a name has a negative or fractional power or
+    sits inside any other factor, so the term is not polynomial in them."""
+    coeff, mono = _as_term(term)
+    degree = 0
+    rest = []
+    for f in mono:
+        base, e = _as_power(f)
+        if isinstance(base, Var) and base.name in names:
+            if e.denominator != 1 or e < 0:
+                return None
+            degree += e
+        elif free_variables(f) & names:
+            return None
+        else:
+            rest.append(f)
+    return degree, _from_term(coeff, tuple(rest))
+
+
 def _from_term(coeff: int | Fraction, monomial: tuple[Expression, ...]) -> Expression:
     coeff = _rational(coeff)
     if not monomial:
@@ -849,8 +869,13 @@ def _power_text(e: Pow) -> str:
     return f"{base_text}^{r}" if r.denominator == 1 else f"{base_text}^({r})"
 
 
-def _product_text(coeff: int | Fraction, monomial: tuple[Expression, ...]) -> str:
-    parts = [to_text(f) if not isinstance(f, Add) else f"({to_text(f)})" for f in monomial]
+def _term_texts(t: Expression) -> tuple[int | Fraction, list[str]]:
+    """A canonical term as (rational coefficient, texts of its factors)."""
+    coeff, mono = _as_term(t)
+    return coeff, [f"({to_text(f)})" if isinstance(f, Add) else to_text(f) for f in mono]
+
+
+def _product_text(coeff: int | Fraction, parts: list[str]) -> str:
     if not parts:
         return str(coeff)
     if coeff == 1:
@@ -858,6 +883,15 @@ def _product_text(coeff: int | Fraction, monomial: tuple[Expression, ...]) -> st
     if coeff == -1:
         return "-" + "*".join(parts)
     return "*".join([str(coeff)] + parts)
+
+
+def _signed_sum_text(terms: Iterable[tuple[int | Fraction, list[str]]]) -> str:
+    """Join (coefficient, factor texts) terms with their signs pulled to the front."""
+    chunks: list[str] = []
+    for coeff, parts in terms:
+        sign = ("-" if coeff < 0 else "") if not chunks else (" - " if coeff < 0 else " + ")
+        chunks.append(sign + _product_text(abs(coeff), parts))
+    return "".join(chunks)
 
 
 def to_text(e: Expression) -> str:
@@ -871,17 +905,7 @@ def to_text(e: Expression) -> str:
     if isinstance(e, Pow):
         return _power_text(e)
     if isinstance(e, Mul):
-        coeff, mono = _as_term(e)
-        return _product_text(coeff, mono)
+        return _product_text(*_term_texts(e))
     if isinstance(e, Add):
-        chunks: list[str] = []
-        for t in e.terms:
-            coeff, mono = _as_term(t)
-            negative = coeff < 0
-            body = _product_text(abs(coeff), mono)
-            if not chunks:
-                chunks.append(("-" if negative else "") + body)
-            else:
-                chunks.append((" - " if negative else " + ") + body)
-        return "".join(chunks)
+        return _signed_sum_text(map(_term_texts, e.terms))
     raise TypeError(f"not an Expression node: {e!r}")

@@ -34,6 +34,8 @@ from .expr import (
     mul,
     substitute,
     to_text,
+    _signed_sum_text,
+    _term_texts,
 )
 
 __all__ = [
@@ -305,30 +307,12 @@ def _basis_text(variables: VariableSet, idx: tuple[int, ...]) -> str:
 
 def form_to_text(a: DifferentialForm) -> str:
     """Canonical text: terms sorted by index tuple, signs pulled out front."""
-    from .expr import Add, Const, Mul
-
     if a.is_structurally_zero():
         return "0"
     if a.degree == 0:
         return to_text(a.coefficient(()))
-    chunks: list[str] = []
+    terms = []
     for idx, c in a.items():
-        basis = _basis_text(a.vars, idx)
-        negative = False
-        body = None
-        if isinstance(c, Const):
-            negative = c.value < 0
-            mag = abs(c.value)
-            body = basis if mag == 1 else f"{to_text(const(mag))}*{basis}"
-        elif isinstance(c, Mul) and isinstance(c.factors[0], Const) and c.factors[0].value < 0:
-            negative = True
-            body = f"{to_text(-c)}*{basis}"
-        elif isinstance(c, Add):
-            body = f"({to_text(c)})*{basis}"
-        else:
-            body = f"{to_text(c)}*{basis}"
-        if not chunks:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append((" - " if negative else " + ") + body)
-    return "".join(chunks)
+        coeff, parts = _term_texts(c)
+        terms.append((coeff, parts + [_basis_text(a.vars, idx)]))
+    return _signed_sum_text(terms)

@@ -2,14 +2,16 @@
 
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from skewforms import analysis
 from skewforms.expr import (
-    DomainError, VariableSet, ZERO, ONE, compile_expression, const, cos, differentiate, evaluate,
-    exp, ln, sin, var,
+    Add, Const, DomainError, Mul, Pow, Var, VariableSet, ZERO, ONE, compile_expression, const, cos,
+    differentiate, evaluate, exp, free_variables, ln, mul, sin, substitute, var,
 )
 from skewforms.forms import DifferentialForm, commutator, exterior_derivative, zero_verdict
 from skewforms.duality import Metric
@@ -600,3 +602,150 @@ class TestPotentialHelpers:
     def test_requires_one_form(self):
         with pytest.raises(AnalysisError):
             reconstruct_potential(DifferentialForm.scalar(V2, x))
+
+
+# --- the substitution-based integrator, kept as a reference --------------------
+#
+# Before potentials and exact Stokes integrals read each term's degree, they
+# substituted x -> t*x (or x -> lo + (hi - lo)*t) and integrated the result
+# over t in [0, 1].  The per-term rule must give the same trees and floats.
+
+
+def _reference_polynomial_in(e, names):
+    if isinstance(e, (Const, Var)):
+        return True
+    if isinstance(e, Add):
+        return all(_reference_polynomial_in(t, names) for t in e.terms)
+    if isinstance(e, Mul):
+        return all(_reference_polynomial_in(f, names) for f in e.factors)
+    if isinstance(e, Pow):
+        if not (free_variables(e.base) & names):
+            return True
+        return (e.exponent.denominator == 1 and e.exponent >= 0
+                and _reference_polynomial_in(e.base, names))
+    return not (free_variables(e.arg) & names)  # Func
+
+
+def _reference_fresh_name(base, taken):
+    name = base
+    while name in taken:
+        name += "_"
+    return name
+
+
+def _reference_integrate_unit_interval(e, t):
+    out = ZERO
+    for term in e.terms if isinstance(e, Add) else (e,):
+        degree = 0
+        rest = []
+        for f in term.factors if isinstance(term, Mul) else (term,):
+            base, exponent = (f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
+            if isinstance(base, Var) and base.name == t:
+                if exponent.denominator != 1 or exponent < 0:
+                    return None
+                degree += exponent
+            elif t in free_variables(f):
+                return None
+            else:
+                rest.append(f)
+        out = out + mul(const(Fraction(1, degree + 1)), *rest)
+    return out
+
+
+def _reference_potential(a):
+    names = a.vars.names
+    if not all(_reference_polynomial_in(c, set(names)) for _, c in a.items()):
+        return None
+    t = _reference_fresh_name("t", set(names))
+    scale = {name: mul(var(t), var(name)) for name in names}
+    total = ZERO
+    for i, name in enumerate(names, start=1):
+        ai = a.coefficient((i,))
+        if ai == ZERO:
+            continue
+        integrated = _reference_integrate_unit_interval(substitute(ai, scale), t)
+        if integrated is None:
+            return None
+        total = total + mul(var(name), integrated)
+    return total
+
+
+def _reference_integrate(e, name, lo, hi):
+    t = _reference_fresh_name("t", free_variables(e) | {name})
+    scaled = substitute(e, {name: const(lo) + const(hi - lo) * var(t)})
+    unit = _reference_integrate_unit_interval(scaled, t)
+    return None if unit is None else mul(const(hi - lo), unit)
+
+
+def _reference_stokes_exact(a1, a2, integrand, xn, yn, rect):
+    x0, x1, y0, y1 = rect
+    inner = _reference_integrate(integrand, yn, y0, y1)
+    area = None if inner is None else _reference_integrate(inner, xn, x0, x1)
+    if area is None:
+        return None
+    edges = (
+        _reference_integrate(substitute(a1, {yn: const(y0)}), xn, x0, x1),
+        _reference_integrate(substitute(a2, {xn: const(x1)}), yn, y0, y1),
+        _reference_integrate(substitute(a1, {yn: const(y1)}), xn, x0, x1),
+        _reference_integrate(substitute(a2, {xn: const(x0)}), yn, y0, y1),
+    )
+    if None in edges:
+        return None
+    boundary = edges[0] + edges[1] - edges[2] - edges[3]
+    return evaluate(boundary, {}), evaluate(area, {}), abs(evaluate(boundary - area, {}))
+
+
+def _random_coefficient(rng, names, parameters):
+    """A sum of up to three terms: a rational times up to three factors, mostly
+    coordinates, sometimes a parameter, a radical, sin(1), a negative or
+    fractional power, or exp/sin of a coordinate."""
+    u, v = var(names[0]), var(names[1])
+    odd = [const(2) ** Fraction(1, 2), sin(const(1)), u ** -1, (u + v) ** -1,
+           u ** Fraction(1, 2), exp(u), sin(v)] + [var(p) for p in parameters]
+    total = ZERO
+    for _ in range(rng.randint(1, 3)):
+        term = const(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3])))
+        for _ in range(rng.randint(0, 3)):
+            term = term * (rng.choice(odd) if rng.random() < 0.2 else var(rng.choice(names)))
+        total = total + term
+    return total
+
+
+class TestDegreeRuleMatchesSubstitution:
+    def test_potentials_match_the_substitution_reference(self):
+        rng = random.Random(4242)
+        nones = 0
+        for _ in range(300):
+            vs = VARSETS[rng.choice((2, 3))]
+            parameters = ("p",) if rng.random() < 0.3 else ()
+            a = DifferentialForm.one_form(
+                vs, [_random_coefficient(rng, vs.names, parameters) for _ in vs.names])
+            got = reconstruct_potential(a)
+            expected = _reference_potential(a)
+            assert got == expected, str(a)
+            assert str(got) == str(expected)
+            nones += got is None
+        assert 30 < nones < 270  # both kinds of answer are exercised
+
+    def test_stokes_integrals_match_the_substitution_reference(self):
+        rng = random.Random(4243)
+        rects = ((0.0, 1.0, 0.0, 1.0), (-0.5, 1.5, 0.0, 2.0), (0.25, 0.75, -1.0, 0.5))
+        exact = 0
+        for _ in range(150):
+            a1, a2 = (_random_coefficient(rng, V2.names, ()) for _ in range(2))
+            a = DifferentialForm.one_form(V2, [a1, a2])
+            integrand = differentiate(a2, "x") - differentiate(a1, "y")
+            for corners in rects:
+                rect = tuple(Fraction(c) for c in corners)
+                for e, name, lo, hi in ((a1, "x", rect[0], rect[1]),
+                                        (integrand, "y", rect[2], rect[3])):
+                    got = analysis._integrate(e, name, lo, hi)
+                    assert got == _reference_integrate(e, name, lo, hi), str(e)
+                    assert str(got) == str(_reference_integrate(e, name, lo, hi))
+                expected = _reference_stokes_exact(a1, a2, integrand, "x", "y", rect)
+                assert analysis._stokes_exact(a1, a2, integrand, "x", "y", rect) == expected
+                if expected is not None:
+                    exact += 1
+                    result = stokes_check(a, corners)
+                    assert [v.hex() for v in result] == [v.hex() for v in expected]
+        assert 30 < exact < 420

@@ -160,6 +160,20 @@ class TestExitCodes:
         assert exit_info.value.code == 2
         assert err.getvalue().count("error:") == 1 and "Traceback" not in err.getvalue()
 
+    def test_every_below_1_exits_2(self):
+        for every in ("0", "-5"):
+            self.assert_one_error("characteristics", BASIC, "--scalar", "f",
+                                  "--start", "1,0", "--steps", "20", "--every", every)
+
+    def test_negative_values_pass_after_an_equals_sign(self):
+        for argv in (("characteristics", BASIC, "--scalar", "f", "--start=-1,0", "--steps", "5"),
+                     ("pseudostructure", BALANCE, "--grid", "11", "--box=-2:2,-2:2"),
+                     ("balance-scan", BALANCE, "--grid", "11", "--box=-2:2,-2:2"),
+                     ("stokes", BASIC, "--rect=-1,0,-1,0")):
+            code, out, err = run_cli(*argv)
+            assert code == 0, (argv, err)
+            assert out and err == ""
+
     def test_deep_nesting_exits_2(self, tmp_path):
         doc = tmp_path / "deep.forms"
         doc.write_text("vars x, y\nform w = " + "(" * 300 + "x" + ")" * 300 + "*dy\n")

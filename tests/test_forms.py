@@ -1,10 +1,16 @@
 """Exterior algebra: wedge, exterior derivative, commutator, pullback."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from skewforms import forms
+from skewforms.dsl import Document, FormDecl, parse, print_document
 from skewforms.expr import (
-    VariableSet, ZERO, ONE, const, cos, differentiate, evaluate, exp, sin, var,
+    Add, Const, Mul, VariableSet, ZERO, ONE, const, cos, differentiate, evaluate, exp, sin,
+    to_text, var,
 )
 from skewforms.forms import (
     DifferentialForm,
@@ -359,3 +365,65 @@ class TestFormAlgebra:
                                 fd += (-1) ** slot * partial
                             sym = evaluate(da.coefficient(key), point)
                             assert abs(sym - fd) <= 1e-6 * max(1.0, abs(sym))
+
+
+def _reference_form_text(a):
+    """The renderer form_to_text replaced: one branch per coefficient shape."""
+    if a.is_structurally_zero():
+        return "0"
+    if a.degree == 0:
+        return to_text(a.coefficient(()))
+    chunks = []
+    for idx, c in a.items():
+        basis = "^".join("d" + a.vars.name_at(i) for i in idx)
+        negative = False
+        if isinstance(c, Const):
+            negative = c.value < 0
+            mag = abs(c.value)
+            body = basis if mag == 1 else f"{to_text(const(mag))}*{basis}"
+        elif isinstance(c, Mul) and isinstance(c.factors[0], Const) and c.factors[0].value < 0:
+            negative = True
+            body = f"{to_text(-c)}*{basis}"
+        elif isinstance(c, Add):
+            body = f"({to_text(c)})*{basis}"
+        else:
+            body = f"{to_text(c)}*{basis}"
+        if not chunks:
+            chunks.append(("-" if negative else "") + body)
+        else:
+            chunks.append((" - " if negative else " + ") + body)
+    return "".join(chunks)
+
+
+def _random_text_coefficient(rng, names):
+    """±1, ±p/q, a signed product, a sum, a power or a function."""
+    u, v = (var(rng.choice(names)) for _ in range(2))
+    c = const(Fraction(rng.choice([-1, 1]) * rng.randint(1, 4), rng.choice([1, 1, 3, 7])))
+    return rng.choice([
+        lambda: const(rng.choice([-1, 1])),
+        lambda: c,
+        lambda: c * u * v,
+        lambda: c * sin(u) * v ** 2,
+        lambda: u + c * v,
+        lambda: c - u * v,
+        lambda: (u + 1) ** -1,
+        lambda: c * (u - v) ** Fraction(1, 2),
+        lambda: u ** 3,
+        lambda: exp(c * u),
+        lambda: -cos(u + v),
+        lambda: const(2) ** Fraction(1, 2) * u,
+    ])()
+
+
+class TestTextMatchesReferenceRenderer:
+    def test_random_forms_render_as_before_and_parse_back(self):
+        rng = random.Random(777)
+        for _ in range(200):
+            vs = VARSETS[rng.choice((2, 3))]
+            degree = rng.randint(0, vs.dimension)
+            keys = list(itertools.combinations(range(1, vs.dimension + 1), degree))
+            a = DifferentialForm(vs, degree, {key: _random_text_coefficient(rng, vs.names)
+                                              for key in keys if rng.random() < 0.8})
+            assert form_to_text(a) == _reference_form_text(a)
+            doc = Document(vs, None, [FormDecl("a", a)])
+            assert parse(print_document(doc)).find("a").form == a
