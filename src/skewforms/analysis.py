@@ -4,8 +4,8 @@ Closed/exact verdicts with potential reconstruction, identical vs
 nonidentical relations, Frobenius integrability, characteristic curves,
 pseudostructure (degenerate-locus) detection, Stokes checks, and
 the (p, k, n) classification table.  Potentials and exact Stokes
-integrals read each term's degree k in the variable of integration off
-``expr._split_degree`` and integrate it as t^k, substituting nothing.
+integrals read each term's exponents (i, j, ...) in the coordinates off
+``expr._exponents`` and integrate it as x^i y^j ..., substituting nothing.
 
 Verdicts are three-valued throughout; "unknown" zero tests propagate and
 are never coerced into a definite answer.
@@ -33,7 +33,7 @@ from .expr import (
     mul,
     substitute,
     var,
-    _split_degree,
+    _exponents,
     _terms,
 )
 from .forms import (
@@ -68,6 +68,9 @@ __all__ = [
 CRITICAL_GRADIENT_TOL = 1e-12
 MAX_GRID_NODES = 10_000_000  # 201^3 fits; each scanned array holds this many floats
 MAX_CURVE_STEPS = 1_000_000  # each returned curve point holds about 112 bytes
+DEFAULT_STEPS = 10_000  # RK4 steps of a characteristic curve
+DEFAULT_STEP = 1e-3  # RK4 step size
+DEFAULT_TOL = 1e-6  # |K| bound of a pseudostructure point
 
 
 class AnalysisError(ValueError):
@@ -83,6 +86,8 @@ class ClosureVerdict:
     exact: str             # "exact" | "inexact" | "unknown"
     potential: Expression | None = None
     notes: str = ""
+    derivative: DifferentialForm | None = None  # d(a)
+    residual: DifferentialForm | None = None    # d(potential) - a, once a potential is built
 
 
 def reconstruct_potential(a: DifferentialForm) -> Expression | None:
@@ -96,14 +101,14 @@ def reconstruct_potential(a: DifferentialForm) -> Expression | None:
     """
     if a.degree != 1:
         raise AnalysisError("potential reconstruction needs a 1-form")
-    names = set(a.vars.names)
+    names = a.vars.names
     parts = []
     for (i,), ai in a.items():
         for term in _terms(ai):
-            split = _split_degree(term, names)
+            split = _exponents(term, names)
             if split is None:
                 return None
-            parts.append(mul(const(Fraction(1, split[0] + 1)), var(a.vars.name_at(i)), term))
+            parts.append(mul(const(Fraction(1, sum(split[0]) + 1)), var(a.vars.name_at(i)), term))
     return add(*parts)
 
 
@@ -122,39 +127,44 @@ def potential_at(a: DifferentialForm, point: Mapping[str, float]) -> float:
 
 
 def classify_closure(a: DifferentialForm) -> ClosureVerdict:
-    """Closed/exact verdicts; reconstructs potentials of exact 1-forms."""
+    """Closed/exact verdicts; reconstructs potentials of exact 1-forms.
+
+    The one exactness decision: a 1-form is exact when its reconstructed
+    potential leaves a residual d(potential) - a certified zero.
+    """
     derivative = exterior_derivative(a)
     closed = {"zero": "closed", "nonzero": "unclosed", "unknown": "unknown"}[zero_verdict(derivative)]
     notes: list[str] = []
 
     if closed == "unclosed":
-        return ClosureVerdict(closed, "inexact")
+        return ClosureVerdict(closed, "inexact", derivative=derivative)
 
     if a.degree == 0:
         v = zero_verdict(a)
         if v == "zero":
-            return ClosureVerdict(closed, "exact", None, "zero 0-form")
+            return ClosureVerdict(closed, "exact", None, "zero 0-form", derivative)
         exact = "inexact" if v == "nonzero" else "unknown"
-        return ClosureVerdict(closed, exact, None, "only the zero 0-form is exact")
+        return ClosureVerdict(closed, exact, None, "only the zero 0-form is exact", derivative)
 
     if a.degree == 1:
         potential = reconstruct_potential(a)
         if potential is not None:
-            residual = a - exterior_derivative(DifferentialForm.scalar(a.vars, potential))
+            residual = exterior_derivative(DifferentialForm.scalar(a.vars, potential)) - a
             if zero_verdict(residual) == "zero":
                 if closed != "closed":
                     notes.append("closure certified via the reconstructed potential")
                 notes.append("potential valid on star-shaped domains about the origin")
-                return ClosureVerdict("closed", "exact", potential, "; ".join(notes))
+                return ClosureVerdict("closed", "exact", potential, "; ".join(notes),
+                                      derivative, residual)
             notes.append("homotopy potential did not verify")
-            return ClosureVerdict(closed, "unknown", None, "; ".join(notes))
+            return ClosureVerdict(closed, "unknown", None, "; ".join(notes), derivative, residual)
         if closed == "closed":
             notes.append("potential reconstruction needs polynomial coefficients")
-        return ClosureVerdict(closed, "unknown", None, "; ".join(notes))
+        return ClosureVerdict(closed, "unknown", None, "; ".join(notes), derivative)
 
     if closed == "closed":
         notes.append("potential reconstruction implemented for 1-forms only")
-    return ClosureVerdict(closed, "unknown", None, "; ".join(notes))
+    return ClosureVerdict(closed, "unknown", None, "; ".join(notes), derivative)
 
 
 # --- relations ----------------------------------------------------------------
@@ -235,8 +245,8 @@ def frobenius_test(a: DifferentialForm) -> str:
 
 
 def characteristic_curve(phi: Expression, variables: VariableSet,
-                         start: Sequence[float], steps: int = 10_000,
-                         h: float = 1e-3) -> list[tuple[float, float]]:
+                         start: Sequence[float], steps: int = DEFAULT_STEPS,
+                         h: float = DEFAULT_STEP) -> list[tuple[float, float]]:
     """Integrate the level-set direction field (-phi_y, phi_x) with RK4.
 
     Stops early (partial polyline) if the gradient magnitude drops below
@@ -360,7 +370,7 @@ def _bisect_edges(fn, lo: np.ndarray, hi: np.ndarray, tol: float,
 
 
 def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
-                         tol: float = 1e-6) -> StructureReport:
+                         tol: float = DEFAULT_TOL) -> StructureReport:
     """Locate the zero locus of the commutator of a 1-form in a box.
 
     Symbolic pass: coordinate hyperplanes x_i = 0 are tested exactly and, on
@@ -510,36 +520,27 @@ def _gauss_1d(f, lo: float, hi: float) -> float:
     return math.fsum([weight * f(lo + width * t) for t, weight in _UNIT_RULE]) * width
 
 
-def _integrate(e: Expression, name: str, lo: Fraction, hi: Fraction) -> Expression | None:
-    """Exact integral of e over name in [lo, hi]; None unless e is polynomial in name.
-    A term name^k * rest contributes rest * (hi^(k+1) - lo^(k+1)) / (k+1)."""
-    parts = []
-    for term in _terms(e):
-        split = _split_degree(term, {name})
-        if split is None:
-            return None
-        k, rest = split
-        parts.append(mul(const((hi ** (k + 1) - lo ** (k + 1)) / (k + 1)), rest))
-    return add(*parts)
-
-
 def _stokes_exact(a1: Expression, a2: Expression, integrand: Expression, xn: str, yn: str,
                   rect: tuple[Fraction, ...]) -> tuple[float, float, float] | None:
-    """Exact boundary and area integrals; None where one is not polynomial."""
+    """Exact boundary and area integrals; None where a term of a1, a2 or the
+    integrand is not polynomial in (x, y).  With M(lo, hi, k) the integral of
+    t^k over [lo, hi], a term x^i y^j rest contributes rest*(y0^j - y1^j)*M_x(i)
+    to the boundary from a1, rest*(x1^i - x0^i)*M_y(j) from a2, and
+    rest*M_x(i)*M_y(j) to the area."""
     x0, x1, y0, y1 = rect
-    inner = _integrate(integrand, yn, y0, y1)
-    area = None if inner is None else _integrate(inner, xn, x0, x1)
-    if area is None:
+    splits = [[_exponents(term, (xn, yn)) for term in _terms(e)] for e in (a1, a2, integrand)]
+    if any(None in terms for terms in splits):
         return None
-    edges = (
-        _integrate(substitute(a1, {yn: const(y0)}), xn, x0, x1),
-        _integrate(substitute(a2, {xn: const(x1)}), yn, y0, y1),
-        _integrate(substitute(a1, {yn: const(y1)}), xn, x0, x1),
-        _integrate(substitute(a2, {xn: const(x0)}), yn, y0, y1),
-    )
-    if None in edges:
-        return None
-    boundary = edges[0] + edges[1] - edges[2] - edges[3]
+    a1_terms, a2_terms, curl_terms = splits
+
+    def m(lo: Fraction, hi: Fraction, k: int) -> Fraction:
+        return (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+
+    boundary = add(*[mul(const((y0 ** j - y1 ** j) * m(x0, x1, i)), rest)
+                     for (i, j), rest in a1_terms],
+                   *[mul(const((x1 ** i - x0 ** i) * m(y0, y1, j)), rest)
+                     for (i, j), rest in a2_terms])
+    area = add(*[mul(const(m(x0, x1, i) * m(y0, y1, j)), rest) for (i, j), rest in curl_terms])
     difference = evaluate(boundary - area, {})
     return evaluate(boundary, {}), evaluate(area, {}), abs(difference)
 
@@ -548,14 +549,13 @@ def stokes_check(a: DifferentialForm, rect) -> tuple[float, float, float]:
     """Boundary line integral vs area integral of d(a) on a rectangle.
 
     Returns (boundary, area, |difference|); counterclockwise orientation.
-    Polynomial coefficients are integrated exactly, with the rectangle's
-    corners read as the exact rationals their floats stand for; so is any
-    form whose edge and area integrands are polynomial in the variable of
-    integration.  Each integral is rounded to float once (correctly, when it
-    is rational), and the difference is formed before rounding, so it is
-    exactly 0.0 whenever Stokes' theorem holds.  Other coefficients fall back
-    to composite Gauss-Legendre quadrature: four 16-node panels per edge and
-    per axis of the area, summed with math.fsum.
+    Coefficients and a curl polynomial in the coordinates are integrated
+    exactly, with the rectangle's corners read as the exact rationals their
+    floats stand for.  Each integral is rounded to float once (correctly,
+    when it is rational), and the difference is formed before rounding, so
+    it is exactly 0.0 whenever Stokes' theorem holds.  Other coefficients
+    fall back to composite Gauss-Legendre quadrature: four 16-node panels
+    per edge and per axis of the area, summed with math.fsum.
     """
     if a.degree != 1 or a.vars.dimension != 2:
         raise AnalysisError("stokes check needs a 1-form in two dimensions")

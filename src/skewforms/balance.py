@@ -13,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import Expression, VariableSet
-from .forms import DifferentialForm, commutator, exterior_derivative, pullback, zero_verdict
+from .forms import DifferentialForm, exterior_derivative, pullback, zero_verdict
 from .duality import Metric
 from .analysis import (
+    DEFAULT_TOL,
     Relation,
     StructureReport,
+    classify_closure,
     classify_relation,
     find_pseudostructure,
-    reconstruct_potential,
 )
 
 __all__ = ["BalanceSystem", "EvolutionaryRelation", "EquilibriumReport",
@@ -57,8 +58,8 @@ def build_relation(system: BalanceSystem) -> EvolutionaryRelation:
     """Assemble omega = A_mu d(xi^mu) and classify d(psi) = omega.
 
     Nonidentical whenever any commutator component is nonzero.  Without a
-    given psi, an identical verdict requires a reconstructed state
-    functional that verifies d(psi) = omega symbolically.
+    given psi, the verdict is that of ``classify_closure(omega)``: identical
+    when omega is exact, with its potential as the state functional.
     """
     omega = DifferentialForm.one_form(system.vars, system.actions)
     if system.psi is not None:
@@ -66,29 +67,19 @@ def build_relation(system: BalanceSystem) -> EvolutionaryRelation:
         return EvolutionaryRelation(system, omega, relation.eta_commutator, relation.verdict,
                                     relation, system.psi)
 
-    comm = commutator(omega)
-    comm_verdict = zero_verdict(comm)
-    notes: list[str] = []
-
-    if comm_verdict == "nonzero":
+    closure = classify_closure(omega)
+    comm, psi = closure.derivative, closure.potential
+    if closure.exact == "exact":
+        relation = Relation(DifferentialForm.scalar(system.vars, psi), omega, "identical",
+                            closure.residual, comm)
+        return EvolutionaryRelation(system, omega, comm, "identical", relation, psi,
+                                    "state functional reconstructed by homotopy integration")
+    if closure.closed == "unclosed":
         return EvolutionaryRelation(system, omega, comm, "nonidentical", None, None)
-
-    if comm_verdict == "zero":
-        psi = reconstruct_potential(omega)
-        if psi is not None:
-            # d(omega) is known to vanish: only the residual is left to test
-            psi_form = DifferentialForm.scalar(system.vars, psi)
-            residual = exterior_derivative(psi_form) - omega
-            if zero_verdict(residual) == "zero":
-                relation = Relation(psi_form, omega, "identical", residual, comm)
-                notes.append("state functional reconstructed by homotopy integration")
-                return EvolutionaryRelation(system, omega, comm, "identical",
-                                            relation, psi, "; ".join(notes))
-        notes.append("commutator vanishes but no state functional was reconstructed")
-        return EvolutionaryRelation(system, omega, comm, "unknown", None, None,
-                                    "; ".join(notes))
-
-    return EvolutionaryRelation(system, omega, comm, "unknown", None, None)
+    notes = ""
+    if closure.closed == "closed":
+        notes = "commutator vanishes but no state functional was reconstructed"
+    return EvolutionaryRelation(system, omega, comm, "unknown", None, None, notes)
 
 
 @dataclass
@@ -101,7 +92,7 @@ class EquilibriumReport:
 
 
 def equilibrium_scan(relation: EvolutionaryRelation, box, grid,
-                     tol: float = 1e-6) -> EquilibriumReport:
+                     tol: float = DEFAULT_TOL) -> EquilibriumReport:
     """Scan for the locally-equilibrium locus of an evolutionary relation.
 
     Delegates to the pseudostructure detector on omega; when psi is known

@@ -17,6 +17,9 @@ from .expr import Expression, to_text, compile_expression, DomainError
 from .forms import DifferentialForm, FormError, exterior_derivative, form_to_text, wedge
 from .duality import Metric, hodge_star
 from .analysis import (
+    DEFAULT_STEP,
+    DEFAULT_STEPS,
+    DEFAULT_TOL,
     AnalysisError,
     characteristic_curve,
     classification_table,
@@ -32,9 +35,6 @@ from .dsl import Document, DslError, FormDecl, ScalarDecl, parse
 __all__ = ["main"]
 
 DEFAULT_GRID = 101
-DEFAULT_STEP = 1e-3
-DEFAULT_TOL = 1e-6
-DEFAULT_STEPS = 10_000
 
 
 class InputError(Exception):

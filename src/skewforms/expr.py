@@ -302,24 +302,25 @@ def _terms(e: Expression) -> tuple[Expression, ...]:
     return e.terms if isinstance(e, Add) else (e,)
 
 
-def _split_degree(term: Expression, names: set[str]) -> tuple[int, Expression] | None:
-    """Split a canonical term into (its degree in the names, the term without
-    their powers); None where a name has a negative or fractional power or
-    sits inside any other factor, so the term is not polynomial in them."""
+def _exponents(term: Expression, names: Sequence[str]) -> tuple[tuple[int, ...], Expression] | None:
+    """Split a canonical term into (its exponent of each name, in order, the
+    term without their powers); None where a name has a negative or
+    fractional power or sits inside any other factor, so the term is not
+    polynomial in them."""
     coeff, mono = _as_term(term)
-    degree = 0
+    exponents = dict.fromkeys(names, 0)
     rest = []
     for f in mono:
         base, e = _as_power(f)
-        if isinstance(base, Var) and base.name in names:
+        if isinstance(base, Var) and base.name in exponents:
             if e.denominator != 1 or e < 0:
                 return None
-            degree += e
-        elif free_variables(f) & names:
+            exponents[base.name] += e
+        elif not free_variables(f).isdisjoint(exponents):
             return None
         else:
             rest.append(f)
-    return degree, _from_term(coeff, tuple(rest))
+    return tuple(exponents.values()), _from_term(coeff, tuple(rest))
 
 
 def _from_term(coeff: int | Fraction, monomial: tuple[Expression, ...]) -> Expression:

@@ -1,14 +1,26 @@
 """Balance systems: evolutionary relations and equilibrium scans."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from skewforms import analysis as analysis_module
 from skewforms import balance as balance_module
 from skewforms import forms as forms_module
-from skewforms.expr import VariableSet, ZERO, const, evaluate, sin, var
-from skewforms.forms import DifferentialForm, exterior_derivative
-from skewforms.balance import BalanceSystem, build_relation, equilibrium_scan
+from skewforms.analysis import Relation, classify_relation, reconstruct_potential
+from skewforms.dsl import parse
+from skewforms.expr import (
+    VariableSet, ZERO, const, cos, differentiate, evaluate, exp, sin, to_text, var,
+)
+from skewforms.forms import (
+    DifferentialForm, commutator, exterior_derivative, form_to_text, zero_verdict,
+)
+from skewforms.balance import BalanceSystem, EvolutionaryRelation, build_relation, equilibrium_scan
 
+from conftest import VARSETS, random_polynomial
+
+BALANCE_FILE = Path(__file__).parent / "data" / "balance2d.forms"
 XI = VariableSet(["xi1", "xi2"])
 xi1, xi2 = var("xi1"), var("xi2")
 BOX = [(-1.0, 1.0), (-1.0, 1.0)]
@@ -114,3 +126,84 @@ class TestEquilibriumScan:
         report2 = equilibrium_scan(rel2, BOX, 41)
         # d(xi1) pulls back to d(xi1) != 0 = omega_pi
         assert report2.identity_on_locus == "nonzero"
+
+
+# --- the path build_relation took before it read classify_closure, kept as a reference
+
+
+def _reference_build_relation(system):
+    omega = DifferentialForm.one_form(system.vars, system.actions)
+    if system.psi is not None:
+        relation = classify_relation(DifferentialForm.scalar(system.vars, system.psi), omega)
+        return EvolutionaryRelation(system, omega, relation.eta_commutator, relation.verdict,
+                                    relation, system.psi)
+
+    comm = commutator(omega)
+    comm_verdict = zero_verdict(comm)
+    notes = []
+
+    if comm_verdict == "nonzero":
+        return EvolutionaryRelation(system, omega, comm, "nonidentical", None, None)
+
+    if comm_verdict == "zero":
+        psi = reconstruct_potential(omega)
+        if psi is not None:
+            psi_form = DifferentialForm.scalar(system.vars, psi)
+            residual = exterior_derivative(psi_form) - omega
+            if zero_verdict(residual) == "zero":
+                relation = Relation(psi_form, omega, "identical", residual, comm)
+                notes.append("state functional reconstructed by homotopy integration")
+                return EvolutionaryRelation(system, omega, comm, "identical",
+                                            relation, psi, "; ".join(notes))
+        notes.append("commutator vanishes but no state functional was reconstructed")
+        return EvolutionaryRelation(system, omega, comm, "unknown", None, None,
+                                    "; ".join(notes))
+
+    return EvolutionaryRelation(system, omega, comm, "unknown", None, None)
+
+
+def _summary(rel):
+    """The observable parts of an evolutionary relation, as text."""
+    return (rel.verdict, None if rel.psi is None else to_text(rel.psi), rel.notes,
+            form_to_text(rel.commutator),
+            None if rel.relation is None else form_to_text(rel.relation.residual),
+            None if rel.relation is None else rel.relation.verdict)
+
+
+def _random_system(rng, variables):
+    """Action coefficients: the gradient of a polynomial times a parameter, a
+    transcendental or a rational factor (or none), and in half the cases one
+    component perturbed so that omega is no longer closed."""
+    u, v = var(variables.names[0]), var(variables.names[1])
+    factor = rng.choice([const(1), var("p"), exp(u), sin(v), cos(u * v), (1 + u**2 + v**2) ** -1])
+    f = random_polynomial(rng, variables.names) * factor
+    actions = [differentiate(f, name) for name in variables.names]
+    if rng.random() < 0.5:
+        k = rng.randrange(len(actions))
+        actions[k] = actions[k] + random_polynomial(rng, variables.names)
+    return BalanceSystem(variables, actions)
+
+
+class TestBuildRelationMatchesReference:
+    def test_bundled_systems(self):
+        systems = [decl.system for decl in parse(BALANCE_FILE.read_text()).balances()]
+        assert len(systems) == 4
+        for system in systems:
+            assert _summary(build_relation(system)) == _summary(_reference_build_relation(system))
+
+    def test_undecided_commutator(self):
+        # exp(xi1)^2 - exp(2*xi1) is zero, but no rule reduces it
+        system = BalanceSystem(XI, (ZERO, xi1 * (exp(xi1) ** 2 - exp(2 * xi1))))
+        rel = build_relation(system)
+        assert (rel.verdict, rel.notes) == ("unknown", "")
+        assert _summary(rel) == _summary(_reference_build_relation(system))
+
+    def test_random_systems(self):
+        rng = random.Random(5150)
+        verdicts = []
+        for _ in range(80):
+            system = _random_system(rng, VARSETS[rng.choice((2, 3))])
+            got = _summary(build_relation(system))
+            assert got == _summary(_reference_build_relation(system)), system.actions
+            verdicts.append(got[0])
+        assert all(verdicts.count(v) > 5 for v in ("identical", "nonidentical", "unknown"))

@@ -1,9 +1,16 @@
-"""Public names: everything a module exports in ``__all__`` exists."""
+"""Public names: everything a module exports in ``__all__`` exists.  Source
+hygiene: every imported name is used or re-exported, and every private
+module-level name is referenced somewhere in the package."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import skewforms
+
+SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(Path(skewforms.__file__).parent.glob("*.py"))}
 
 
 def test_every_exported_name_resolves():
@@ -13,3 +20,62 @@ def test_every_exported_name_resolves():
                for name in module.__all__ if not hasattr(module, name)]
     assert len(modules) > 1
     assert missing == []
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Every identifier that a node reads: bare names and attribute names."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def test_every_imported_name_is_used_or_exported():
+    unused = []
+    for module, tree in SOURCES.items():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        used = _names_read(tree) | _exported(tree)
+        unused += [f"{module}.{name}" for name in sorted(imported - used)]
+    assert unused == []
+
+
+def test_every_private_module_level_name_is_referenced():
+    """A private helper read only by its own body, or by nothing, is dead."""
+    defined, referenced = [], set()
+    for module, tree in SOURCES.items():
+        for node in tree.body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner = node.name
+                names = [owner]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, name))
+            referenced |= _names_read(node) - {owner}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    dead = [f"{module}.{name}" for module, name in defined if name not in referenced]
+    assert len(defined) > 20
+    assert dead == []
