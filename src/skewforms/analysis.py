@@ -7,6 +7,10 @@ the (p, k, n) classification table.  Potentials and exact Stokes
 integrals read each term's exponents (i, j, ...) in the coordinates off
 ``expr._exponents`` and integrate it as x^i y^j ..., substituting nothing.
 
+A characteristic curve runs as one RK4 loop generated for its phi from the
+statements of ``expr._emit``; a pseudostructure scan reads grid-node
+indices from each mask by one flat index scan, in np.argwhere's order.
+
 Verdicts are three-valued throughout; "unknown" zero tests propagate and
 are never coerced into a definite answer.
 """
@@ -17,11 +21,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import FunctionType
 from typing import Mapping, Sequence
 
 from .expr import (
     Const,
-    DomainError,
     Expression,
     VariableSet,
     ZERO,
@@ -33,7 +37,10 @@ from .expr import (
     mul,
     substitute,
     var,
+    _SCALAR_HELPERS,
+    _emit,
     _exponents,
+    _function_code,
     _terms,
 )
 from .forms import (
@@ -244,6 +251,53 @@ def frobenius_test(a: DifferentialForm) -> str:
 # --- characteristic curves ------------------------------------------------------
 
 
+def _rk4_kernel(phi: Expression, names: Sequence[str]) -> FunctionType:
+    """Generate the RK4 loop of ``characteristic_curve`` for one phi.
+
+    ``kernel(x, y, steps, h)`` returns the curve's points, none where phi
+    is not finite at the start.  Each of the four stages computes the field
+    (-phi_y, phi_x) inline, from one straight-line body that computes the
+    two derivatives together, and each point is appended once phi is finite
+    there.  The statements come from ``expr._emit``, as
+    ``compile_expression`` emits them, so every value is the one that
+    evaluating phi and its derivatives one call at a time gives.
+    """
+    xn, yn = names
+    args = {xn: "_a0", yn: "_a1"}
+    level_lines, (level,) = _emit([phi], args)
+    field_lines, (phi_y, phi_x) = _emit([differentiate(phi, yn), differentiate(phi, xn)], args)
+
+    def block(*lines: str) -> str:
+        return "".join(f"            {line}\n" for line in lines)
+
+    def stage(k: int, x: str, y: str) -> str:
+        return block(f"_a0, _a1 = {x}, {y}", *field_lines,
+                     f"_k{k}x, _k{k}y = -_finite({phi_y}), _finite({phi_x})")
+
+    source = ("def _rk4(_x, _y, _steps, _h):\n"
+              "    _points = []\n"
+              "    while True:\n"
+              "        try:\n"
+              + block("_a0, _a1 = _x, _y", *level_lines, f"_finite({level})")
+              + "        except (_DomainError, *_ARITH):\n"
+              "            return _points\n"
+              "        _points.append((_x, _y))\n"
+              "        if len(_points) > _steps:\n"
+              "            return _points\n"
+              "        try:\n"
+              + stage(1, "_x", "_y")
+              + block(f"if _hypot(_k1x, _k1y) < {CRITICAL_GRADIENT_TOL!r}:",
+                      "    return _points")
+              + stage(2, "_x + 0.5 * _h * _k1x", "_y + 0.5 * _h * _k1y")
+              + stage(3, "_x + 0.5 * _h * _k2x", "_y + 0.5 * _h * _k2y")
+              + stage(4, "_x + _h * _k3x", "_y + _h * _k3y")
+              + block("_x, _y = (_x + _h / 6.0 * (_k1x + 2 * _k2x + 2 * _k3x + _k4x),",
+                      "          _y + _h / 6.0 * (_k1y + 2 * _k2y + 2 * _k3y + _k4y))")
+              + "        except (_DomainError, *_ARITH):\n"
+              "            return _points\n")
+    return FunctionType(_function_code(source), dict(_SCALAR_HELPERS, _hypot=math.hypot))
+
+
 def characteristic_curve(phi: Expression, variables: VariableSet,
                          start: Sequence[float], steps: int = DEFAULT_STEPS,
                          h: float = DEFAULT_STEP) -> list[tuple[float, float]]:
@@ -251,7 +305,8 @@ def characteristic_curve(phi: Expression, variables: VariableSet,
 
     Stops early (partial polyline) if the gradient magnitude drops below
     1e-12 or evaluation leaves the domain; every returned point admits a
-    finite value of phi.
+    finite value of phi.  The loop is one function generated for phi
+    (``_rk4_kernel``), with no call per field evaluation.
     """
     if variables.dimension != 2:
         raise AnalysisError("characteristic curves are computed in two dimensions")
@@ -261,35 +316,9 @@ def characteristic_curve(phi: Expression, variables: VariableSet,
         raise AnalysisError(f"step count must be between 1 and {MAX_CURVE_STEPS}")
     if not 0 < h < math.inf:
         raise AnalysisError("step size must be positive and finite")
-    xn, yn = variables.names
-    level = compile_expression(phi, variables.names).scalar
-    try:
-        level(*map(float, start))
-    except DomainError:
-        raise AnalysisError("phi is not finite at the start point") from None
-    phi_x = compile_expression(differentiate(phi, xn), variables.names).scalar
-    phi_y = compile_expression(differentiate(phi, yn), variables.names).scalar
-
-    def field(x: float, y: float) -> tuple[float, float]:
-        return -phi_y(x, y), phi_x(x, y)
-
-    points = [(float(start[0]), float(start[1]))]
-    x, y = points[0]
-    for _ in range(steps):
-        try:
-            k1 = field(x, y)
-            if math.hypot(*k1) < CRITICAL_GRADIENT_TOL:
-                break
-            k2 = field(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1])
-            k3 = field(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1])
-            k4 = field(x + h * k3[0], y + h * k3[1])
-            nx = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            ny = y + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            level(nx, ny)  # every returned point must carry a level value
-        except DomainError:
-            break
-        x, y = nx, ny
-        points.append((x, y))
+    points = _rk4_kernel(phi, variables.names)(float(start[0]), float(start[1]), steps, float(h))
+    if not points:
+        raise AnalysisError("phi is not finite at the start point")
     return points
 
 
@@ -331,6 +360,14 @@ def _hyperplane_chart(variables: VariableSet, axis_name: str) -> Parameterizatio
     params = VariableSet([n for n in variables.names if n != axis_name])
     coords = [ZERO if n == axis_name else var(n) for n in variables.names]
     return Parameterization(params, coords)
+
+
+def _nodes(mask: np.ndarray) -> np.ndarray:
+    """(m, n) indices of the m true entries of an n-D mask, in C order: what
+    np.argwhere gives, from one flat index scan."""
+    import numpy as np
+
+    return np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)
 
 
 def _bisect_edges(fn, lo: np.ndarray, hi: np.ndarray, tol: float,
@@ -436,7 +473,7 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
 
         # grid hits, then sign-change edges refined per driving component;
         # each candidate is kept where every component is within tol
-        found_nodes = [np.argwhere(max_abs <= tol)]
+        found_nodes = [_nodes(max_abs <= tol)]
         found_roots = [coords(found_nodes[0])]
         for fn, arr in zip(compiled, comp_values):
             for axis in range(n):
@@ -445,7 +482,7 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
                 v = np.moveaxis(arr, axis, 0)
                 flip = np.moveaxis(v[:-1] * v[1:] < 0, 0, axis)
                 edge_shape = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
-                flips = np.argwhere(np.broadcast_to(flip, edge_shape))
+                flips = _nodes(np.broadcast_to(flip, edge_shape))
                 hi_ends = flips + np.eye(n, dtype=np.intp)[axis]
                 roots, edges = _bisect_edges(fn, coords(flips), coords(hi_ends), tol)
                 found_roots.append(roots)

@@ -724,14 +724,16 @@ def _literal(value: int | Fraction) -> str:
         return "_NAN"
 
 
-def compile_expression(e: Expression, names: Sequence[str]) -> CompiledExpression:
-    """Compile a canonical tree into a function of the given names, in order.
+def _emit(exprs: Sequence[Expression], args: Mapping[str, str]) -> tuple[list[str], list[str]]:
+    """Straight-line Python statements that compute canonical trees from the
+    helpers and from the local names ``args`` gives each variable.
 
-    A subtree the tree shares is computed once.  A variable outside
-    ``names`` raises UnknownVariableError.
+    Returns the statements, in order, and the source of each tree's value: a
+    literal, a local from ``args`` or a temporary ``_t<k>``.  Equal
+    subtrees, in one tree or across the trees, are computed once.  A
+    variable outside ``args`` raises UnknownVariableError.
     """
-    args = {name: f"_a{i}" for i, name in enumerate(names)}
-    refs: dict[int, str] = {}  # by id: a shared subtree is one object
+    refs: dict[Expression, str] = {}  # equal subtrees compute equal values
     lines: list[str] = []
 
     def emit(node: Expression) -> str:
@@ -741,8 +743,8 @@ def compile_expression(e: Expression, names: Sequence[str]) -> CompiledExpressio
             if node.name not in args:
                 raise UnknownVariableError(f"unbound variable: {node.name!r}")
             return args[node.name]
-        if id(node) in refs:
-            return refs[id(node)]
+        if node in refs:
+            return refs[node]
         if isinstance(node, Add):
             code = f"_sum(({', '.join(map(emit, node.terms))},))"
         elif isinstance(node, Mul):
@@ -756,23 +758,43 @@ def compile_expression(e: Expression, names: Sequence[str]) -> CompiledExpressio
             code = f"_{node.name}({emit(node.arg)})"
         else:
             raise TypeError(f"not an Expression node: {node!r}")
-        ref = refs[id(node)] = f"_t{len(refs)}"
-        lines.append(f"        {ref} = {code}\n")
+        ref = refs[node] = f"_t{len(refs)}"
+        lines.append(f"{ref} = {code}")
         return ref
 
-    result = emit(e)
+    return lines, [emit(e) for e in exprs]
+
+
+def _function_code(source: str) -> CodeType:
+    """The code of the one function that ``source`` defines."""
+    module = compile(source, "<compiled expression>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def compile_expression(e: Expression, names: Sequence[str]) -> CompiledExpression:
+    """Compile a canonical tree into a function of the given names, in order.
+
+    Equal subtrees are computed once.  A variable outside ``names`` raises
+    UnknownVariableError.
+    """
+    args = {name: f"_a{i}" for i, name in enumerate(names)}
+    lines, (result,) = _emit([e], args)
     source = (f"def _compiled({', '.join(args.values())}):\n"
               "    try:\n"
-              + "".join(lines)
+              + "".join(f"        {line}\n" for line in lines)
               + f"        return _finite({result})\n"
               "    except _ARITH:\n"
               "        raise _DomainError('outside the real domain or the float range') from None\n")
-    module = compile(source, "<compiled expression>", "exec")
-    return CompiledExpression(next(c for c in module.co_consts if isinstance(c, CodeType)))
+    return CompiledExpression(_function_code(source))
 
 
 def evaluate(e: Expression, point: Mapping[str, float]) -> float:
     """IEEE double evaluation; yields a finite float or raises DomainError."""
+    if isinstance(e, Const):  # as the compiled literal gives it, without compiling
+        try:
+            return float(e.value)
+        except OverflowError:
+            raise DomainError("value is not finite") from None
     return compile_expression(e, tuple(point)).scalar(*map(float, point.values()))
 
 

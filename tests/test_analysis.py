@@ -10,9 +10,9 @@ import pytest
 
 from skewforms import analysis
 from skewforms.expr import (
-    Add, Const, DomainError, Mul, Pow, Var, VariableSet, ZERO, ONE, compile_expression, const, cos,
-    differentiate, evaluate, exp, free_variables, ln, mul, sin, substitute, var,
-    _exponents, _terms,
+    Add, Const, DomainError, Mul, Pow, UnknownVariableError, Var, VariableSet, ZERO, ONE,
+    compile_expression, const, cos, differentiate, evaluate, exp, free_variables, ln, mul, sin,
+    substitute, var, _emit, _exponents, _terms,
 )
 from skewforms.forms import DifferentialForm, commutator, exterior_derivative, zero_verdict
 from skewforms.duality import Metric
@@ -226,6 +226,126 @@ class TestCharacteristicCurve:
         assert characteristic_curve(ln(x), V2, (1.0, 0.0), steps=5, h=1e-2)[0] == (1.0, 0.0)
 
 
+def _reference_curve(phi, variables, start, steps, h):
+    """characteristic_curve as one compiled call per evaluation of phi_x,
+    phi_y or phi: the reference for the generated RK4 loop.  Returns the
+    points and where the loop stopped: "steps", "critical", "stage 1" to
+    "stage 4" (the field left the domain) or "level" (phi did)."""
+    xn, yn = variables.names
+    level = compile_expression(phi, variables.names).scalar
+    try:
+        level(*map(float, start))
+    except DomainError:
+        raise AnalysisError("phi is not finite at the start point") from None
+    phi_x = compile_expression(differentiate(phi, xn), variables.names).scalar
+    phi_y = compile_expression(differentiate(phi, yn), variables.names).scalar
+
+    def field(x, y):
+        return -phi_y(x, y), phi_x(x, y)
+
+    points = [(float(start[0]), float(start[1]))]
+    x, y = points[0]
+    for _ in range(steps):
+        stop = "stage 1"
+        try:
+            k1 = field(x, y)
+            if math.hypot(*k1) < analysis.CRITICAL_GRADIENT_TOL:
+                return points, "critical"
+            stop = "stage 2"
+            k2 = field(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1])
+            stop = "stage 3"
+            k3 = field(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1])
+            stop = "stage 4"
+            k4 = field(x + h * k3[0], y + h * k3[1])
+            nx = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            ny = y + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            stop = "level"
+            level(nx, ny)
+        except DomainError:
+            return points, stop
+        x, y = nx, ny
+        points.append((x, y))
+    return points, "steps"
+
+
+def _hex_points(points):
+    return [(float.hex(px), float.hex(py)) for px, py in points]
+
+
+class TestCurveMatchesReference:
+    """The generated loop gives the reference's points bit for bit."""
+
+    def _check(self, phi, start, steps, h):
+        want, stop = _reference_curve(phi, V2, start, steps, h)
+        got = characteristic_curve(phi, V2, start, steps, h)
+        assert _hex_points(got) == _hex_points(want), (phi, start, steps, h)
+        return stop
+
+    def test_seeded_phis(self):
+        rng = random.Random(5150)
+
+        def r():
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 4]))
+
+        # (phi, x range of the start): polynomial, sin/exp, a constant gradient,
+        # and phis whose field or level leaves the domain
+        families = [
+            (lambda: random_polynomial(rng, V2.names), (-1.5, 1.5)),
+            (lambda: r() * sin(x * y) + x**2 + r() * exp(r() * y) * x, (-1.5, 1.5)),
+            (lambda: r() * x + r() * y, (-1.5, 1.5)),
+            (lambda: y + r() * x ** Fraction(5, 2), (0.0, 0.3)),
+            (lambda: ln(x) + r() * y, (0.01, 0.3)),
+            (lambda: (x - 1) ** -1 + r() * y, (0.5, 1.5)),
+            (lambda: r() * exp(x**2 + y**2), (-1.5, 1.5)),
+        ]
+        stops = set()
+        for make, (lo, hi) in families:
+            for _ in range(12):
+                start = (rng.uniform(lo, hi), rng.uniform(-1.5, 1.5))
+                stops.add(self._check(make(), start, rng.choice([1, 5, 60, 400]),
+                                      rng.choice([1e-3, 1e-2, 0.1, 0.7])))
+        assert stops >= {"steps", "stage 2", "stage 3", "stage 4", "level"}
+
+    def test_stops_at_the_first_step(self):
+        # the field leaves the domain at the start: d/dx x^(1/2) = 1/2*x^(-1/2)
+        assert self._check(x ** Fraction(1, 2) + y, (0.0, 0.5), 10, 1e-2) == "stage 1"
+        assert self._check(x**2 + y**2, (0.0, 0.0), 10, 1e-2) == "critical"
+        assert self._check(x**2 + y**2, (1.0, 0.0), 1, 1e-2) == "steps"
+        assert self._check(x * y, (0.0, 0.0), 1, 1e-2) == "critical"
+
+    def test_overflow_of_a_product_stops_the_curve(self):
+        # a product overflows to inf without raising: in phi_y = 3*c*y^2 at the
+        # start, and in phi = c*x*y at the first new point, where the field
+        # (-c*x, c*y) is finite
+        assert self._check(const(72 * 10**305) * y**3, (0.0, 2.9), 10, 1e-3) == "stage 1"
+        assert self._check(const(17 * 10**305) * x * y, (100.0, 1.0), 10, 1 / 1.7e306) == "level"
+
+    def test_constant_gradient_emits_no_statements(self):
+        lines, values = _emit([differentiate(2 * x - y / 3, n) for n in V2.names],
+                              {"x": "_a0", "y": "_a1"})
+        assert lines == [] and values == ["2.0", "-0.3333333333333333"]
+        assert self._check(2 * x - y / 3, (0.25, -1.0), 50, 0.1) == "steps"
+
+    def test_equal_subtrees_are_computed_once(self):
+        # phi_y and phi_x of sin(x*y) are built apart but share cos(x*y)
+        phi = sin(x * y)
+        lines, _ = _emit([differentiate(phi, "y"), differentiate(phi, "x")],
+                         {"x": "_a0", "y": "_a1"})
+        assert sum("_cos(" in line for line in lines) == 1
+        assert self._check(phi, (0.5, 0.5), 200, 1e-2) == "steps"
+
+    def test_unknown_variable_and_bad_start_raise_as_before(self):
+        with pytest.raises(UnknownVariableError):
+            characteristic_curve(x + var("z"), V2, (1.0, 0.0), steps=10)
+        with pytest.raises(UnknownVariableError):
+            _reference_curve(x + var("z"), V2, (1.0, 0.0), 10, 1e-3)
+        for phi, start in ((ln(x), (-1.0, 0.0)), ((x - 1) ** -1, (1.0, 0.0))):
+            with pytest.raises(AnalysisError, match="not finite at the start point"):
+                characteristic_curve(phi, V2, start, steps=10)
+            with pytest.raises(AnalysisError, match="not finite at the start point"):
+                _reference_curve(phi, V2, start, 10, 1e-3)
+
+
 class TestPseudostructure:
     def test_hyperplane_locus(self):
         xi = VariableSet(["xi1", "xi2"])
@@ -392,6 +512,52 @@ class TestPseudostructure:
         assert len(points) > 100
         assert rep.locus.points == points
         assert rep.intensity == intensity
+
+
+class TestNodeIndices:
+    """``_nodes`` gives np.argwhere's indices, so a scan reports the same."""
+
+    def test_nodes_match_argwhere(self):
+        rng = np.random.default_rng(2024)
+        masks = []
+        for shape in ((7, 5), (4, 6, 3), (1, 9), (3, 1, 4), (21, 21, 21)):
+            masks += [rng.random(shape) < p for p in (0.0, 0.05, 0.5, 1.0)]  # p = 1: all true
+        for shape, full in (((5, 1, 4), (5, 6, 4)), ((1, 8), (6, 8)), ((3, 4, 1), (3, 4, 5))):
+            masks.append(np.broadcast_to(rng.random(shape) < 0.5, full))  # a read-only view
+        for mask in masks:
+            got, want = analysis._nodes(mask), np.argwhere(mask)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert not masks[0].any() and masks[3].all()
+
+    def test_scans_match_argwhere(self, monkeypatch):
+        rng = random.Random(808)
+        xi = VariableSet(["xi1", "xi2"])
+        xi1, xi2 = var("xi1"), var("xi2")
+        cases = [
+            (DifferentialForm.one_form(xi, [xi2**2, xi1 * xi2]), BOX2, 41),  # the hyperplane xi2 = 0
+            (DifferentialForm.one_form(V3, [z * y, ZERO, ZERO]), [(-1, 1)] * 3, 11),
+            (TestPseudostructure.SHELL, [(-1.0, 1.0)] * 3, 21),
+        ]
+        cases += [(random_form(rng, V2, 1), BOX2, rng.choice([11, 31])) for _ in range(8)]
+        cases += [(random_form(rng, V3, 1), [(-1.0, 1.0)] * 3, rng.choice([7, 13]))
+                  for _ in range(6)]
+
+        def scan_all():
+            return [find_pseudostructure(a, Metric.euclidean(a.vars), box, grid)
+                    for a, box, grid in cases]
+
+        reports = scan_all()
+        monkeypatch.setattr(analysis, "_nodes", np.argwhere)
+        kinds = set()
+        for got, want in zip(reports, scan_all()):
+            assert got.locus.kind == want.locus.kind
+            assert got.locus.hyperplane == want.locus.hyperplane
+            assert got.locus.points == want.locus.points
+            assert float.hex(got.intensity) == float.hex(want.intensity)
+            kinds.add(got.locus.kind)
+        assert {"hyperplane", "points"} <= kinds
+        assert sum(len(r.locus.points) for r in reports) > 200
 
 
 def _scalar_bisect(f, lo, hi, tol):

@@ -374,6 +374,26 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(sin(x * y), {"x": 1e200, "y": 1e200})
 
+    def test_constant_is_read_without_compiling(self, monkeypatch):
+        values = [0, 7, -3, Fraction(1, 3), Fraction(-22, 7), Fraction(1, 10**400),
+                  2**1023, 10**308 + 1]
+        compiled = [compile_expression(const(v), ["x"]).scalar(0.5) for v in values]
+
+        def no_compile(*args):
+            raise AssertionError("a constant was compiled")
+
+        monkeypatch.setattr(expr_module, "compile_expression", no_compile)
+        for v, want in zip(values, compiled):
+            got = evaluate(const(v), {"x": 0.5})
+            assert type(got) is float and float.hex(got) == float.hex(want)
+        for v in (2**1024, -(10**400), Fraction(10**400, 3)):  # beyond the float range
+            with pytest.raises(DomainError):
+                evaluate(const(v), {})
+        monkeypatch.undo()
+        for v in (2**1024, -(10**400), Fraction(10**400, 3)):
+            with pytest.raises(DomainError):
+                compile_expression(const(v), []).scalar()
+
 
 def _walk(e, point):
     """Node-by-node evaluation, the reference for compiled scalar mode.
