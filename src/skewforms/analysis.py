@@ -257,8 +257,8 @@ def _rk4_kernel(phi: Expression, names: Sequence[str]) -> FunctionType:
     ``kernel(x, y, steps, h)`` returns the curve's points, none where phi
     is not finite at the start.  Each of the four stages computes the field
     (-phi_y, phi_x) inline, from one straight-line body that computes the
-    two derivatives together, and each point is appended once phi is finite
-    there.  The statements come from ``expr._emit``, as
+    two derivatives together.  A new point is appended once its coordinates
+    and phi there are finite.  The statements come from ``expr._emit``, as
     ``compile_expression`` emits them, so every value is the one that
     evaluating phi and its derivatives one call at a time gives.
     """
@@ -292,10 +292,13 @@ def _rk4_kernel(phi: Expression, names: Sequence[str]) -> FunctionType:
               + stage(3, "_x + 0.5 * _h * _k2x", "_y + 0.5 * _h * _k2y")
               + stage(4, "_x + _h * _k3x", "_y + _h * _k3y")
               + block("_x, _y = (_x + _h / 6.0 * (_k1x + 2 * _k2x + 2 * _k3x + _k4x),",
-                      "          _y + _h / 6.0 * (_k1y + 2 * _k2y + 2 * _k3y + _k4y))")
+                      "          _y + _h / 6.0 * (_k1y + 2 * _k2y + 2 * _k3y + _k4y))",
+                      "if not (_isfinite(_x) and _isfinite(_y)):",
+                      "    return _points")
               + "        except (_DomainError, *_ARITH):\n"
               "            return _points\n")
-    return FunctionType(_function_code(source), dict(_SCALAR_HELPERS, _hypot=math.hypot))
+    return FunctionType(_function_code(source),
+                        dict(_SCALAR_HELPERS, _hypot=math.hypot, _isfinite=math.isfinite))
 
 
 def characteristic_curve(phi: Expression, variables: VariableSet,
@@ -304,9 +307,9 @@ def characteristic_curve(phi: Expression, variables: VariableSet,
     """Integrate the level-set direction field (-phi_y, phi_x) with RK4.
 
     Stops early (partial polyline) if the gradient magnitude drops below
-    1e-12 or evaluation leaves the domain; every returned point admits a
-    finite value of phi.  The loop is one function generated for phi
-    (``_rk4_kernel``), with no call per field evaluation.
+    1e-12 or evaluation leaves the domain; every returned point is finite
+    and admits a finite value of phi.  The loop is one function generated
+    for phi (``_rk4_kernel``), with no call per field evaluation.
     """
     if variables.dimension != 2:
         raise AnalysisError("characteristic curves are computed in two dimensions")
@@ -370,13 +373,14 @@ def _nodes(mask: np.ndarray) -> np.ndarray:
     return np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)
 
 
-def _bisect_edges(fn, lo: np.ndarray, hi: np.ndarray, tol: float,
-                  max_iter: int = 80) -> tuple[np.ndarray, np.ndarray]:
+def _bisect_edges(fn, lo: np.ndarray, hi: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Bisect a compiled component along m grid edges with (n, m) end points
     lo and hi, each edge as a scalar bisection would: an end point where it
     is exactly 0 is the root; otherwise the end values must be finite and
-    not of one sign, and the root is the first midpoint with |K| <= tol.
-    Returns the (n, k) roots and the indices of their edges, in edge order.
+    not of one sign, and the root is the first of at most 80 midpoints with
+    |K| <= tol.  Returns the (n, k) roots and the indices of their edges, in
+    edge order.
     """
     import numpy as np
 
@@ -388,7 +392,7 @@ def _bisect_edges(fn, lo: np.ndarray, hi: np.ndarray, tol: float,
     roots = [lo[:, at_lo], hi[:, at_hi]]
     live = np.flatnonzero(valid & ~at_lo & ~at_hi & ~(f_lo * f_hi > 0))
     a, b, f_a = lo[:, live], hi[:, live], f_lo[live]
-    for _ in range(max_iter):
+    for _ in range(80):
         if not live.size:
             break
         mid = 0.5 * (a + b)

@@ -122,15 +122,6 @@ class Document:
                 return decl
         return None
 
-    def forms(self):
-        return [d for d in self.declarations if isinstance(d, FormDecl)]
-
-    def relations(self):
-        return [d for d in self.declarations if isinstance(d, RelationDecl)]
-
-    def balances(self):
-        return [d for d in self.declarations if isinstance(d, BalanceDecl)]
-
 
 # --- lexer ----------------------------------------------------------------------
 

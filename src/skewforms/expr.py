@@ -813,9 +813,9 @@ def _denominator_clearings(e: Expression) -> dict[Expression, int | Fraction]:
     return need
 
 
-def _numerator(e: Expression, max_passes: int = 8) -> Expression:
+def _numerator(e: Expression) -> Expression:
     """Multiply every term by the missing denominators, term by term, until
-    no negative powers remain.
+    no negative powers remain (at most 8 passes).
 
     Term-wise multiplication lets sum bases meet their inverse atoms inside
     one product, where the exponents cancel exactly.  Zero-equivalence is
@@ -823,7 +823,7 @@ def _numerator(e: Expression, max_passes: int = 8) -> Expression:
     rational-function normalization certifies zero.
     """
     cur = e
-    for _ in range(max_passes):
+    for _ in range(8):
         need = _denominator_clearings(cur)
         if not need:
             return cur
@@ -837,21 +837,20 @@ def _numerator(e: Expression, max_passes: int = 8) -> Expression:
     return cur
 
 
-def _probe_for_witness(e: Expression, points: int = PROBE_POINTS,
-                       threshold: float = PROBE_THRESHOLD) -> bool:
+def _probe_for_witness(e: Expression) -> bool:
     names = sorted(free_variables(e))
     f = compile_expression(e, names).scalar
     rng = random.Random(0x5EED)
     valid = 0
     attempts = 0
-    while valid < points and attempts < 8 * points:
+    while valid < PROBE_POINTS and attempts < 8 * PROBE_POINTS:
         attempts += 1
         point = [rng.uniform(-PROBE_BOX, PROBE_BOX) for _ in names]
         try:
             value = f(*point)
         except DomainError:
             continue
-        if abs(value) > threshold:
+        if abs(value) > PROBE_THRESHOLD:
             return True
         valid += 1
     return False

@@ -67,6 +67,15 @@ class TestClassifyClosure:
         assert v.exact == "unknown"
         assert "polynomial" in v.notes
 
+    def test_unverified_potential_is_never_a_definite_no(self):
+        # d(a) = (2*2^(1/2) - 8^(1/2)) dx^dy is 0, but the zero test sees only
+        # roundoff, and the residual of the homotopy potential is the same
+        root2, root8 = const(2) ** Fraction(1, 2), const(8) ** Fraction(1, 2)
+        v = classify_closure(DifferentialForm.one_form(V2, [root8 * y, 2 * root2 * x]))
+        assert "homotopy potential did not verify" in v.notes
+        assert v.closed in ("closed", "unknown") and v.exact in ("exact", "unknown")
+        assert v.residual is not None and v.potential is None
+
     def test_zero_form_classification(self):
         assert classify_closure(DifferentialForm.scalar(V2, ZERO)).exact == "exact"
         v = classify_closure(DifferentialForm.scalar(V2, const(3)))
@@ -230,7 +239,8 @@ def _reference_curve(phi, variables, start, steps, h):
     """characteristic_curve as one compiled call per evaluation of phi_x,
     phi_y or phi: the reference for the generated RK4 loop.  Returns the
     points and where the loop stopped: "steps", "critical", "stage 1" to
-    "stage 4" (the field left the domain) or "level" (phi did)."""
+    "stage 4" (the field left the domain), "level" (phi did) or "point"
+    (phi is finite at the new point, but a coordinate is not)."""
     xn, yn = variables.names
     level = compile_expression(phi, variables.names).scalar
     try:
@@ -263,6 +273,8 @@ def _reference_curve(phi, variables, start, steps, h):
             level(nx, ny)
         except DomainError:
             return points, stop
+        if not (math.isfinite(nx) and math.isfinite(ny)):
+            return points, "point"
         x, y = nx, ny
         points.append((x, y))
     return points, "steps"
@@ -319,6 +331,13 @@ class TestCurveMatchesReference:
         # (-c*x, c*y) is finite
         assert self._check(const(72 * 10**305) * y**3, (0.0, 2.9), 10, 1e-3) == "stage 1"
         assert self._check(const(17 * 10**305) * x * y, (100.0, 1.0), 10, 1 / 1.7e306) == "level"
+
+    def test_an_infinite_point_stops_the_curve(self):
+        # each stage value -phi_y = -3*c*y^2 is finite, but their RK4 sum is
+        # not; phi does not depend on x, so it stays finite at (-inf, 2.9)
+        phi = const(7 * 10**306) * y**3
+        assert self._check(phi, (0.0, 2.9), 10, 1e-3) == "point"
+        assert characteristic_curve(phi, V2, (0.0, 2.9), 10, 1e-3) == [(0.0, 2.9)]
 
     def test_constant_gradient_emits_no_statements(self):
         lines, values = _emit([differentiate(2 * x - y / 3, n) for n in V2.names],

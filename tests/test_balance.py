@@ -9,7 +9,7 @@ from skewforms import analysis as analysis_module
 from skewforms import balance as balance_module
 from skewforms import forms as forms_module
 from skewforms.analysis import Relation, classify_relation, reconstruct_potential
-from skewforms.dsl import parse
+from skewforms.dsl import BalanceDecl, parse
 from skewforms.expr import (
     VariableSet, ZERO, const, cos, differentiate, evaluate, exp, sin, to_text, var,
 )
@@ -186,7 +186,8 @@ def _random_system(rng, variables):
 
 class TestBuildRelationMatchesReference:
     def test_bundled_systems(self):
-        systems = [decl.system for decl in parse(BALANCE_FILE.read_text()).balances()]
+        systems = [decl.system for decl in parse(BALANCE_FILE.read_text()).declarations
+                   if isinstance(decl, BalanceDecl)]
         assert len(systems) == 4
         for system in systems:
             assert _summary(build_relation(system)) == _summary(_reference_build_relation(system))

@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from skewforms.analysis import characteristic_curve
 from skewforms.cli import main
+from skewforms.dsl import parse
+from skewforms.expr import VariableSet
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -235,6 +238,119 @@ class TestExitCodes:
     def test_wedge_degree_error(self):
         code, _, err = run_cli("wedge", CONTACT, "area", "area")
         assert code == 0  # 2+2 clamps to the zero form, not an error
+
+
+def assert_input_error(argv, message):
+    """Exit 2, nothing on stdout and one error line that holds the message."""
+    code, out, err = run_cli(*argv)
+    assert code == 2, argv
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert message in err, err
+
+
+LOOKUP_ERRORS = [
+    (("star", BASIC, "--name", "nope"), "no declaration named 'nope'"),
+    (("classify", BASIC, "--name", "good"), "'good' is not a form"),
+    (("wedge", BASIC, "w", "nope"), "no declaration named 'nope'"),
+    (("characteristics", BASIC, "--scalar", "nope", "--start", "1,0"),
+     "no declaration named 'nope'"),
+    (("characteristics", BASIC, "--scalar", "w", "--start", "1,0"), "'w' is not a scalar"),
+    (("relation", BASIC, "--name", "nope"), "no declaration named 'nope'"),
+    (("relation", BASIC, "--name", "w"), "'w' is not a relation"),
+    (("relation", CONTACT), "no relation declarations in the document"),
+    (("balance-scan", BALANCE, "--name", "nope"), "no declaration named 'nope'"),
+    (("balance-scan", BALANCE, "--name", "omega"), "'omega' is not a balance"),
+    (("balance-scan", BASIC), "no balance declarations in the document"),
+]
+
+
+class TestInputErrors:
+    """Every lookup and option-parsing error path of the CLI."""
+
+    @pytest.mark.parametrize("argv, message", LOOKUP_ERRORS,
+                             ids=[" ".join(Path(a).name for a in argv) for argv, _ in LOOKUP_ERRORS])
+    def test_lookup_errors(self, argv, message):
+        assert_input_error(argv, message)
+
+    def test_a_named_scalar_is_a_0_form(self):
+        code, out, err = run_cli("d", BASIC, "--name", "f")
+        assert (code, out, err) == (0, "d(f) = 2*x*dx + 2*y*dy\n", "")
+        assert_input_error(("frobenius", CONTACT, "--name", "area"), "needs a 1-form")
+        for command in ("frobenius", "stokes", "pseudostructure"):
+            assert_input_error((command, BASIC, "--name", "f"), "1-form")
+
+    def test_no_1_forms_to_run(self, tmp_path):
+        doc = tmp_path / "two.forms"
+        doc.write_text("vars x, y, z\nscalar s = x\nform area = dx^dy\n")
+        for command in ("frobenius", "stokes", "pseudostructure"):
+            assert_input_error((command, str(doc)), "no 1-form declarations in the document")
+        code, out, _ = run_cli("d", str(doc))
+        assert code == 0 and out.startswith("d(area) = ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("characteristics", BASIC, "--scalar", "f", "--start", "1,x"),
+         "cannot parse start point: '1,x'"),
+        (("stokes", BASIC, "--rect", "0,1,y,1"), "cannot parse rectangle: '0,1,y,1'"),
+        (("pseudostructure", BALANCE, "--box", "0:1:2,0:1"),
+         "box ranges look like lo:hi, got '0:1:2'"),
+        (("balance-scan", BALANCE, "--box", "0:1,a:1"), "cannot parse box range 'a:1'"),
+    ], ids=["start", "rect", "box-chunk", "box-float"])
+    def test_bad_numbers(self, argv, message):
+        assert_input_error(argv, message)
+
+    def test_every_keeps_the_last_point(self):
+        argv = ("characteristics", BASIC, "--scalar", "f", "--start", "1,0",
+                "--steps", "20", "--every", "7")
+        code, out, _ = run_cli(*argv)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 5  # points 0, 7, 14 and 20, then the summary
+        assert lines[-1].startswith("f: 21 points")
+        code, out, _ = run_cli("--format", "jsonl", *argv)
+        record = json.loads(out)
+        curve = characteristic_curve(parse(Path(BASIC).read_text()).find("f").expr,
+                                     VariableSet(["x", "y"]), (1.0, 0.0), 20, 1e-3)
+        assert record["points"] == [list(curve[i]) for i in (0, 7, 14, 20)]
+        assert lines[3] == " ".join(f"{v:.12g}" for v in curve[20])
+
+
+# one verdict that the zero test cannot decide: 8^(1/2) - 2*2^(1/2) evaluates
+# to roundoff, and the homotopy potential of d = that constant does not verify
+UNDECIDED = """vars x, y, z
+form exp_grad = exp(x)*sin(y)*dx + exp(x)*cos(y)*dy
+form tilted = dz + (8^(1/2) - 2*2^(1/2))*x*dy
+relation radical: d(x) = (1 + 8^(1/2) - 2*2^(1/2))*dx
+"""
+
+
+class TestStrict:
+    @pytest.mark.parametrize("argv, unknown", [
+        (("classify", "--name", "exp_grad"), "closed, unknown"),
+        (("relation",), "radical: UNKNOWN"),
+        (("frobenius", "--name", "tilted"), "tilted: unknown"),
+    ], ids=["classify", "relation", "frobenius"])
+    def test_unknown_exits_1(self, tmp_path, argv, unknown):
+        doc = tmp_path / "undecided.forms"
+        doc.write_text(UNDECIDED)
+        command, *rest = argv
+        code, out, err = run_cli(command, str(doc), *rest)
+        assert code == 0 and err == "" and unknown in out
+        assert run_cli("--strict", command, str(doc), *rest) == (1, out, "")
+
+    def test_unknown_balance_exits_1(self, tmp_path):
+        doc = tmp_path / "balance.forms"
+        doc.write_text("vars xi1, xi2\nbalance r: A = (8^(1/2)*xi2, 2*2^(1/2)*xi1)\n")
+        code, out, err = run_cli("balance-scan", str(doc), "--grid", "11")
+        assert code == 0 and err == "" and out.startswith("r: UNKNOWN;")
+        assert run_cli("--strict", "balance-scan", str(doc), "--grid", "11") == (1, out, "")
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_bundled_corpus_exits_0(self, name):
+        argv = GOLDEN_RUNS[name]
+        head = 2 if argv[0] == "--format" else 0
+        code, out, err = run_cli(*argv[:head], "--strict", *argv[head:])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 class TestJsonSchema:

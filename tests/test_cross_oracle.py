@@ -1,8 +1,8 @@
 """Cross-checks against an independent CAS (sympy), when available.
 
-sympy is not a dependency of the package; these tests exercise the same
-quantities through a completely separate code path and skip silently where
-sympy is absent.
+sympy is not a runtime dependency of the package, only of its ``test``
+extra; these tests exercise the same quantities through a completely
+separate code path and skip silently where sympy is absent.
 """
 
 import random

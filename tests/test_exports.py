@@ -1,6 +1,7 @@
 """Public names: everything a module exports in ``__all__`` exists.  Source
-hygiene: every imported name is used or re-exported, and every private
-module-level name is referenced somewhere in the package."""
+hygiene: every imported name is used or re-exported, every private
+module-level name is referenced somewhere in the package, and the CLI
+prints through one reporter."""
 
 import ast
 import importlib
@@ -79,3 +80,23 @@ def test_every_private_module_level_name_is_referenced():
     dead = [f"{module}.{name}" for module, name in defined if name not in referenced]
     assert len(defined) > 20
     assert dead == []
+
+
+def _print_calls(node: ast.AST) -> list[ast.Call]:
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == "print"]
+
+
+def test_cli_prints_only_through_the_reporter():
+    """cli.py prints results only in Reporter.emit, and main prints only its
+    error line, to stderr."""
+    tree = SOURCES["cli"]
+    scopes = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    scopes += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef)]
+    prints = {name: calls for name, scope in scopes if (calls := _print_calls(scope))}
+    assert set(prints) == {"Reporter.emit", "main"}
+    assert sum(map(len, prints.values())) == len(_print_calls(tree))
+    assert [ast.unparse(k) for call in prints["main"] for k in call.keywords] == \
+        ["file=sys.stderr"] * len(prints["main"])

@@ -573,6 +573,10 @@ class TestIsZero:
     def test_tiny_constant_is_nonzero_exactly(self):
         assert is_zero(const(Fraction(1, 10**12))) == "nonzero"
 
+    def test_no_probe_in_the_domain_is_unknown(self):
+        # x - 3 < 0 at every probe of the box [-2, 2]
+        assert is_zero(ln(x - 3)) == "unknown"
+
 
 class TestSubstitute:
     def test_simple(self):
