@@ -18,7 +18,6 @@ from .expr import (
     cos,
     exp,
     ln,
-    simplify,
     differentiate,
     substitute,
     evaluate,
@@ -69,7 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Expression", "VariableSet", "DomainError", "UnknownVariableError",
     "const", "var", "sin", "cos", "exp", "ln",
-    "simplify", "differentiate", "substitute", "evaluate", "is_zero", "to_text",
+    "differentiate", "substitute", "evaluate", "is_zero", "to_text",
     "DifferentialForm", "Parameterization", "FormError",
     "wedge", "exterior_derivative", "commutator", "pullback",
     "evaluate_form", "zero_verdict", "form_to_text",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from .expr import to_text, compile_expression, DomainError
@@ -360,6 +361,11 @@ def main(argv=None) -> int:
     reporter = Reporter(args.format)
     try:
         args.handler(args, reporter)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is left, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InputError, FormError, AnalysisError, DomainError, DslError) as err:
         message = err
     except RecursionError:

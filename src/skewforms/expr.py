@@ -11,7 +11,11 @@ fractional exponent).  Two expressions that normalize to the same tree
 compare equal with ``==``.  A product distributes its sums one at a time
 over a {monomial: coefficient} map, where two monomials multiply by merging
 their factors; each node computes its hash and its sort key once, on first
-use, and equality ignores both.
+use, and equality ignores both.  A power or product base whose exponents in
+one product add up to an integer rejoins that product as power(base, total),
+so (x*y)^(1/2) squared is x*y and no term holds two factors of one base.
+A derivative walks the canonical terms: a power of the variable is lowered
+in place, and each other factor that depends on it costs one product.
 
 Constants and exponents are exact rationals with one representation: a
 plain ``int`` when the denominator is 1, otherwise a ``Fraction`` with
@@ -57,7 +61,6 @@ __all__ = [
     "cos",
     "exp",
     "ln",
-    "simplify",
     "differentiate",
     "substitute",
     "evaluate",
@@ -401,11 +404,10 @@ def mul(*parts: Expression) -> Expression:
         else:
             base, e = _as_power(p)
             powers[base] = powers.get(base, 0) + e
-
-    # a power base with an integral total joins its own base: (x^2)^(1/2) squared is x^2
-    for b in [b for b in powers if isinstance(b, Pow)]:
-        if powers[b].denominator == 1:
-            powers[b.base] = powers.get(b.base, 0) + powers.pop(b) * b.exponent
+        if not stack:
+            # a power or product base with an integral total rejoins as power(base, total)
+            stack = [power(b, powers.pop(b)) for b in
+                     [b for b, e in powers.items() if isinstance(b, (Pow, Mul)) and e.denominator == 1]]
 
     factors: list[Expression] = []
     sums: list[Add] = []
@@ -556,62 +558,43 @@ def ln(arg: Expression) -> Expression:
     return _fn("ln", arg)
 
 
-def simplify(e: Expression) -> Expression:
-    """Rebuild a tree bottom-up through the canonicalizing factories.
-
-    Identity on trees that are already canonical.
-    """
-    return substitute(e, {})
-
-
 # --- calculus ---------------------------------------------------------------
 
+# the outer derivative of each function at u, as (sign, factor): d cos(u) = -sin(u) du
+_OUTER = {"sin": lambda u: (1, cos(u)), "cos": lambda u: (-1, sin(u)),
+          "exp": lambda u: (1, exp(u)), "ln": lambda u: (1, power(u, -1))}
 
-def differentiate(e: Expression, v: str, scope: VariableSet | None = None) -> Expression:
+
+def differentiate(e: Expression, v: str) -> Expression:
     """Partial derivative with respect to the variable named ``v``.
 
-    When a ``scope`` is given, ``v`` must be one of its names; callers with a
-    declared coordinate set pass it so misspelled names fail loudly.
+    One walk over the canonical terms.  A factor v^k of a term becomes
+    k*v^(k-1) in place, which keeps the factors sorted, since they sort by
+    base first.  Any other factor f^k whose base depends on v costs one
+    ``mul`` of k*f^(k-1), the derivative of f (through the ``_OUTER`` table
+    for a function) and the term's other factors.
     """
-    if scope is not None and v not in scope:
-        raise UnknownVariableError(f"unknown variable: {v!r}")
-    return _diff(e, v)
-
-
-def _diff(e: Expression, v: str) -> Expression:
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == v else ZERO
-    if isinstance(e, Add):
-        return add(*[_diff(t, v) for t in e.terms])
-    if isinstance(e, Mul):
-        pieces = []
-        for i, f in enumerate(e.factors):
-            df = _diff(f, v)
-            if df == ZERO:
+    acc: dict[tuple[Expression, ...], int | Fraction] = {}
+    for t in _terms(e):
+        coeff, mono = _as_term(t)
+        for i, f in enumerate(mono):
+            base, k = _as_power(f)
+            if isinstance(base, Var):
+                if base.name == v:
+                    lowered = mono[:i] + (() if k == 1 else (power(base, k - 1),)) + mono[i + 1:]
+                    acc[lowered] = acc.get(lowered, 0) + coeff * k
                 continue
-            pieces.append(mul(*e.factors[:i], df, *e.factors[i + 1 :]))
-        return add(*pieces) if pieces else ZERO
-    if isinstance(e, Pow):
-        db = _diff(e.base, v)
-        if db == ZERO:
-            return ZERO
-        return mul(Const(e.exponent), power(e.base, e.exponent - 1), db)
-    if isinstance(e, Func):
-        da = _diff(e.arg, v)
-        if da == ZERO:
-            return ZERO
-        if e.name == "sin":
-            outer = cos(e.arg)
-        elif e.name == "cos":
-            outer = mul(NEG_ONE, sin(e.arg))
-        elif e.name == "exp":
-            outer = exp(e.arg)
-        else:  # ln
-            outer = power(e.arg, -1)
-        return mul(outer, da)
-    raise TypeError(f"not an Expression node: {e!r}")
+            inner = _derivative(base.arg if isinstance(base, Func) else base, v)
+            if inner == ZERO:
+                continue
+            sign, outer = _OUTER[base.name](base.arg) if isinstance(base, Func) else (1, ONE)
+            for u in _terms(mul(power(base, k - 1), outer, inner, *mono[:i], *mono[i + 1:])):
+                c, m = _as_term(u)
+                acc[m] = acc.get(m, 0) + c * coeff * k * sign
+    return _assemble(acc)
+
+
+_derivative = differentiate  # recursion's own binding: a wrapper on the public name sees outside calls only
 
 
 def substitute(e: Expression, mapping: Mapping[str, Expression]) -> Expression:

@@ -420,6 +420,19 @@ def test_module_entrypoint_runs_without_install():
     assert "k=1 dim=2" in proc.stdout
 
 
+def test_closed_stdout_exits_1_without_a_stack_trace():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewforms.cli", "characteristics", BASIC, "--scalar", "f",
+         "--start", "1,0", "--steps", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1 0\n"
+    proc.stdout.close()  # as `| head -1` does
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 NUMPY_PROBE = """
 import sys
 import skewforms, skewforms.cli
