@@ -566,14 +566,12 @@ _OUTER = {"sin": lambda u: (1, cos(u)), "cos": lambda u: (-1, sin(u)),
 
 
 def differentiate(e: Expression, v: str) -> Expression:
-    """Partial derivative with respect to the variable named ``v``.
-
-    One walk over the canonical terms.  A factor v^k of a term becomes
-    k*v^(k-1) in place, which keeps the factors sorted, since they sort by
-    base first.  Any other factor f^k whose base depends on v costs one
-    ``mul`` of k*f^(k-1), the derivative of f (through the ``_OUTER`` table
-    for a function) and the term's other factors.
-    """
+    """Partial derivative with respect to the variable named ``v``, in one walk
+    over the canonical terms: a factor v^k becomes k*v^(k-1) in place (factors
+    sort by base first), and any other factor f^k that depends on v costs one
+    ``mul`` of k*f^(k-1), the derivative of f and the term's other factors."""
+    if not isinstance(e, Expression):
+        raise TypeError(f"not an Expression node: {e!r}")
     acc: dict[tuple[Expression, ...], int | Fraction] = {}
     for t in _terms(e):
         coeff, mono = _as_term(t)
