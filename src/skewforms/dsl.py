@@ -26,6 +26,10 @@ whole document.  Reserved words: vars, metric, form, scalar, relation,
 balance, psi, d, sin, cos, exp, ln.  A variable may not be named ``d`` +
 another variable's name, since that spelling denotes the differential.
 
+A parenthesized group is parsed once per document for each distinct source
+text: a repeat reuses that value unless a fresh parse at its depth would
+pass MAX_NESTING, so every error keeps its message, line and column.
+
 Printing is canonical: sorted index tuples, canonical expression order,
 one declaration per line.  ``parse(print(doc))`` reproduces the document.
 """
@@ -137,7 +141,7 @@ class Token:
     text: str
     line: int
     column: int
-    value: Fraction | None = None
+    value: int | Fraction | None = None
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -167,7 +171,8 @@ def _tokenize(text: str) -> list[Token]:
                 i += 2
                 while i < n and text[i] in _ASCII_DIGITS:
                     i += 1
-            tokens.append(Token("NUMBER", text[start:i], line, col, Fraction(text[start:i])))
+            literal = text[start:i]
+            tokens.append(Token("NUMBER", literal, line, col, Fraction(literal) if "." in literal else int(literal)))
         elif ch in _ASCII_ALPHA:
             while i < n and text[i] in _NAME_CHARS:
                 i += 1
@@ -188,6 +193,16 @@ class _Parser:
         self.doc = Document()
         self.names: dict[str, object] = {}   # name -> its declaration; None for a variable
         self.depth = 0   # open _unary calls, bounded by MAX_NESTING
+        self.peak = 0    # the deepest _unary call in the group being parsed
+        self.lines = text.split("\n")
+        self.groups: dict[str, tuple] = {}   # a group's source text -> (its value, its nesting depth)
+        self.closing: dict[int, int] = {}   # token index of each '(' -> that of its matching ')'
+        opened = []
+        for i, tok in enumerate(self.tokens):
+            if tok.kind == "OP" and tok.text == "(":
+                opened.append(i)
+            elif tok.kind == "OP" and tok.text == ")" and opened:
+                self.closing[opened.pop()] = i
 
     # token plumbing
 
@@ -292,9 +307,23 @@ class _Parser:
         return DifferentialForm.scalar(self.doc.vars, value)
 
     def _parens(self) -> Expression | DifferentialForm:
+        """ "(" expr ")"; a repeat of an earlier group's text reuses its value
+        unless a fresh parse at this depth would pass MAX_NESTING."""
+        # no key for an unbalanced '(' or a group over several lines: both fail below
+        close = self.closing.get(self.pos)
+        tok, end = self.peek(), close and self.tokens[close]
+        key = end and end.line == tok.line and self.lines[tok.line - 1][tok.column:end.column - 1]
         self.expect_op("(")
+        hit = self.groups.get(key)
+        if hit and self.depth + hit[1] <= MAX_NESTING:
+            self.pos = close + 1
+            self.peak = max(self.peak, self.depth + hit[1])
+            return hit[0]
+        outer, self.peak = self.peak, self.depth
         inner = self._expr()
         self.expect_op(")")
+        self.groups[key] = inner, self.peak - self.depth
+        self.peak = max(outer, self.peak)
         return inner
 
     def _head(self, kind: str, sep: str) -> Token:
@@ -423,6 +452,7 @@ class _Parser:
         if self.depth >= MAX_NESTING:
             self.error(f"expression nested more than {MAX_NESTING} levels deep")
         self.depth += 1
+        self.peak = max(self.peak, self.depth)
         try:
             # unary minus binds looser than '^': -x^2 means -(x^2)
             if self.at_op("-"):

@@ -13,7 +13,10 @@ over a {monomial: coefficient} map, where two monomials multiply by merging
 their factors; each node computes its hash and its sort key once, on first
 use, and equality ignores both.  A power or product base whose exponents in
 one product add up to an integer rejoins that product as power(base, total),
-so (x*y)^(1/2) squared is x*y and no term holds two factors of one base.
+so (x*y)^(1/2) squared is x*y; a sum base rejoins the same way where power
+pulls out its sign or content, so no term holds two factors of one base.
+A constant times a sum scales the sum's terms and keeps their order, since
+terms sort by their monomials alone.
 A derivative walks the canonical terms: a power of the variable is lowered
 in place, and each other factor that depends on it costs one product.
 
@@ -405,9 +408,11 @@ def mul(*parts: Expression) -> Expression:
             base, e = _as_power(p)
             powers[base] = powers.get(base, 0) + e
         if not stack:
-            # a power or product base with an integral total rejoins as power(base, total)
-            stack = [power(b, powers.pop(b)) for b in
-                     [b for b, e in powers.items() if isinstance(b, (Pow, Mul)) and e.denominator == 1]]
+            # a power or product base with an integral total rejoins as power(base, total),
+            # and so does a sum that power would rescale, such as (-1 - x)^-1 = -(1 + x)^-1
+            stack = [power(b, powers.pop(b)) for b in [b for b, e in powers.items() if e.denominator == 1 and (
+                isinstance(b, (Pow, Mul)) or isinstance(b, Add) and not 0 <= e <= _MAX_EXPANSION_EXPONENT
+                and _content(b, signed=True) != 1)]]
 
     factors: list[Expression] = []
     sums: list[Add] = []
@@ -430,6 +435,10 @@ def mul(*parts: Expression) -> Expression:
     mono = tuple(sorted(factors, key=_factor_key))
     if not sums:
         return _from_term(coeff, mono)
+    if not mono and len(sums) == 1:
+        # c*S keeps the order of S, whose terms sort by their monomials alone
+        s = sums[0]
+        return s if coeff == 1 else Add(tuple(_from_term(coeff * c, m) for c, m in map(_as_term, s.terms)))
 
     acc = {mono: coeff}
     products = 0

@@ -387,9 +387,16 @@ def test_parse_never_scans_the_document(monkeypatch):
 
 
 class _PairwiseParser(dsl._Parser):
-    """The reference for chain folding: every value is a DifferentialForm and
-    each operator combines two of them, as the parser did before it folded
-    scalar chains into one add or mul call."""
+    """The reference for chain folding and group reuse: every value is a
+    DifferentialForm, each operator combines two of them and every group is
+    parsed afresh, as the parser did before it folded scalar chains into one
+    add or mul call and parsed each repeated group once."""
+
+    def _parens(self):
+        self.expect_op("(")
+        inner = self._expr()
+        self.expect_op(")")
+        return inner
 
     def _expr(self):
         left = self._mul_level()
@@ -459,24 +466,35 @@ def _outcome(parser, text):
         return (type(err).__name__, str(err))
 
 
-def _random_chain_text(rng, refs, depth=3):
-    """Expression text mixing scalars, differentials and names over x, y, z."""
+def _random_chain_text(rng, refs, groups, depth=3):
+    """Expression text mixing scalars, differentials and names over x, y, z;
+    groups collects the text of each parenthesized group, and a later group
+    sometimes repeats one of them."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.15:
             return rng.choice(("dx", "dy", "dz"))
         return rng.choice(("x", "y", "z", "0", "1", "2", "3", "0.5", *refs))
+    if groups and rng.random() < 0.2:
+        return rng.choice(groups)
     roll = rng.random()
     if roll < 0.6:
-        operands = [_random_chain_text(rng, refs, depth - 1) for _ in range(rng.randint(2, 4))]
+        operands = [_random_chain_text(rng, refs, groups, depth - 1) for _ in range(rng.randint(2, 4))]
         text = operands[0]
         for operand in operands[1:]:
             text += rng.choice(" + | - | + | - |*|*|*|/|/|^".split("|")) + operand
-        return f"({text})" if rng.random() < 0.5 else text
-    if roll < 0.7:
-        return "-" + _random_chain_text(rng, refs, depth - 1)
-    if roll < 0.8:
-        return f"({_random_chain_text(rng, refs, depth - 1)})^{rng.choice(['2', '3', '-1', '(1/2)'])}"
-    return f"{rng.choice(['sin', 'cos', 'exp', 'ln'])}({_random_chain_text(rng, refs, depth - 1)})"
+        if rng.random() < 0.5:
+            return text
+        group = f"({text})"
+    elif roll < 0.7:
+        return "-" + _random_chain_text(rng, refs, groups, depth - 1)
+    elif roll < 0.8:
+        group = f"({_random_chain_text(rng, refs, groups, depth - 1)})"
+        groups.append(group)
+        return f"{group}^{rng.choice(['2', '3', '-1', '(1/2)'])}"
+    else:
+        group = f"{rng.choice(['sin', 'cos', 'exp', 'ln'])}({_random_chain_text(rng, refs, groups, depth - 1)})"
+    groups.append(group)
+    return group
 
 
 CHAIN_EDGE_CASES = ("dx - dx + x", "x + dx - dx", "0*dx + x", "x/0", "dx*dy", "dx/x",
@@ -496,9 +514,38 @@ def test_folded_chains_match_the_pairwise_parser():
     same error at the same line and column, as a pairwise left fold."""
     rng = random.Random(0xC4A1)
     for _ in range(1000):
-        lines, refs = ["vars x, y, z"], []
+        lines, refs, groups = ["vars x, y, z"], [], []
         for i in range(rng.randint(1, 4)):
-            lines.append(f"{rng.choice(['scalar', 'form'])} n{i} = {_random_chain_text(rng, refs)}")
+            lines.append(f"{rng.choice(['scalar', 'form'])} n{i} = {_random_chain_text(rng, refs, groups)}")
             refs.append(f"n{i}")
         text = "\n".join(lines) + "\n"
         assert _outcome(dsl._Parser, text) == _outcome(_PairwiseParser, text), text
+
+
+def test_repeated_groups_are_parsed_once():
+    text = "vars x, y\nscalar a = (x + y)^2*(x + y)\nscalar b = sin(x + y) + (x + y)\n"
+    parsed = []
+
+    class Counting(dsl._Parser):
+        def _expr(self):
+            parsed.append(self.pos)
+            return super()._expr()
+
+    assert Counting(text).parse_document() == _PairwiseParser(text).parse_document()
+    assert len(parsed) == 3  # the two statements and the first (x + y)
+
+
+@pytest.mark.parametrize("signs", range(dsl.MAX_NESTING - 12, dsl.MAX_NESTING + 1))
+def test_a_group_repeated_near_the_nesting_limit_keeps_its_error(signs):
+    """A group first parsed shallow and repeated deep is reused only where a
+    fresh parse would not pass MAX_NESTING; otherwise it fails as before.
+    The group in b reuses the one in a, and still counts its full depth."""
+    group = "(" * 6 + "x" + ")" * 6
+    text = f"vars x\nscalar a = (((x)))\nscalar b = {group}\nscalar c = {'-' * signs}{group}\n"
+    outcome = _outcome(dsl._Parser, text)
+    assert outcome == _outcome(_PairwiseParser, text)
+    if signs + 7 > dsl.MAX_NESTING:
+        message = f"expression nested more than {dsl.MAX_NESTING} levels deep"
+        assert outcome == ("DslError", message, 4, 12 + dsl.MAX_NESTING), outcome
+    else:
+        assert outcome == "vars x\nscalar a = x\nscalar b = x\nscalar c = " + "-" * (signs % 2) + "x\n"

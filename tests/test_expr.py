@@ -93,6 +93,11 @@ class TestCanonicalForm:
         half = Fraction(1, 2)
         assert expr_module.mul(x**-1, power(x * y, half), power(x * y, half)) == y
         assert expr_module.mul(x, power(2 * x, Fraction(3, 2)), power(2 * x, Fraction(-5, 2))) == const(half)
+        # a sum whose sign power pulls out joins the sum of the other sign
+        root, inverse = power(-1 - x, half), power(-1 - x, -3 * half)
+        assert expr_module.mul(root, inverse, power(1 + x, -1)) == -power(1 + x, -2)
+        assert expr_module.mul(power(1 + x, -1), root, inverse) == -power(1 + x, -2)
+        assert expr_module.mul(root, inverse, 1 + x) == const(-1)
         doc = parse("vars x, y\nscalar f = x*(x*y)^(1/2)*(x*y)^(1/2)\n")
         f = doc.find("f").expr
         assert f == x**2 * y and to_text(f) == "x^2*y"
@@ -103,8 +108,12 @@ class TestCanonicalForm:
         rng = random.Random(3)
         exponents = (2, 3, -1, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2),
                      Fraction(5, 3), Fraction(1, 3))
+        # sums whose sign power pulls out when their exponents add up to an integer
+        sums = (1 + x, -1 - x, x - y, y - x)
 
         def monomial():
+            if rng.random() < 0.5:
+                return rng.choice(sums)
             m = const(rng.choice([1, 1, 2, 3, Fraction(1, 2)]))
             for _ in range(rng.randint(1, 3)):
                 m = m * rng.choice(_XYZ) ** rng.choice([1, 1, 2, -1])
@@ -285,6 +294,17 @@ class TestExpansion:
                 parts.append(rng.choice(shared))
             rng.shuffle(parts)
             assert expr_module.mul(*parts) == _cross_product_mul(*parts)
+        # a constant times one sum, whose terms hold radicals or inverse powers of sums
+        shared += [power(-1 - x, Fraction(1, 2)), power(x - y, Fraction(-3, 2)), power(x + 2, -2)]
+        constants = [const(c) for c in (-1, 2, -3, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3))]
+        for _ in range(300):
+            s = add(*[t * rng.choice(shared) for t in _random_sum(rng, names).terms])
+            if not isinstance(s, Add):
+                continue
+            parts = [rng.choice(constants), s]
+            rng.shuffle(parts)
+            assert expr_module.mul(*parts) == _cross_product_mul(*parts)
+            assert expr_module.mul(ONE, s) is s
 
     def test_large_powers_expand_quickly(self):
         z, w = var("z"), var("w")
