@@ -29,15 +29,14 @@ from .expr import (
     Expression,
     VariableSet,
     ZERO,
-    add,
     compile_expression,
-    const,
     differentiate,
     evaluate,
     mul,
     substitute,
     var,
     _SCALAR_HELPERS,
+    _combine,
     _emit,
     _exponents,
     _function_code,
@@ -115,8 +114,8 @@ def reconstruct_potential(a: DifferentialForm) -> Expression | None:
             split = _exponents(term, names)
             if split is None:
                 return None
-            parts.append(mul(const(Fraction(1, sum(split[0]) + 1)), var(a.vars.name_at(i)), term))
-    return add(*parts)
+            parts.append((Fraction(1, sum(split[0]) + 1), mul(var(a.vars.name_at(i)), term)))
+    return _combine(parts)
 
 
 def potential_at(a: DifferentialForm, point: Mapping[str, float]) -> float:
@@ -210,14 +209,8 @@ def classify_relation(phi: DifferentialForm, eta: DifferentialForm) -> Relation:
 def _determinant(matrix: list[list[Expression]]) -> Expression:
     if len(matrix) == 1:
         return matrix[0][0]
-    total = ZERO
-    for j, entry in enumerate(matrix[0]):
-        if entry == ZERO:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = mul(entry, _determinant(minor))
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    return _combine(((-1) ** j, mul(entry, _determinant([row[:j] + row[j + 1:] for row in matrix[1:]])))
+                    for j, entry in enumerate(matrix[0]) if entry != ZERO)
 
 
 def jacobian_determinant(exprs: Sequence[Expression],
@@ -577,11 +570,9 @@ def _stokes_exact(a1: Expression, a2: Expression, integrand: Expression, xn: str
     def m(lo: Fraction, hi: Fraction, k: int) -> Fraction:
         return (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
 
-    boundary = add(*[mul(const((y0 ** j - y1 ** j) * m(x0, x1, i)), rest)
-                     for (i, j), rest in a1_terms],
-                   *[mul(const((x1 ** i - x0 ** i) * m(y0, y1, j)), rest)
-                     for (i, j), rest in a2_terms])
-    area = add(*[mul(const(m(x0, x1, i) * m(y0, y1, j)), rest) for (i, j), rest in curl_terms])
+    boundary = _combine([*(((y0 ** j - y1 ** j) * m(x0, x1, i), rest) for (i, j), rest in a1_terms),
+                         *(((x1 ** i - x0 ** i) * m(y0, y1, j), rest) for (i, j), rest in a2_terms)])
+    area = _combine((m(x0, x1, i) * m(y0, y1, j), rest) for (i, j), rest in curl_terms)
     difference = evaluate(boundary - area, {})
     return evaluate(boundary, {}), evaluate(area, {}), abs(difference)
 

@@ -44,7 +44,6 @@ from .expr import (
     Expression,
     VariableSet,
     ZERO,
-    add,
     const,
     cos,
     exp,
@@ -54,6 +53,7 @@ from .expr import (
     sin,
     to_text,
     var,
+    _combine,
 )
 from .forms import DifferentialForm, form_to_text, wedge
 from .duality import Metric
@@ -406,21 +406,21 @@ class _Parser:
     # expressions: scalars are Expressions; a form (degree >= 1) comes from a differential or name
 
     def _expr(self) -> Expression | DifferentialForm:
-        """A '+'/'-' chain with a left fold's degree checks; one add call sums each run of scalars."""
-        run = [self._mul_level()]   # operands whose sum is the value so far
+        """A '+'/'-' chain with a left fold's degree checks; one pass sums each run of scalars."""
+        run = [(1, self._mul_level())]   # (sign, operand) pairs whose sum is the value so far
         while self.at_op("+") or self.at_op("-"):
             op = self.advance()
-            right = -self._mul_level() if op.text == "-" else self._mul_level()
-            if isinstance(right, Expression) and isinstance(run[0], Expression):
-                run.append(right)
+            sign, right = -1 if op.text == "-" else 1, self._mul_level()
+            if isinstance(right, Expression) and isinstance(run[0][1], Expression):
+                run.append((sign, right))
                 continue
-            left, right = self._form(add(*run) if len(run) > 1 else run[0]), self._form(right)
+            left, right = self._form(_combine(run) if len(run) > 1 else run[0][1]), self._form(right)
             try:
-                total = left + right
+                total = left + right if sign > 0 else left - right
             except ValueError:
                 self.error(f"cannot add forms of degree {left.degree} and {right.degree}", op)
-            run = [total if total.degree else total.coefficient(())]
-        return add(*run) if len(run) > 1 else run[0]
+            run = [(1, total if total.degree else total.coefficient(()))]
+        return _combine(run) if len(run) > 1 else run[0][1]
 
     def _mul_level(self) -> Expression | DifferentialForm:
         """A '*'/'/' chain of scalars and at most one form; one mul call multiplies the scalars."""

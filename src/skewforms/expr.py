@@ -8,17 +8,20 @@ term is an exact rational constant times a product of atomic powers, where
 an atom is a variable, one of the elementary functions sin/cos/exp/ln, or a
 power of a base that cannot be expanded (a sum raised to a negative or
 fractional exponent).  Two expressions that normalize to the same tree
-compare equal with ``==``.  A product distributes its sums one at a time
-over a {monomial: coefficient} map, where two monomials multiply by merging
-their factors; each node computes its hash and its sort key once, on first
-use, and equality ignores both.  A power or product base whose exponents in
-one product add up to an integer rejoins that product as power(base, total),
-so (x*y)^(1/2) squared is x*y; a sum base rejoins the same way where power
-pulls out its sign or content, so no term holds two factors of one base.
-A constant times a sum scales the sum's terms and keeps their order, since
-terms sort by their monomials alone.
-A derivative walks the canonical terms: a power of the variable is lowered
-in place, and each other factor that depends on it costs one product.
+compare equal with ``==``.  A sum, difference or negation is one pass over
+the parts' terms with each part's sign folded into its coefficients.  A
+product distributes its sums one at a time over a {monomial: coefficient}
+map, where two monomials multiply by merging their factors; a constant
+times a sum scales the sum's terms in their order.  A power or product base
+whose exponents in one product add up to an integer rejoins that product as
+power(base, total), so (x*y)^(1/2) squared is x*y; a sum base rejoins the
+same way where power pulls out its sign or content, and a bare sum joins a
+negative power of its base through its signed content, so no term holds two
+factors of one base and (-1 - x)*(1 + x)^-1 is -1.  A derivative walks the
+canonical terms: a power of the variable is lowered in place, and each other
+factor that depends on it costs one product.  Each node computes its hash,
+its sort key and each derivative taken of it once, on first use; equality,
+hashing, printing and pickling ignore all three.
 
 Constants and exponents are exact rationals with one representation: a
 plain ``int`` when the denominator is 1, otherwise a ``Fraction`` with
@@ -102,7 +105,7 @@ def _coerce(value):
 class Expression:
     """Base node. Instances built via the factories are always canonical."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_derivatives")
 
     def __hash__(self):
         try:
@@ -120,11 +123,11 @@ class Expression:
 
     def __sub__(self, other):
         other = _coerce(other)
-        return NotImplemented if other is None else add(self, mul(NEG_ONE, other))
+        return NotImplemented if other is None else _combine(((1, self), (-1, other)))
 
     def __rsub__(self, other):
         other = _coerce(other)
-        return NotImplemented if other is None else add(other, mul(NEG_ONE, self))
+        return NotImplemented if other is None else _combine(((1, other), (-1, self)))
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -144,7 +147,7 @@ class Expression:
         return power(self, exponent)
 
     def __neg__(self):
-        return mul(NEG_ONE, self)
+        return _combine(((-1, self),))
 
     def __str__(self):
         return to_text(self)
@@ -207,7 +210,6 @@ def const(value) -> Const:
 
 ZERO = const(0)
 ONE = const(1)
-NEG_ONE = const(-1)
 
 
 def var(name: str) -> Var:
@@ -359,14 +361,19 @@ def _assemble(acc: dict[tuple[Expression, ...], int | Fraction]) -> Expression:
     return out[0] if len(out) == 1 else Add(tuple(out))
 
 
-def add(*parts: Expression) -> Expression:
-    """Canonical sum: flatten, fold constants, collect like terms, sort."""
+def _combine(pairs: Iterable[tuple[int | Fraction, Expression]]) -> Expression:
+    """The canonical sum of k*part over (rational k, canonical part) pairs, in one walk."""
     acc: dict[tuple[Expression, ...], int | Fraction] = {}
-    for part in parts:
-        for t in _terms(part):
-            coeff, mono = _as_term(t)
+    for k, part in pairs:
+        for coeff, mono in map(_as_term, _terms(part)):
+            coeff = coeff if k == 1 else coeff * k
             acc[mono] = acc[mono] + coeff if mono in acc else coeff
     return _assemble(acc)
+
+
+def add(*parts: Expression) -> Expression:
+    """Canonical sum: flatten, fold constants, collect like terms, sort."""
+    return _combine((1, part) for part in parts)
 
 
 def _times(a: tuple[Expression, ...], b: tuple[Expression, ...]) -> tuple[Expression, ...] | None:
@@ -413,6 +420,12 @@ def mul(*parts: Expression) -> Expression:
             stack = [power(b, powers.pop(b)) for b in [b for b, e in powers.items() if e.denominator == 1 and (
                 isinstance(b, (Pow, Mul)) or isinstance(b, Add) and not 0 <= e <= _MAX_EXPANSION_EXPONENT
                 and _content(b, signed=True) != 1)]]
+    if any(e < 0 and isinstance(b, Add) for b, e in powers.items()):
+        # a bare sum joins a negative power of its base through its signed content: (-2 - 2*x)*(1 + x)^-1 = -2
+        for b, e in [(b, e) for b, e in powers.items() if isinstance(b, Add) and e > 0 and e.denominator == 1]:
+            if (c := _content(b, signed=True)) != 1 and powers.get(r := mul(const(Fraction(1) / c), b), 0) < 0:
+                coeff *= c**e
+                powers[r] += powers.pop(b)
 
     factors: list[Expression] = []
     sums: list[Add] = []
@@ -578,10 +591,17 @@ def differentiate(e: Expression, v: str) -> Expression:
     """Partial derivative with respect to the variable named ``v``, in one walk
     over the canonical terms: a factor v^k becomes k*v^(k-1) in place (factors
     sort by base first), and any other factor f^k that depends on v costs one
-    ``mul`` of k*f^(k-1), the derivative of f and the term's other factors."""
+    ``mul`` of k*f^(k-1), the derivative of f and the term's other factors.
+    Each node keeps the derivatives taken of it, so a repeat is a lookup."""
     if not isinstance(e, Expression):
         raise TypeError(f"not an Expression node: {e!r}")
-    acc: dict[tuple[Expression, ...], int | Fraction] = {}
+    try:
+        return e._derivatives[v]
+    except AttributeError:
+        object.__setattr__(e, "_derivatives", {})
+    except KeyError:
+        pass
+    parts: list[tuple[int | Fraction, Expression]] = []
     for t in _terms(e):
         coeff, mono = _as_term(t)
         for i, f in enumerate(mono):
@@ -589,16 +609,15 @@ def differentiate(e: Expression, v: str) -> Expression:
             if isinstance(base, Var):
                 if base.name == v:
                     lowered = mono[:i] + (() if k == 1 else (power(base, k - 1),)) + mono[i + 1:]
-                    acc[lowered] = acc.get(lowered, 0) + coeff * k
+                    parts.append((coeff * k, _from_term(1, lowered)))
                 continue
             inner = _derivative(base.arg if isinstance(base, Func) else base, v)
             if inner == ZERO:
                 continue
             sign, outer = _OUTER[base.name](base.arg) if isinstance(base, Func) else (1, ONE)
-            for u in _terms(mul(power(base, k - 1), outer, inner, *mono[:i], *mono[i + 1:])):
-                c, m = _as_term(u)
-                acc[m] = acc.get(m, 0) + c * coeff * k * sign
-    return _assemble(acc)
+            parts.append((coeff * k * sign, mul(power(base, k - 1), outer, inner, *mono[:i], *mono[i + 1:])))
+    e._derivatives[v] = derivative = _combine(parts)
+    return derivative
 
 
 _derivative = differentiate  # recursion's own binding: a wrapper on the public name sees outside calls only
@@ -761,21 +780,27 @@ def _function_code(source: str) -> CodeType:
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
+def _scalar_code(exprs: Sequence[Expression], names: Sequence[str], returns: str) -> CodeType:
+    """The code of a function of the given names, in order, that computes the trees from
+    one ``_emit`` and returns ``returns`` with ``{}`` filled by their finite values."""
+    args = {name: f"_a{i}" for i, name in enumerate(names)}
+    lines, results = _emit(exprs, args)
+    source = (f"def _compiled({', '.join(args.values())}):\n"
+              "    try:\n"
+              + "".join(f"        {line}\n" for line in lines)
+              + f"        return {returns.format(', '.join(f'_finite({r})' for r in results))}\n"
+              "    except _ARITH:\n"
+              "        raise _DomainError('outside the real domain or the float range') from None\n")
+    return _function_code(source)
+
+
 def compile_expression(e: Expression, names: Sequence[str]) -> CompiledExpression:
     """Compile a canonical tree into a function of the given names, in order.
 
     Equal subtrees are computed once.  A variable outside ``names`` raises
     UnknownVariableError.
     """
-    args = {name: f"_a{i}" for i, name in enumerate(names)}
-    lines, (result,) = _emit([e], args)
-    source = (f"def _compiled({', '.join(args.values())}):\n"
-              "    try:\n"
-              + "".join(f"        {line}\n" for line in lines)
-              + f"        return _finite({result})\n"
-              "    except _ARITH:\n"
-              "        raise _DomainError('outside the real domain or the float range') from None\n")
-    return CompiledExpression(_function_code(source))
+    return CompiledExpression(_scalar_code([e], names, "{}"))
 
 
 def evaluate(e: Expression, point: Mapping[str, float]) -> float:
@@ -786,6 +811,11 @@ def evaluate(e: Expression, point: Mapping[str, float]) -> float:
         except OverflowError:
             raise DomainError("value is not finite") from None
     return compile_expression(e, tuple(point)).scalar(*map(float, point.values()))
+
+
+def _evaluate_all(exprs: Sequence[Expression], point: Mapping[str, float]) -> list[float]:
+    """What ``evaluate`` gives for each tree, from one compiled function."""
+    return FunctionType(_scalar_code(exprs, tuple(point), "[{}]"), _SCALAR_HELPERS)(*map(float, point.values()))
 
 
 # --- zero testing -----------------------------------------------------------

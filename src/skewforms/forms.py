@@ -1,10 +1,10 @@
 """Exterior algebra: degree-p skew-symmetric forms over a coordinate set.
 
 A form is a sparse map from strictly increasing 1-based index tuples to
-coefficient expressions.  The constructor is the one place where terms are
-accumulated: it takes (index tuple, coefficient) pairs whose tuples may be
-unsorted or repeated, folds each permutation sign into the coefficient,
-drops terms with a repeated index and sums the terms of each key once.
+coefficient expressions.  Terms are accumulated in one place, which sums the
+(sign, coefficient) parts of each key in one pass: the constructor takes
+(index tuple, coefficient) pairs whose tuples may be unsorted or repeated,
+signs each by its permutation and drops repeated indices; a - b signs b's by -1.
 Structurally zero coefficients are dropped, so the dd = 0 identity is a
 structural test.
 
@@ -25,15 +25,15 @@ from .expr import (
     VariableSet,
     ZERO,
     ONE,
-    add,
     const,
     differentiate,
-    evaluate,
     free_variables,
     is_zero,
     mul,
     substitute,
     to_text,
+    _combine,
+    _evaluate_all,
     _signed_sum_text,
     _term_texts,
 )
@@ -99,7 +99,7 @@ class DifferentialForm:
             raise FormError(f"degree must be between 0 and {n}, got {degree}")
         if isinstance(coeffs, Mapping):
             coeffs = coeffs.items()
-        parts: dict[tuple[int, ...], list[Expression]] = {}
+        parts: dict[tuple[int, ...], list[tuple[int, Expression]]] = {}
         for raw_idx, raw_c in coeffs or ():
             idx = tuple(int(i) for i in raw_idx)
             if len(idx) != degree:
@@ -110,11 +110,10 @@ class DifferentialForm:
             sign, key = sort_index_tuple(idx)
             c = _coerce_coeff(raw_c)
             if sign and c != ZERO:
-                parts.setdefault(key, []).append(c if sign > 0 else -c)
+                parts.setdefault(key, []).append((sign, c))
         self.vars = variables
         self.degree = degree
-        self._coeffs = {k: c for k, cs in sorted(parts.items())
-                        if (c := cs[0] if len(cs) == 1 else add(*cs)) != ZERO}
+        self._coeffs = _summed(parts)
 
     @classmethod
     def zero(cls, variables: VariableSet, degree: int) -> "DifferentialForm":
@@ -159,26 +158,30 @@ class DifferentialForm:
                                 {k: fn(c) for k, c in self._coeffs.items()})
 
     def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        """self + sign*other, each shared key summed in one pass."""
         if not isinstance(other, DifferentialForm):
             return NotImplemented
         if self.vars != other.vars:
             raise FormError("forms live over different variable sets")
         if self.degree != other.degree:
             if self.is_structurally_zero():
-                return other
+                return other if sign > 0 else -other
             if other.is_structurally_zero():
                 return self
             raise FormError(f"cannot add forms of degree {self.degree} and {other.degree}")
-        return DifferentialForm(self.vars, self.degree,
-                                itertools.chain(self.items(), other.items()))
+        parts = {k: [(1, c)] for k, c in self.items()}
+        for k, c in other.items():
+            parts.setdefault(k, []).append((sign, c))
+        return DifferentialForm(self.vars, self.degree, _summed(parts))
 
     def __neg__(self):
         return self.map_coefficients(lambda c: -c)
-
-    def __sub__(self, other):
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, scalar):
         if isinstance(scalar, DifferentialForm):
@@ -204,6 +207,12 @@ class DifferentialForm:
 
     def __repr__(self):
         return f"DifferentialForm({form_to_text(self)})"
+
+
+def _summed(parts: dict[tuple[int, ...], list[tuple[int, Expression]]]) -> dict[tuple[int, ...], Expression]:
+    """Sum each key's (sign, coefficient) parts in one pass; one positive part keeps its object."""
+    return {k: c for k, ps in sorted(parts.items())
+            if (c := ps[0][1] if ps[0][0] > 0 and len(ps) == 1 else _combine(ps)) != ZERO}
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
@@ -297,8 +306,8 @@ def pullback(a: DifferentialForm, chart: Parameterization) -> DifferentialForm:
 
 
 def evaluate_form(a: DifferentialForm, point: Mapping[str, float]) -> dict[tuple[int, ...], float]:
-    """Evaluate every stored coefficient; absent keys are zero."""
-    return {idx: evaluate(c, point) for idx, c in a.items()}
+    """Evaluate every stored coefficient from one compiled function; absent keys are zero."""
+    return dict(zip(a._coeffs, _evaluate_all(list(a._coeffs.values()), point)))
 
 
 def _basis_text(variables: VariableSet, idx: tuple[int, ...]) -> str:

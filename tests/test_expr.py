@@ -1,7 +1,9 @@
 """Expression kernel: canonicalization, calculus, evaluation, zero tests."""
 
 import math
+import pickle
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -127,6 +129,24 @@ class TestCanonicalForm:
                 bases = [expr_module._as_power(f)[0] for f in expr_module._as_term(t)[1]]
                 assert len(bases) == len(set(bases)), ps
 
+    def test_a_bare_sum_joins_the_inverse_power_of_its_base(self):
+        half = Fraction(1, 2)
+        inverse = power(1 + x, -1)
+        assert expr_module.mul(-1 - x, inverse) == const(-1)
+        assert expr_module.mul(2 + 2 * x, inverse) == expr_module.mul(inverse, 2 + 2 * x) == const(2)
+        assert expr_module.mul(-1 - x, -1 - x, power(1 + x, -3)) == inverse
+        assert expr_module.mul(-2 - 2 * x, y, power(1 + x, -half)) == -2 * y * power(1 + x, half)
+        assert (-1 - x) / (1 + x) == const(-1) and (3 * x + 3) / (-1 - x) == const(-3)
+        assert is_zero(expr_module.mul(-1 - x, inverse) + 1) == "zero"
+        # without a negative power of a sum a bare sum distributes as before
+        root = power(1 + x, half)
+        assert expr_module.mul(-1 - x, root) == -root - x * root
+
+    def test_a_product_without_an_inverse_sum_takes_no_content(self, monkeypatch):
+        want = expr_module.mul(x + y, 2 + 2 * x, y - x, power(x, -1))
+        monkeypatch.setattr(expr_module, "_content", lambda *args: pytest.fail("_content was called"))
+        assert expr_module.mul(x + y, 2 + 2 * x, y - x, power(x, -1)) == want
+
     def test_rational_cancellation(self):
         assert is_zero(x / (x + y) + y / (x + y) - 1) == "zero"
         assert is_zero((2 * x + 2 * y) / (x + y) - 2) == "zero"
@@ -162,6 +182,14 @@ def _cross_product_mul(*parts):
         else:
             base, e = expr_module._as_power(p)
             powers[base] = powers.get(base, Fraction(0)) + e
+    # a bare sum joins the inverse power of its base through its signed content
+    for base, e in list(powers.items()):
+        if isinstance(base, Add) and e > 0 and e.denominator == 1:
+            content = expr_module._content(base, signed=True)
+            reduced = add(*[t * const(1 / Fraction(content)) for t in base.terms])
+            if powers.get(reduced, 0) < 0:
+                coeff *= content**e
+                powers[reduced] += powers.pop(base)
     factors, sums = [], []
     for base in sorted(powers, key=expr_module._sort_key):
         e = powers[base]
@@ -349,6 +377,53 @@ class TestExpansion:
         for t, u in zip(a.terms, b.terms):
             assert t == u and hash(t) == hash(u)
         assert expr_module._sort_key(a) is key  # computed once
+
+
+def _memo_tree():
+    return sin(x * y) * power(x + y, Fraction(1, 2)) - exp(x) / (x + 2 * y)
+
+
+class TestDerivativeMemo:
+    def test_a_repeated_derivative_is_the_same_object(self):
+        e = _memo_tree()
+        dx = differentiate(e, "x")
+        assert differentiate(e, "x") is dx
+        assert differentiate(e, "y") is not dx and differentiate(e, "y") is differentiate(e, "y")
+
+    def test_an_equal_tree_gives_an_equal_derivative(self):
+        a, b = _memo_tree(), _memo_tree()
+        assert a is not b
+        da = differentiate(a, "x")
+        db = differentiate(b, "x")
+        assert da is not db and da == db and da == _reference_diff(b, "x")
+
+    def test_equality_hash_repr_and_pickling_ignore_the_memo(self):
+        a, b = _memo_tree(), _memo_tree()
+        differentiate(a, "x")
+        differentiate(a, "z")
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert pickle.dumps(a) == pickle.dumps(b)
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and not hasattr(back, "_derivatives")
+        assert differentiate(back, "x") == differentiate(a, "x")
+
+    def test_nesting_costs_one_frame_per_level(self):
+        # a chain of n sin links differentiates within n + 40 frames of the
+        # caller; a second frame per level would need 2n
+        n = 80
+        e = x
+        for _ in range(n):
+            e = sin(e)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + n + 40)
+        try:
+            d = differentiate(e, "x")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(d.factors) == n
 
 
 def _reference_diff(e, v):
@@ -873,3 +948,21 @@ def test_integral_rationals_are_plain_ints(e):
 @given(_exprs(), _names)
 def test_derivative_matches_the_reference(e, v):
     _assert_matches_reference(e, v)
+
+
+_scales = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_scales, _exprs(2)), max_size=4))
+def test_signed_sums_match_scaling_then_adding(pairs):
+    """One pass over (k, tree) pairs gives the sum of the scaled trees."""
+    combined = expr_module._combine(pairs)
+    assert combined == add(*[expr_module.mul(const(k), t) for k, t in pairs])
+    _assert_one_representation(combined)
+    trees = [t for _, t in pairs]
+    if len(trees) == 2:
+        a, b = trees
+        minus = const(-1)
+        assert a - b == add(a, expr_module.mul(minus, b)) and 1 - a == add(ONE, expr_module.mul(minus, a))
+        assert -a == expr_module.mul(minus, a)

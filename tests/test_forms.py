@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from skewforms import forms
+from skewforms import expr as expr_module, forms
 from skewforms.dsl import Document, FormDecl, parse, print_document
 from skewforms.expr import (
-    Add, Const, Mul, VariableSet, ZERO, ONE, const, cos, differentiate, evaluate, exp, sin,
-    to_text, var,
+    Add, Const, DomainError, Mul, VariableSet, ZERO, ONE, const, cos, differentiate, evaluate, exp,
+    power, sin, to_text, var,
 )
 from skewforms.forms import (
     DifferentialForm,
@@ -92,6 +92,26 @@ class TestAccumulator:
                     pairs.append(((idx[1], idx[0]) + idx[2:], c))
                 rng.shuffle(pairs)
                 assert DifferentialForm(vs, p, pairs).coefficients == self.pairwise(pairs)
+
+    def test_sums_and_differences_match_negating_then_adding(self, rng):
+        for n in (2, 3, 4):
+            for p in range(n + 1):
+                for _ in range(8):
+                    a, b = random_form(rng, VARSETS[n], p), random_form(rng, VARSETS[n], p)
+                    negated = [(k, -c) for k, c in b.items()]
+                    assert (a + b).coefficients == self.pairwise([*a.items(), *b.items()])
+                    assert (a - b).coefficients == self.pairwise([*a.items(), *negated])
+                    assert (b - a) == -(a - b) and (a - a).is_structurally_zero()
+
+    def test_a_key_with_one_positive_part_keeps_its_object(self):
+        c, e = x * y + 1, sin(x) - y
+        a = DifferentialForm(V2, 2, [((1, 2), c)])
+        b = DifferentialForm(V2, 1, [((2,), c), ((1,), e), ((1,), e)])
+        assert a.coefficient((1, 2)) is c and b.coefficient((2,)) is c
+        assert b.coefficient((1,)) == 2 * e
+        assert DifferentialForm(V2, 2, [((2, 1), c)]).coefficient((1, 2)) == -c
+        dx = DifferentialForm.basis(V2, "x")
+        assert (b - dx).coefficient((2,)) is c and (dx - b).coefficient((2,)) == -c
 
     def test_mapping_and_pairs_agree(self):
         coeffs = {(2, 1): x, (1, 2): y, (2, 2): ONE}
@@ -312,6 +332,27 @@ class TestEvaluateForm:
         w = DifferentialForm(V2, 1, {(1,): sin(x)})
         got = evaluate_form(w, {"x": 1.5707963267948966, "y": 0.0})
         assert got[(1,)] == pytest.approx(1.0)
+
+    def test_one_compile_gives_each_coefficient_bit_for_bit(self, rng, monkeypatch):
+        V4 = VARSETS[4]
+        w = (random_form(rng, V4, 2) * (sin(x) + exp(y * z))
+             + random_form(rng, V4, 2) * power(x**2 + 1, Fraction(-1, 2))
+             + DifferentialForm(V4, 2, {(1, 2): const(Fraction(1, 3)), (3, 4): cos(x * y) * (x + y)}))
+        code = expr_module._scalar_code
+        compiles = []
+        monkeypatch.setattr(expr_module, "_scalar_code", lambda *args: compiles.append(args) or code(*args))
+        for _ in range(20):
+            point = random_point(rng, V4.names)
+            got = evaluate_form(w, point)
+            assert len(compiles) == 1
+            assert list(got) == list(w.coefficients)
+            assert [v.hex() for v in got.values()] == [evaluate(c, point).hex() for _, c in w.items()]
+            compiles.clear()
+
+    def test_a_domain_error_in_any_coefficient_raises(self):
+        w = DifferentialForm(V2, 1, {(1,): x, (2,): power(y, -1)})
+        with pytest.raises(DomainError):
+            evaluate_form(w, {"x": 1.0, "y": 0.0})
 
 
 class TestFormAlgebra:
