@@ -247,13 +247,13 @@ def frobenius_test(a: DifferentialForm) -> str:
 def _rk4_kernel(phi: Expression, names: Sequence[str]) -> FunctionType:
     """Generate the RK4 loop of ``characteristic_curve`` for one phi.
 
-    ``kernel(x, y, steps, h)`` returns the curve's points, none where phi
-    is not finite at the start.  Each of the four stages computes the field
-    (-phi_y, phi_x) inline, from one straight-line body that computes the
-    two derivatives together.  A new point is appended once its coordinates
-    and phi there are finite.  The statements come from ``expr._emit``, as
-    ``compile_expression`` emits them, so every value is the one that
-    evaluating phi and its derivatives one call at a time gives.
+    ``kernel(x, y, steps, h)`` returns the curve's points and phi at each,
+    none where phi is not finite at the start.  Each stage computes the field
+    (-phi_y, phi_x) inline, from one straight-line body, and no stage value is
+    checked: one that is not finite stays so through the RK4 sum, and a point
+    is appended only once it and phi there are finite.  The statements come
+    from ``expr._emit``, as ``compile_expression`` emits them, so every value
+    is the one that evaluating phi and its derivatives one call at a time gives.
     """
     xn, yn = names
     args = {xn: "_a0", yn: "_a1"}
@@ -264,34 +264,51 @@ def _rk4_kernel(phi: Expression, names: Sequence[str]) -> FunctionType:
         return "".join(f"            {line}\n" for line in lines)
 
     def stage(k: int, x: str, y: str) -> str:
-        return block(f"_a0, _a1 = {x}, {y}", *field_lines,
-                     f"_k{k}x, _k{k}y = -_finite({phi_y}), _finite({phi_x})")
+        return block(f"_a0, _a1 = {x}, {y}", *field_lines, f"_k{k}x, _k{k}y = -({phi_y}), {phi_x}")
 
     source = ("def _rk4(_x, _y, _steps, _h):\n"
-              "    _points = []\n"
+              "    _points, _levels = [], []\n"
               "    while True:\n"
               "        try:\n"
-              + block("_a0, _a1 = _x, _y", *level_lines, f"_finite({level})")
+              + block("_a0, _a1 = _x, _y", *level_lines, f"_lv = {level}")
               + "        except (_DomainError, *_ARITH):\n"
-              "            return _points\n"
+              "            return _points, _levels\n"
+              "        if not (_isfinite(_lv) and _isfinite(_x) and _isfinite(_y)):\n"
+              "            return _points, _levels\n"
               "        _points.append((_x, _y))\n"
+              "        _levels.append(_lv)\n"
               "        if len(_points) > _steps:\n"
-              "            return _points\n"
+              "            return _points, _levels\n"
               "        try:\n"
               + stage(1, "_x", "_y")
               + block(f"if _hypot(_k1x, _k1y) < {CRITICAL_GRADIENT_TOL!r}:",
-                      "    return _points")
+                      "    return _points, _levels")
               + stage(2, "_x + 0.5 * _h * _k1x", "_y + 0.5 * _h * _k1y")
               + stage(3, "_x + 0.5 * _h * _k2x", "_y + 0.5 * _h * _k2y")
               + stage(4, "_x + _h * _k3x", "_y + _h * _k3y")
               + block("_x, _y = (_x + _h / 6.0 * (_k1x + 2 * _k2x + 2 * _k3x + _k4x),",
-                      "          _y + _h / 6.0 * (_k1y + 2 * _k2y + 2 * _k3y + _k4y))",
-                      "if not (_isfinite(_x) and _isfinite(_y)):",
-                      "    return _points")
+                      "          _y + _h / 6.0 * (_k1y + 2 * _k2y + 2 * _k3y + _k4y))")
               + "        except (_DomainError, *_ARITH):\n"
-              "            return _points\n")
+              "            return _points, _levels\n")
     return FunctionType(_function_code(source),
                         dict(_SCALAR_HELPERS, _hypot=math.hypot, _isfinite=math.isfinite))
+
+
+def _curve_and_levels(phi: Expression, variables: VariableSet, start: Sequence[float],
+                      steps: int, h: float) -> tuple[list[tuple[float, float]], list[float]]:
+    """``characteristic_curve``'s points and the value of phi at each."""
+    if variables.dimension != 2:
+        raise AnalysisError("characteristic curves are computed in two dimensions")
+    if len(start) != 2 or not all(math.isfinite(v) for v in start):
+        raise AnalysisError("start point needs two finite coordinates x, y")
+    if not 1 <= steps <= MAX_CURVE_STEPS:
+        raise AnalysisError(f"step count must be between 1 and {MAX_CURVE_STEPS}")
+    if not 0 < h < math.inf:
+        raise AnalysisError("step size must be positive and finite")
+    points, levels = _rk4_kernel(phi, variables.names)(float(start[0]), float(start[1]), steps, float(h))
+    if not points:
+        raise AnalysisError("phi is not finite at the start point")
+    return points, levels
 
 
 def characteristic_curve(phi: Expression, variables: VariableSet,
@@ -304,18 +321,7 @@ def characteristic_curve(phi: Expression, variables: VariableSet,
     and admits a finite value of phi.  The loop is one function generated
     for phi (``_rk4_kernel``), with no call per field evaluation.
     """
-    if variables.dimension != 2:
-        raise AnalysisError("characteristic curves are computed in two dimensions")
-    if len(start) != 2 or not all(math.isfinite(v) for v in start):
-        raise AnalysisError("start point needs two finite coordinates x, y")
-    if not 1 <= steps <= MAX_CURVE_STEPS:
-        raise AnalysisError(f"step count must be between 1 and {MAX_CURVE_STEPS}")
-    if not 0 < h < math.inf:
-        raise AnalysisError("step size must be positive and finite")
-    points = _rk4_kernel(phi, variables.names)(float(start[0]), float(start[1]), steps, float(h))
-    if not points:
-        raise AnalysisError("phi is not finite at the start point")
-    return points
+    return _curve_and_levels(phi, variables, start, steps, h)[0]
 
 
 # --- pseudostructure detection ---------------------------------------------------

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .expr import to_text, compile_expression, DomainError
+from .expr import to_text, DomainError
 from .forms import DifferentialForm, FormError, exterior_derivative, form_to_text, wedge
 from .duality import Metric, hodge_star
 from .analysis import (
@@ -27,7 +27,7 @@ from .analysis import (
     DEFAULT_STEPS,
     DEFAULT_TOL,
     AnalysisError,
-    characteristic_curve,
+    _curve_and_levels,
     classification_table,
     classify_closure,
     classify_relation,
@@ -210,10 +210,8 @@ def _cmd_characteristics(args, rep: Reporter):
     doc = _load(args.file)
     phi = _select(doc, args.scalar, "scalar")[0].expr
     start = _parse_floats(args.start, "start point")
-    points = characteristic_curve(phi, doc.vars, start, args.steps, args.h)
-    level = compile_expression(phi, doc.vars.names).scalar
-    phi0 = level(*points[0])
-    drift = max(abs(level(x, y) - phi0) for x, y in points)
+    points, levels = _curve_and_levels(phi, doc.vars, start, args.steps, args.h)
+    drift = max(abs(level - levels[0]) for level in levels)
     truncated = len(points) < args.steps + 1
     sampled = points[:: args.every]
     if sampled[-1] != points[-1]:

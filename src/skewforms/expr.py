@@ -664,6 +664,10 @@ def _finite(value: float) -> float:
     raise DomainError("value is not finite")
 
 
+def _exp(value: float) -> float:
+    return math.exp(value) if math.isfinite(value) else _finite(value)
+
+
 # The generated code names only these helpers.  Scalar mode raises DomainError
 # where array mode (``_array_helpers``) gives NaN: the generated code turns
 # the ValueError of math.log and math.pow outside the real domain, and any
@@ -672,7 +676,7 @@ _SCALAR_HELPERS = {
     "_sum": math.fsum,
     "_sin": math.sin,
     "_cos": math.cos,
-    "_exp": lambda a: math.exp(_finite(a)),
+    "_exp": _exp,
     "_ln": math.log,
     "_root": math.pow,
     "_finite": _finite,
@@ -703,8 +707,9 @@ class CompiledExpression:
     """An expression compiled once to Python code, callable in two modes.
 
     ``scalar(*floats)`` returns what evaluating the tree node by node gives:
-    sums by math.fsum, products left to right, constants rounded once.  It
-    raises DomainError wherever a value, intermediate or final, is not finite.
+    sums by math.fsum (of two terms as ``a + b + 0.0``, the same bits),
+    products left to right, constants rounded once.  It raises DomainError
+    wherever a value, intermediate or final, is not finite.
 
     ``array(*arrays)`` takes numpy arrays that broadcast together and returns
     an array that broadcasts against them.  It sums left to right in plain
@@ -755,7 +760,8 @@ def _emit(exprs: Sequence[Expression], args: Mapping[str, str]) -> tuple[list[st
         if node in refs:
             return refs[node]
         if isinstance(node, Add):
-            code = f"_sum(({', '.join(map(emit, node.terms))},))"
+            terms = list(map(emit, node.terms))
+            code = f"{terms[0]} + {terms[1]} + 0.0" if len(terms) == 2 else f"_sum(({', '.join(terms)},))"
         elif isinstance(node, Mul):
             code = " * ".join(map(emit, node.factors))
         elif isinstance(node, Pow):

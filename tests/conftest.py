@@ -1,14 +1,16 @@
-"""Shared random generators for the property suites.
+"""Shared random generators for the property suites, and the tree-walk
+reference for compiled evaluation.
 
 Everything is seeded; the suites are deterministic across runs.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
-from skewforms.expr import Expression, VariableSet, ZERO, const, var
+from skewforms.expr import Add, Const, Expression, Mul, Pow, Var, VariableSet, ZERO, const, var
 from skewforms.forms import DifferentialForm
 
 
@@ -39,6 +41,32 @@ def random_form(rng: random.Random, variables: VariableSet, degree: int,
 
 def random_point(rng: random.Random, names, lo: float = -2.0, hi: float = 2.0):
     return {name: rng.uniform(lo, hi) for name in names}
+
+
+def tree_walk(e, point):
+    """Node-by-node evaluation, the reference for compiled scalar mode.
+
+    Sums by math.fsum.  Where no intermediate value overflows, it raises, or
+    returns a complex or non-finite value, wherever scalar mode must raise
+    DomainError.
+    """
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, Var):
+        return point[e.name]
+    if isinstance(e, Add):
+        return math.fsum(tree_walk(t, point) for t in e.terms)
+    if isinstance(e, Mul):
+        out = 1.0
+        for f in e.factors:
+            out *= tree_walk(f, point)
+        return out
+    if isinstance(e, Pow):
+        base = tree_walk(e.base, point)
+        r = e.exponent
+        return base ** int(r) if r.denominator == 1 else base ** float(r)
+    functions = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
+    return functions[e.name](tree_walk(e.arg, point))
 
 
 @pytest.fixture

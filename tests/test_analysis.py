@@ -29,7 +29,7 @@ from skewforms.analysis import (
     stokes_check,
 )
 
-from conftest import VARSETS, random_form, random_polynomial
+from conftest import VARSETS, random_form, random_polynomial, tree_walk
 
 x, y, z = var("x"), var("y"), var("z")
 V2 = VARSETS[2]
@@ -235,20 +235,39 @@ class TestCharacteristicCurve:
         assert characteristic_curve(ln(x), V2, (1.0, 0.0), steps=5, h=1e-2)[0] == (1.0, 0.0)
 
 
-def _reference_curve(phi, variables, start, steps, h):
-    """characteristic_curve as one compiled call per evaluation of phi_x,
-    phi_y or phi: the reference for the generated RK4 loop.  Returns the
-    points and where the loop stopped: "steps", "critical", "stage 1" to
-    "stage 4" (the field left the domain), "level" (phi did) or "point"
-    (phi is finite at the new point, but a coordinate is not)."""
+def _compiled(e, names):
+    return compile_expression(e, names).scalar
+
+
+def _walked(e, names):
+    """e as a function of the coordinates by the fsum tree walk, with scalar
+    mode's DomainError, for trees whose values do not overflow."""
+    def f(*values):
+        try:
+            value = tree_walk(e, dict(zip(names, values)))
+        except (ArithmeticError, ValueError, TypeError):
+            raise DomainError("the tree walk raised") from None
+        if not (isinstance(value, float) and math.isfinite(value)):
+            raise DomainError("value is not finite")
+        return value
+    return f
+
+
+def _reference_curve(phi, variables, start, steps, h, evaluator=_compiled):
+    """characteristic_curve as one call per evaluation of phi_x, phi_y or
+    phi, each made by ``evaluator(tree, names)``: the reference for the
+    generated RK4 loop.  Returns the points and where the loop stopped:
+    "steps", "critical", "stage 1" to "stage 4" (the field left the domain),
+    "level" (phi did) or "point" (phi is finite at the new point, but a
+    coordinate is not)."""
     xn, yn = variables.names
-    level = compile_expression(phi, variables.names).scalar
+    level = evaluator(phi, variables.names)
     try:
         level(*map(float, start))
     except DomainError:
         raise AnalysisError("phi is not finite at the start point") from None
-    phi_x = compile_expression(differentiate(phi, xn), variables.names).scalar
-    phi_y = compile_expression(differentiate(phi, yn), variables.names).scalar
+    phi_x = evaluator(differentiate(phi, xn), variables.names)
+    phi_y = evaluator(differentiate(phi, yn), variables.names)
 
     def field(x, y):
         return -phi_y(x, y), phi_x(x, y)
@@ -287,8 +306,8 @@ def _hex_points(points):
 class TestCurveMatchesReference:
     """The generated loop gives the reference's points bit for bit."""
 
-    def _check(self, phi, start, steps, h):
-        want, stop = _reference_curve(phi, V2, start, steps, h)
+    def _check(self, phi, start, steps, h, evaluator=_compiled):
+        want, stop = _reference_curve(phi, V2, start, steps, h, evaluator)
         got = characteristic_curve(phi, V2, start, steps, h)
         assert _hex_points(got) == _hex_points(want), (phi, start, steps, h)
         return stop
@@ -318,6 +337,23 @@ class TestCurveMatchesReference:
                                       rng.choice([1e-3, 1e-2, 0.1, 0.7])))
         assert stops >= {"steps", "stage 2", "stage 3", "stage 4", "level"}
 
+    def test_seeded_phis_against_the_tree_walk(self):
+        # a reference that shares no code with the emitter: the field and the
+        # level by the fsum tree walk
+        rng = random.Random(8128)
+        families = [
+            lambda: random_polynomial(rng, V2.names),
+            lambda: random_polynomial(rng, V2.names) + sin(x * y) - 2 * cos(x - y),
+            lambda: exp(y / 3) * x + x * y**2 / 5,
+        ]
+        stops = set()
+        for make in families:
+            for _ in range(8):
+                start = (rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+                stops.add(self._check(make(), start, rng.choice([1, 5, 60, 200]),
+                                      rng.choice([1e-3, 1e-2, 0.1]), _walked))
+        assert "steps" in stops
+
     def test_stops_at_the_first_step(self):
         # the field leaves the domain at the start: d/dx x^(1/2) = 1/2*x^(-1/2)
         assert self._check(x ** Fraction(1, 2) + y, (0.0, 0.5), 10, 1e-2) == "stage 1"
@@ -331,6 +367,24 @@ class TestCurveMatchesReference:
         # (-c*x, c*y) is finite
         assert self._check(const(72 * 10**305) * y**3, (0.0, 2.9), 10, 1e-3) == "stage 1"
         assert self._check(const(17 * 10**305) * x * y, (100.0, 1.0), 10, 1 / 1.7e306) == "level"
+
+    def test_a_later_stage_that_overflows_stops_the_curve(self):
+        # phi = c*x*y - c*x*y^2: the field (2*c*x*y - c*x, c*y - c*y^2) is
+        # finite at stage 1, and at stage 2, 3 or 4 of that step a product
+        # overflows to inf without raising, or both terms of a sum do and
+        # give inf - inf = NaN; no stage value is checked on its own
+        phi = const(5 * 10**306) * x * y * (1 - y)
+        # (start, h, where the reference stops, points before it)
+        cases = [((1.0, 0.5), 4e-307, "stage 2", 3),   # inf
+                 ((1.0, 0.7), 3e-307, "stage 3", 3),
+                 ((1.0, 0.6), 3e-307, "stage 4", 3),
+                 ((0.5, 0.5), 1e-306, "stage 3", 2),   # NaN
+                 ((0.5, 0.3), 1e-306, "stage 4", 2)]
+        for start, h, stop, count in cases:
+            assert self._check(phi, start, 10, h) == stop
+            assert len(characteristic_curve(phi, V2, start, 10, h)) == count
+        phi = const(5 * 10**307) * x * y * (1 - y)        # NaN at the first step
+        assert self._check(phi, (1.0, 0.5), 10, 5.6e-307) == "stage 2"
 
     def test_an_infinite_point_stops_the_curve(self):
         # each stage value -phi_y = -3*c*y^2 is finite, but their RK4 sum is

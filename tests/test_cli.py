@@ -14,7 +14,7 @@ import pytest
 from skewforms.analysis import characteristic_curve
 from skewforms.cli import main
 from skewforms.dsl import parse
-from skewforms.expr import VariableSet
+from skewforms.expr import VariableSet, evaluate
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -308,9 +308,11 @@ class TestInputErrors:
         assert lines[-1].startswith("f: 21 points")
         code, out, _ = run_cli("--format", "jsonl", *argv)
         record = json.loads(out)
-        curve = characteristic_curve(parse(Path(BASIC).read_text()).find("f").expr,
-                                     VariableSet(["x", "y"]), (1.0, 0.0), 20, 1e-3)
+        phi = parse(Path(BASIC).read_text()).find("f").expr
+        curve = characteristic_curve(phi, VariableSet(["x", "y"]), (1.0, 0.0), 20, 1e-3)
         assert record["points"] == [list(curve[i]) for i in (0, 7, 14, 20)]
+        levels = [evaluate(phi, {"x": px, "y": py}) for px, py in curve]
+        assert record["drift"] == max(abs(level - levels[0]) for level in levels)
         assert lines[3] == " ".join(f"{v:.12g}" for v in curve[20])
 
 

@@ -42,7 +42,7 @@ from skewforms.expr import (
     var,
 )
 
-from conftest import random_polynomial, random_point
+from conftest import random_polynomial, random_point, tree_walk
 
 x, y = var("x"), var("y")
 _XYZ = (x, y, var("z"))
@@ -637,31 +637,6 @@ class TestEvaluate:
                 compile_expression(const(v), []).scalar()
 
 
-def _walk(e, point):
-    """Node-by-node evaluation, the reference for compiled scalar mode.
-
-    Raises, or returns a complex or non-finite value, wherever scalar mode
-    must raise DomainError.
-    """
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
-        return point[e.name]
-    if isinstance(e, Add):
-        return math.fsum(_walk(t, point) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= _walk(f, point)
-        return out
-    if isinstance(e, Pow):
-        base = _walk(e.base, point)
-        r = e.exponent
-        return base ** int(r) if r.denominator == 1 else base ** float(r)
-    functions = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
-    return functions[e.name](_walk(e.arg, point))
-
-
 def _random_tree(rng, depth):
     if depth == 0 or rng.random() < 0.25:
         return rng.choice([const(rng.randint(-5, 5)), x, y])
@@ -691,6 +666,8 @@ class TestCompiled:
         (x * y, (1e200, 1e200)),
         (power(x * y + 1, -1), (1e200, 1e200)),   # 1/inf must not pass for 0.0
         (exp(-x * y), (1e200, 1e200)),            # nor exp(-inf)
+        (x + y, (1e308, 1e308)),                  # a two-term sum overflows to inf
+        (2 * x - 3 * y, (1e308, 1e308)),          # or to inf - inf, which is NaN
     ]
 
     @pytest.mark.parametrize("tree, bad", DOMAIN_CASES)
@@ -706,27 +683,38 @@ class TestCompiled:
         except DomainError:
             assert math.isnan(values[1])
 
+    @staticmethod
+    def _matches_tree_walk(fn, e, px, py):
+        """True if scalar mode gives the walk's bits, False if both reject the point."""
+        try:
+            want = tree_walk(e, {"x": px, "y": py})
+            ok = isinstance(want, float) and math.isfinite(want)
+        except (ArithmeticError, ValueError, TypeError):
+            ok = False
+        if ok:
+            assert float.hex(fn.scalar(px, py)) == float.hex(want), (e, px, py)
+        else:
+            with pytest.raises(DomainError):
+                fn.scalar(px, py)
+        return ok
+
     def test_scalar_mode_matches_the_tree_walk_bit_for_bit(self):
+        # fsum gives +0.0 for every zero sum, -0.0 + -0.0 too, and raises on
+        # a sum beyond the float range
+        signed_zeros = [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)]
+        overflows = [(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)]
         rng = random.Random(1)
-        checked = raised = 0
+        results = []
         for _ in range(400):
             e = _random_tree(rng, 4)
             fn = compile_expression(e, ["x", "y"])
-            for _ in range(5):
-                point = {"x": rng.uniform(-2, 2), "y": rng.uniform(-2, 2)}
-                try:
-                    want = _walk(e, point)
-                    ok = isinstance(want, float) and math.isfinite(want)
-                except (ArithmeticError, ValueError, TypeError):
-                    ok = False
-                if ok:
-                    assert fn.scalar(point["x"], point["y"]) == want
-                    checked += 1
-                else:
-                    with pytest.raises(DomainError):
-                        fn.scalar(point["x"], point["y"])
-                    raised += 1
-        assert checked > 1000 and raised > 100
+            points = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(5)]
+            results += [self._matches_tree_walk(fn, e, px, py) for px, py in points + signed_zeros]
+        for e in (x + y, x - y, -x - y, x + sin(y), 2 * x - 3 * y, power(x + y, -1), exp(-x - y)):
+            fn = compile_expression(e, ["x", "y"])
+            results += [self._matches_tree_walk(fn, e, px, py) for px, py in signed_zeros + overflows]
+        assert results.count(True) > 1000 and results.count(False) > 100
+        assert float.hex(compile_expression(x + y, ["x", "y"]).scalar(-0.0, -0.0)) == "0x0.0p+0"
 
     def test_array_mode_agrees_with_scalar_mode(self):
         """Plain sums and numpy's sin/cos/exp/log differ from fsum and math's
@@ -757,7 +745,7 @@ class TestCompiled:
         monkeypatch.setitem(expr_module._SCALAR_HELPERS, "_sin", counted_sin)
         wave = sin(x * y)
         e = wave * x + wave * y
-        assert compile_expression(e, ["x", "y"]).scalar(0.3, 0.7) == _walk(e, {"x": 0.3, "y": 0.7})
+        assert compile_expression(e, ["x", "y"]).scalar(0.3, 0.7) == tree_walk(e, {"x": 0.3, "y": 0.7})
         assert len(calls) == 1
 
     def test_unknown_variable(self):
