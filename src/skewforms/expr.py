@@ -11,17 +11,18 @@ fractional exponent).  Two expressions that normalize to the same tree
 compare equal with ``==``.  A sum, difference or negation is one pass over
 the parts' terms with each part's sign folded into its coefficients.  A
 product distributes its sums one at a time over a {monomial: coefficient}
-map, where two monomials multiply by merging their factors; a constant
-times a sum scales the sum's terms in their order.  A power or product base
-whose exponents in one product add up to an integer rejoins that product as
-power(base, total), so (x*y)^(1/2) squared is x*y; a sum base rejoins the
-same way where power pulls out its sign or content, and a bare sum joins a
-negative power of its base through its signed content, so no term holds two
-factors of one base and (-1 - x)*(1 + x)^-1 is -1.  A derivative walks the
-canonical terms: a power of the variable is lowered in place, and each other
-factor that depends on it costs one product.  Each node computes its hash,
-its sort key and each derivative taken of it once, on first use; equality,
-hashing, printing and pickling ignore all three.
+map, where two monomials multiply by merging their factors; a constant times
+a sum scales the sum's terms in their order.  The rules for one base raised
+to a power (constant roots and radicals, a power of a power, an integer
+power of a product, the content of a sum) live in one table, ``_split``; mul
+applies it to each base it accumulates, so (x*y)^(1/2) squared is x*y, and a
+power is the product of its one factor.  A bare sum joins a negative power
+of its base through its signed content, so no term holds two factors of one
+base and (-1 - x)*(1 + x)^-1 is -1.  A derivative walks the canonical terms:
+a power of the variable is lowered in place, and each other factor that
+depends on it costs one product.  Each node computes its hash, its sort key
+and each derivative taken of it once, on first use; equality, hashing,
+printing and pickling ignore all three.
 
 Constants and exponents are exact rationals with one representation: a
 plain ``int`` when the denominator is 1, otherwise a ``Fraction`` with
@@ -415,11 +416,13 @@ def mul(*parts: Expression) -> Expression:
             base, e = _as_power(p)
             powers[base] = powers.get(base, 0) + e
         if not stack:
-            # a power or product base with an integral total rejoins as power(base, total),
-            # and so does a sum that power would rescale, such as (-1 - x)^-1 = -(1 + x)^-1
-            stack = [power(b, powers.pop(b)) for b in [b for b, e in powers.items() if e.denominator == 1 and (
-                isinstance(b, (Pow, Mul)) or isinstance(b, Add) and not 0 <= e <= _MAX_EXPANSION_EXPONENT
-                and _content(b, signed=True) != 1)]]
+            # a base that _split splits goes back on the stack in pieces: (x*y)^(1/2) squared is x*y
+            for b in [b for b, e in powers.items() if e != 0 and not isinstance(b, (Var, Func)) and not (
+                    isinstance(b, Add) and e.denominator == 1 and 1 <= e <= _MAX_EXPANSION_EXPONENT)]:
+                if (split := _split(b, _rational(powers[b]))) is not None:
+                    del powers[b]
+                    coeff *= split[0]
+                    stack.extend(split[1])
     if any(e < 0 and isinstance(b, Add) for b, e in powers.items()):
         # a bare sum joins a negative power of its base through its signed content: (-2 - 2*x)*(1 + x)^-1 = -2
         for b, e in [(b, e) for b, e in powers.items() if isinstance(b, Add) and e > 0 and e.denominator == 1]:
@@ -432,17 +435,10 @@ def mul(*parts: Expression) -> Expression:
     for base, e in powers.items():
         if e == 0:
             continue
-        if type(e) is int and isinstance(base, (Var, Func)):  # what power(base, e) gives
-            factors.append(base if e == 1 else Pow(base, e))
-            continue
         if isinstance(base, Add) and e.denominator == 1 and 1 <= e <= _MAX_EXPANSION_EXPONENT:
             sums.extend([base] * int(e))  # e may sum to Fraction(n, 1)
-            continue
-        # content extraction or exponent folding can re-split the power
-        sub_c, sub_m = _as_term(power(base, e))
-        coeff *= sub_c
-        for f in sub_m:
-            (sums if isinstance(f, Add) else factors).append(f)
+        else:
+            factors.append(base if e == 1 else Pow(base, _rational(e)))
     if coeff == 0:
         return ZERO
     mono = tuple(sorted(factors, key=_factor_key))
@@ -511,8 +507,39 @@ def _content(e: Add, signed: bool) -> int | Fraction:
     return content
 
 
+def _split(base: Expression, e: int | Fraction) -> tuple[int | Fraction, list[Expression]] | None:
+    """The rules for one base raised to a power other than 0: None where
+    Pow(base, e) is one canonical factor, else (rational, pieces) whose product
+    is base^e, each piece a power that may split again."""
+    if isinstance(base, Const):
+        c = base.value
+        if c == 0 and e < 0 or c < 0 and e.denominator != 1:
+            return None  # undefined (evaluation raises), or a radical of a negative constant
+        if e.denominator == 1:
+            return (c**e if e > 0 else _rational(Fraction(c) ** e)), []
+        num = _nth_root_exact(c.numerator, e.denominator)
+        den = _nth_root_exact(c.denominator, e.denominator)
+        if num is not None and den is not None:
+            return _rational(Fraction(num, den) ** e.numerator), []
+        # c^(p/q) = c^floor(p/q) * c^(r/q) with 0 < r < q: one form per radical
+        whole, r = divmod(e.numerator, e.denominator)
+        return (_rational(Fraction(c) ** whole), [Pow(base, Fraction(r, e.denominator))]) if whole else None
+    if isinstance(base, Add):
+        content = _content(base, signed=e.denominator == 1)
+        if content == 1:
+            return None
+        coeff, pieces = _split(Const(content), e) or (1, [Pow(Const(content), e)])
+        return coeff, pieces + [Pow(mul(const(Fraction(1) / content), base), e)]
+    if e.denominator == 1 and isinstance(base, (Pow, Mul)):
+        # (c*f^k*...)^e = c^e * f^(k*e) * ... for an integer e
+        c, mono = _as_term(base)
+        return _split(Const(c), e)[0], [Pow(f, k * e) for f, k in map(_as_power, mono)]
+    return None
+
+
 def power(base: Expression, exponent) -> Expression:
-    """Canonical power with an exact rational exponent."""
+    """Canonical power with an exact rational exponent: the product of the one
+    factor base^exponent, split by the rules of ``_split`` or expanded."""
     if isinstance(exponent, float):
         raise TypeError("exponents must be exact; pass a Fraction, int or str")
     e = _rational(exponent)
@@ -520,37 +547,13 @@ def power(base: Expression, exponent) -> Expression:
         return ONE  # 0^0 := 1 by convention
     if e == 1:
         return base
-    if isinstance(base, Const):
-        c = base.value
-        if c == 0 and e < 0:
-            return Pow(base, e)  # undefined; evaluation raises
-        if e.denominator == 1:
-            return Const(c**e if e > 0 else _rational(Fraction(c) ** e))
-        if c < 0:
-            return Pow(base, e)
-        num = _nth_root_exact(c.numerator, e.denominator)
-        den = _nth_root_exact(c.denominator, e.denominator)
-        if num is not None and den is not None:
-            return Const(_rational(Fraction(num, den) ** e.numerator))
-        # c^(p/q) = c^floor(p/q) * c^(r/q) with 0 < r < q: one form per radical
-        whole, r = divmod(e.numerator, e.denominator)
-        if whole == 0:
-            return Pow(base, e)
-        return mul(power(base, whole), Pow(base, Fraction(r, e.denominator)))
-    if isinstance(base, Pow):
-        if e.denominator == 1:
-            return power(base.base, base.exponent * e)
+    if isinstance(base, (Var, Func)):
         return Pow(base, e)
-    if isinstance(base, Mul) and e.denominator == 1:
-        return mul(*[power(f, e) for f in base.factors])
-    if isinstance(base, Add):
-        if e.denominator == 1 and 1 < e <= _MAX_EXPANSION_EXPONENT:
-            return mul(*([base] * e))
-        content = _content(base, signed=e.denominator == 1)
-        if content != 1:
-            reduced = mul(const(Fraction(1) / content), base)
-            return mul(power(Const(content), e), power(reduced, e))
-    return Pow(base, e)
+    if isinstance(base, Add) and e.denominator == 1 and 1 < e <= _MAX_EXPANSION_EXPONENT:
+        return mul(*([base] * e))
+    if (split := _split(base, e)) is None:
+        return Pow(base, e)
+    return mul(Const(split[0]), *split[1]) if split[1] else Const(split[0])
 
 
 def _fn(name: str, arg: Expression) -> Expression:
@@ -853,12 +856,7 @@ def _numerator(e: Expression) -> Expression:
         need = _denominator_clearings(cur)
         if not need:
             return cur
-        clearers: list[Expression] = []
-        for base, k in need.items():
-            whole = int(k)  # floor for positive k
-            clearers.extend([base] * whole)
-            if k != whole:
-                clearers.append(power(base, k - whole))
+        clearers = [Pow(base, k) for base, k in need.items()]
         cur = add(*[mul(t, *clearers) for t in _terms(cur)])
     return cur
 

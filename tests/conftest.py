@@ -7,10 +7,11 @@ Everything is seeded; the suites are deterministic across runs.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from skewforms.expr import Add, Const, Expression, Mul, Pow, Var, VariableSet, ZERO, const, var
+from skewforms.expr import Add, Const, Expression, Func, Mul, Pow, Var, VariableSet, ZERO, const, var
 from skewforms.forms import DifferentialForm
 
 
@@ -41,6 +42,29 @@ def random_form(rng: random.Random, variables: VariableSet, degree: int,
 
 def random_point(rng: random.Random, names, lo: float = -2.0, hi: float = 2.0):
     return {name: rng.uniform(lo, hi) for name in names}
+
+
+RAW_CONSTANTS = (-3, -1, 2, 4, 8, Fraction(9, 4), Fraction(-3, 4), Fraction(1, 8))
+RAW_EXPONENTS = (2, 3, -1, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2),
+                 Fraction(1, 3), Fraction(2, 3))
+
+
+def random_raw_tree(rng: random.Random, depth: int = 3) -> Expression:
+    """A tree built from the node classes directly, so not canonical: sums
+    and products of two or three parts, powers, sin and exp over x, y, z and
+    constants with exact roots (4, 8, 9/4, 1/8) and without (-3, -1, -3/4, 2).
+    Rebuilding it through the factories runs every single-base power rule."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.4:
+            return Const(rng.choice(RAW_CONSTANTS))
+        return Var(rng.choice("xyz"))
+    kind = rng.randrange(5)
+    if kind < 2:
+        parts = tuple(random_raw_tree(rng, depth - 1) for _ in range(rng.randint(2, 3)))
+        return Add(parts) if kind == 0 else Mul(parts)
+    if kind < 4:
+        return Pow(random_raw_tree(rng, depth - 1), rng.choice(RAW_EXPONENTS))
+    return Func(rng.choice(("sin", "exp")), random_raw_tree(rng, depth - 1))
 
 
 def tree_walk(e, point):

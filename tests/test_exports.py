@@ -82,6 +82,21 @@ def test_every_private_module_level_name_is_referenced():
     assert dead == []
 
 
+def _names_called(tree: ast.Module, function: str) -> set[str]:
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {call.func.id for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+
+
+def test_single_base_power_rules_have_one_home():
+    """The rules for one base raised to a power live in expr._split, which
+    mul applies to each accumulated base and power to its one factor: mul
+    calls no power, and power calls neither itself nor a rule's helper."""
+    in_mul, in_power = _names_called(SOURCES["expr"], "mul"), _names_called(SOURCES["expr"], "power")
+    assert "_split" in in_mul and "power" not in in_mul
+    assert "_split" in in_power and in_power.isdisjoint({"power", "_nth_root_exact", "_content"})
+
+
 def _print_calls(node: ast.AST) -> list[ast.Call]:
     return [call for call in ast.walk(node) if isinstance(call, ast.Call)
             and isinstance(call.func, ast.Name) and call.func.id == "print"]

@@ -1,6 +1,7 @@
 """Expression kernel: canonicalization, calculus, evaluation, zero tests."""
 
 import math
+import os
 import pickle
 import random
 import sys
@@ -42,7 +43,7 @@ from skewforms.expr import (
     var,
 )
 
-from conftest import random_polynomial, random_point, tree_walk
+from conftest import random_polynomial, random_point, random_raw_tree, tree_walk
 
 x, y = var("x"), var("y")
 _XYZ = (x, y, var("z"))
@@ -377,6 +378,48 @@ class TestExpansion:
         for t, u in zip(a.terms, b.terms):
             assert t == u and hash(t) == hash(u)
         assert expr_module._sort_key(a) is key  # computed once
+
+
+def _raw_trees(count):
+    rng = random.Random(18)
+    return [random_raw_tree(rng) for _ in range(count)]
+
+
+class TestSingleBaseRules:
+    """The rules for one base raised to a power (constant roots, a power of a
+    power or of a product, the content of a sum), checked by value against
+    the raw trees they rebuild, which the walk reads without running them."""
+
+    def test_rebuilt_trees_keep_the_raw_value(self):
+        rng = random.Random(1)
+        checked = 0
+        for raw in _raw_trees(3000):
+            canonical = substitute(raw, {})
+            for _ in range(3):
+                point = {name: rng.uniform(0.5, 2.0) for name in "xyz"}
+                try:
+                    want = tree_walk(raw, point)
+                except (ArithmeticError, ValueError, TypeError):  # TypeError: sin of a complex
+                    continue
+                if not isinstance(want, float) or not math.isfinite(want):
+                    continue
+                got = tree_walk(canonical, point)
+                assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), (raw, canonical, point)
+                checked += 1
+        assert checked > 6000
+
+    def test_canonical_trees_match_the_golden(self):
+        lines = []
+        for raw in _raw_trees(800):
+            try:
+                lines.append(to_text(substitute(raw, {})))
+            except (ArithmeticError, ValueError) as exc:
+                lines.append(type(exc).__name__)
+        out = "".join(f"{line}\n" for line in lines)
+        path = Path(__file__).parent / "golden" / "canonical_trees.txt"
+        if os.environ.get("UPDATE_GOLDENS"):
+            path.write_text(out, encoding="utf-8")
+        assert out == path.read_text(encoding="utf-8")
 
 
 def _memo_tree():
