@@ -378,8 +378,8 @@ def _bisect_edges(fn, lo: np.ndarray, hi: np.ndarray,
     lo and hi, each edge as a scalar bisection would: an end point where it
     is exactly 0 is the root; otherwise the end values must be finite and
     not of one sign, and the root is the first of at most 80 midpoints with
-    |K| <= tol.  Returns the (n, k) roots and the indices of their edges, in
-    edge order.
+    |K| <= tol.  Only coordinates that differ along some edge move.  Returns
+    the (n, k) roots and the indices of their edges, in edge order.
     """
     import numpy as np
 
@@ -390,20 +390,22 @@ def _bisect_edges(fn, lo: np.ndarray, hi: np.ndarray,
     edges = [np.flatnonzero(at_lo), np.flatnonzero(at_hi)]
     roots = [lo[:, at_lo], hi[:, at_hi]]
     live = np.flatnonzero(valid & ~at_lo & ~at_hi & ~(f_lo * f_hi > 0))
-    a, b, f_a = lo[:, live], hi[:, live], f_lo[live]
+    moving = (lo != hi).any(axis=1)
+    point, a, b, f_a = lo[:, live], lo[moving][:, live], hi[moving][:, live], f_lo[live]
     for _ in range(80):
         if not live.size:
             break
         mid = 0.5 * (a + b)
-        f_mid = fn.array(*mid)
+        point[moving] = mid
+        f_mid = fn.array(*point)
         hit = np.abs(f_mid) <= tol
         edges.append(live[hit])
-        roots.append(mid[:, hit])
+        roots.append(point[:, hit])
         left = f_a * f_mid < 0
         a, b = np.where(left, a, mid), np.where(left, mid, b)
         f_a = np.where(left, f_a, f_mid)
         keep = np.isfinite(f_mid) & ~hit
-        live, a, b, f_a = live[keep], a[:, keep], b[:, keep], f_a[keep]
+        live, point, a, b, f_a = live[keep], point[:, keep], a[:, keep], b[:, keep], f_a[keep]
     edges = np.concatenate(edges)
     order = np.argsort(edges, kind="stable")
     return np.concatenate(roots, axis=1)[:, order], edges[order]
@@ -418,6 +420,9 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
     grid scan for direct hits and sign changes with bisection refinement;
     reported points satisfy |K| <= tol for every component.  Intensity is
     the largest commutator magnitude on grid nodes adjacent to the locus.
+    Each component is scanned, bisected and bounded on its own grid, of
+    size 1 along an axis it does not read, and its roots are then repeated
+    along that axis; the result is what a scan of the whole box gives.
     """
     if a.degree != 1:
         raise AnalysisError("pseudostructure detection needs a 1-form")
@@ -460,8 +465,8 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
     axes = [np.linspace(lo, hi, gv) for (lo, hi), gv in zip(box, grid)]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     compiled = [compile_expression(c, a.vars.names) for c in comps]
-    # each component on the grid, broadcastable to shape: a component that
-    # does not depend on a coordinate is computed once along that axis
+    # each component on its own grid: size 1 along an axis it does not read,
+    # so its sign changes are found, bisected and bounded once along that axis
     comp_values = [v.reshape(v.shape or (1,) * n) for v in (fn.array(*mesh) for fn in compiled)]
 
     def coords(nodes: np.ndarray) -> np.ndarray:
@@ -469,14 +474,14 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
         return np.stack([axes[d][nodes[:, d]] for d in range(n)])
 
     with np.errstate(all="ignore"):
-        max_abs = np.zeros(shape)
+        max_abs = np.zeros(np.broadcast_shapes(*(arr.shape for arr in comp_values)))
         for arr in comp_values:
             np.maximum(max_abs, np.abs(arr), out=max_abs)
         max_abs[np.isnan(max_abs)] = np.inf
 
         # grid hits, then sign-change edges refined per driving component;
         # each candidate is kept where every component is within tol
-        found_nodes = [_nodes(max_abs <= tol)]
+        found_nodes = [_nodes(np.broadcast_to(max_abs <= tol, shape))]
         found_roots = [coords(found_nodes[0])]
         for fn, arr in zip(compiled, comp_values):
             for axis in range(n):
@@ -484,12 +489,18 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
                     continue  # constant along this axis: no sign change
                 v = np.moveaxis(arr, axis, 0)
                 flip = np.moveaxis(v[:-1] * v[1:] < 0, 0, axis)
-                edge_shape = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
-                flips = _nodes(np.broadcast_to(flip, edge_shape))
+                flips = _nodes(flip)
                 hi_ends = flips + np.eye(n, dtype=np.intp)[axis]
                 roots, edges = _bisect_edges(fn, coords(flips), coords(hi_ends), tol)
-                found_roots.append(roots)
-                found_nodes.append(flips[edges])
+                # repeat each root on every edge of the box that broadcasts
+                # onto its edge, in the C order of the box's edges
+                edge_shape = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
+                spread = np.indices([e if f == 1 else 1 for e, f in zip(edge_shape, flip.shape)])
+                box_edges = (flips[edges][:, None] + spread.reshape(n, -1).T).reshape(-1, n)
+                order = np.argsort(np.ravel_multi_index(box_edges.T, edge_shape), kind="stable")
+                found_nodes.append(box_edges[order])
+                found_roots.append(coords(found_nodes[-1]))
+                found_roots[-1][axis] = roots[axis, order // spread[0].size]
         roots = np.concatenate(found_roots, axis=1)
         nodes = np.concatenate(found_nodes)
         on_locus = np.ones(len(nodes), dtype=bool)
@@ -511,12 +522,13 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
         locus = Locus("empty", "no structure realized")
         return StructureReport(locus, None, dual_residual, 0.0, None, comm)
 
-    # intensity: the largest finite |K| on grid nodes adjacent to the locus
-    near = np.zeros(shape, dtype=bool)
-    locus_nodes = nodes[list(accepted.values())]
+    # intensity: the largest finite |K| on grid nodes adjacent to the locus,
+    # on max_abs's grid, where a node has index 0 along an axis no component reads
+    near = np.zeros(max_abs.shape, dtype=bool)
+    locus_nodes = nodes[list(accepted.values())] * (np.array(max_abs.shape) > 1)
     for offsets in itertools.product((-1, 0, 1), repeat=n):
         neighbors = locus_nodes + offsets
-        neighbors = neighbors[((neighbors >= 0) & (neighbors < shape)).all(axis=1)]
+        neighbors = neighbors[((neighbors >= 0) & (neighbors < max_abs.shape)).all(axis=1)]
         near[tuple(neighbors.T)] = True
     near &= np.isfinite(max_abs)
     intensity = float(max_abs[near].max()) if near.any() else 0.0

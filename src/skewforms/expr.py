@@ -842,9 +842,10 @@ def _denominator_clearings(e: Expression) -> dict[Expression, int | Fraction]:
     return need
 
 
-def _numerator(e: Expression) -> Expression:
-    """Multiply every term by the missing denominators, term by term, until
-    no negative powers remain (at most 8 passes).
+def _numerator(e: Expression, need: dict[Expression, int | Fraction]) -> Expression:
+    """Multiply every term by the missing denominators ``need`` (what
+    ``_denominator_clearings(e)`` gives), term by term, until no negative
+    powers remain (at most 8 passes).
 
     Term-wise multiplication lets sum bases meet their inverse atoms inside
     one product, where the exponents cancel exactly.  Zero-equivalence is
@@ -853,11 +854,11 @@ def _numerator(e: Expression) -> Expression:
     """
     cur = e
     for _ in range(8):
-        need = _denominator_clearings(cur)
         if not need:
             return cur
         clearers = [Pow(base, k) for base, k in need.items()]
         cur = add(*[mul(t, *clearers) for t in _terms(cur)])
+        need = _denominator_clearings(cur)
     return cur
 
 
@@ -886,13 +887,17 @@ def is_zero(e: Expression) -> str:
     Expects a canonical tree, as every factory builds.  "zero" only when
     normalization (after clearing denominators) cancels the tree to the
     literal 0; "nonzero" from an exact nonzero constant or a numeric witness
-    above the probe threshold; "unknown" otherwise.
+    above the probe threshold; "unknown" otherwise, and always when a
+    top-level term holds a factor 0^-k, which is undefined everywhere.
     """
     if e == ZERO:
         return "zero"
     if isinstance(e, Const):
         return "nonzero"
-    numerator = _numerator(e)
+    need = _denominator_clearings(e)
+    if ZERO in need:
+        return "unknown"
+    numerator = _numerator(e, need)
     if numerator == ZERO:
         return "zero"
     if isinstance(numerator, Const):

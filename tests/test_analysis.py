@@ -578,13 +578,71 @@ class TestPseudostructure:
             assert found.tolist() == ([] if expected is None else [0])
             assert roots.T.tolist() == ([] if expected is None else [expected])
 
+    # the numeric workload's shell and axis shapes: in the shell, K_xy = -2*y and
+    # K_xz = 5/7*y - 2*z read no x and K_yz = 5/7*x reads x alone; in the axis,
+    # K_xz = 11/6*y and K_yz = 11/6*x read one coordinate each
+    SHELL_WORKLOAD = DifferentialForm.one_form(
+        V3, [x**2 + y**2 + z**2 - Fraction(1, 3), ZERO, Fraction(5, 7) * x * y])
+    AXIS_WORKLOAD = DifferentialForm.one_form(V3, [ZERO, ZERO, Fraction(11, 6) * x * y])
+
     def test_scan_matches_scalar_bisection_per_edge(self):
-        box, grid, tol = [(-1.0, 1.0)] * 3, 31, 1e-6
-        rep = find_pseudostructure(self.SHELL, Metric.euclidean(V3), box, grid, tol)
-        points, intensity = _scalar_bisection_locus(self.SHELL, box, grid, tol)
-        assert len(points) > 100
-        assert rep.locus.points == points
-        assert rep.intensity == intensity
+        """Each component is scanned on its own grid, which is smaller along
+        an axis it does not read; the reference scans the whole box."""
+        rng = random.Random(1919)
+        box, tol = [(-1.0, 1.0)] * 3, 1e-6
+        # K_yz = y^2 + z - 2/3 alone: a surface of roots repeated along x
+        cylinder = DifferentialForm.one_form(V3, [ZERO, ZERO, y**3 / 3 + y * z - Fraction(2, 3) * y])
+        cases = [(self.SHELL, 31), (self.SHELL_WORKLOAD, 22), (self.SHELL_WORKLOAD, 31),
+                 (self.AXIS_WORKLOAD, 24), (self.AXIS_WORKLOAD, 25),
+                 (DifferentialForm.one_form(V3, [z * y, ZERO, ZERO]), 26), (cylinder, 23)]
+        cases += [(random_form(rng, V3, 1), rng.randint(21, 31)) for _ in range(6)]
+        kinds, sizes = set(), []
+        for a, grid in cases:
+            rep = find_pseudostructure(a, Metric.euclidean(V3), box, grid, tol)
+            points, intensity = _scalar_bisection_locus(a, box, grid, tol)
+            assert rep.locus.points == points
+            assert float.hex(rep.intensity) == float.hex(intensity)
+            kinds.add(rep.locus.kind)
+            sizes.append(len(points))
+        assert sizes[0] > 100 and sizes[2] == 1 and sizes[4] == 25 and sizes[6] > 1000
+        assert kinds == {"points", "empty"}
+
+    def test_each_edge_of_a_component_is_bisected_once(self, monkeypatch):
+        received = []
+        bisect = analysis._bisect_edges
+
+        def counting(fn, lo, hi, tol):
+            received.append(lo.shape[1])
+            return bisect(fn, lo, hi, tol)
+
+        monkeypatch.setattr(analysis, "_bisect_edges", counting)
+        grid = 101
+        rep = find_pseudostructure(self.SHELL_WORKLOAD, Metric.euclidean(V3), [(-1.0, 1.0)] * 3, grid)
+        assert rep.locus.points == [(0.0, 0.0, 0.0)]
+        # the sign-change edges of each component's own array, which has size
+        # 1 along an axis the component does not read
+        axis_nodes = np.linspace(-1.0, 1.0, grid)
+        mesh = np.meshgrid(axis_nodes, axis_nodes, axis_nodes, indexing="ij", sparse=True)
+        own = 0
+        for _, c in commutator(self.SHELL_WORKLOAD).items():
+            values = compile_expression(c, V3.names).array(*mesh)
+            for axis in range(3):
+                if values.shape[axis] > 1:
+                    v = np.moveaxis(values, axis, 0)
+                    own += np.count_nonzero(v[:-1] * v[1:] < 0)
+        # all of K_xz = 5/7*y - 2*z on its 101 x 101 grid; the box repeats them 101 times
+        assert own == 132
+        assert sum(received) == own
+
+    def test_points_stay_finite_near_the_float_limit(self):
+        # K_xy = y reads no x, so x must stay a node coordinate: 0.5*(c + c)
+        # would overflow above about 9e307
+        a = DifferentialForm.one_form(V2, [ZERO, x * y])
+        box = [(1e308, 1.6e308), (-1.0, 1.0)]
+        rep = find_pseudostructure(a, Metric.euclidean(V2), box, [3, 4])
+        assert rep.locus.points == [(1e308, 0.0), (1.3e308, 0.0), (1.6e308, 0.0)]
+        for point in rep.locus.points:
+            assert all(math.isfinite(c) and lo <= c <= hi for c, (lo, hi) in zip(point, box))
 
 
 class TestNodeIndices:

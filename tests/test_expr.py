@@ -850,6 +850,16 @@ class TestIsZero:
         # x - 3 < 0 at every probe of the box [-2, 2]
         assert is_zero(ln(x - 3)) == "unknown"
 
+    def test_a_term_undefined_everywhere_is_unknown(self):
+        # 0^-k has no value anywhere, so neither verdict can be backed
+        z = power(x - x, -1)
+        assert z == Pow(ZERO, -1)
+        for e in (z, x + z, x * z, power(x - x, Fraction(-3, 2)) + y, x * z - 1):
+            assert is_zero(e) == "unknown"
+        # a nonzero base to a negative power is still cleared
+        assert is_zero(power(x + 1, -1) + power(x - 1, -1) - 2 * x * power(x**2 - 1, -1)) == "zero"
+        assert is_zero(power(x + 1, -1) - power(x + 2, -1)) == "nonzero"
+
 
 class TestSubstitute:
     def test_simple(self):
