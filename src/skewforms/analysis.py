@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import FunctionType
 from typing import Mapping, Sequence
@@ -36,6 +35,7 @@ from .expr import (
     substitute,
     var,
     _SCALAR_HELPERS,
+    _Record,
     _combine,
     _emit,
     _exponents,
@@ -86,14 +86,16 @@ class AnalysisError(ValueError):
 # --- closure and exactness ---------------------------------------------------
 
 
-@dataclass
-class ClosureVerdict:
-    closed: str            # "closed" | "unclosed" | "unknown"
-    exact: str             # "exact" | "inexact" | "unknown"
-    potential: Expression | None = None
-    notes: str = ""
-    derivative: DifferentialForm | None = None  # d(a)
-    residual: DifferentialForm | None = None    # d(potential) - a, once a potential is built
+class ClosureVerdict(_Record):
+    """closed is "closed", "unclosed" or "unknown", exact "exact", "inexact" or
+    "unknown"; derivative is d(a), residual d(potential) - a once a potential is built."""
+
+    __slots__ = __match_args__ = ("closed", "exact", "potential", "notes", "derivative", "residual")
+
+    def __init__(self, closed: str, exact: str, potential: Expression | None = None, notes: str = "",
+                 derivative: DifferentialForm | None = None, residual: DifferentialForm | None = None):
+        self.closed, self.exact, self.potential, self.notes = closed, exact, potential, notes
+        self.derivative, self.residual = derivative, residual
 
 
 def reconstruct_potential(a: DifferentialForm) -> Expression | None:
@@ -176,15 +178,16 @@ def classify_closure(a: DifferentialForm) -> ClosureVerdict:
 # --- relations ----------------------------------------------------------------
 
 
-@dataclass
-class Relation:
-    """A relation d(phi) = eta with its identical/nonidentical verdict."""
+class Relation(_Record):
+    """A relation d(phi) = eta with its verdict ("identical", "nonidentical" or
+    "unknown"), the residual d(phi) - eta and, when eta is a 1-form, d(eta)."""
 
-    phi: DifferentialForm
-    eta: DifferentialForm
-    verdict: str                      # "identical" | "nonidentical" | "unknown"
-    residual: DifferentialForm        # d(phi) - eta
-    eta_commutator: DifferentialForm | None   # d(eta) when eta is a 1-form
+    __slots__ = __match_args__ = ("phi", "eta", "verdict", "residual", "eta_commutator")
+
+    def __init__(self, phi: DifferentialForm, eta: DifferentialForm, verdict: str,
+                 residual: DifferentialForm, eta_commutator: DifferentialForm | None):
+        self.phi, self.eta, self.verdict = phi, eta, verdict
+        self.residual, self.eta_commutator = residual, eta_commutator
 
 
 def classify_relation(phi: DifferentialForm, eta: DifferentialForm) -> Relation:
@@ -327,24 +330,29 @@ def characteristic_curve(phi: Expression, variables: VariableSet,
 # --- pseudostructure detection ---------------------------------------------------
 
 
-@dataclass
-class Locus:
-    kind: str                          # "empty" | "whole_box" | "hyperplane" | "points"
-    description: str
-    hyperplane: tuple[str, float] | None = None
-    points: list[tuple[float, ...]] = field(default_factory=list)
+class Locus(_Record):
+    """kind is "empty", "whole_box", "hyperplane" or "points"."""
+
+    __slots__ = __match_args__ = ("kind", "description", "hyperplane", "points")
+
+    def __init__(self, kind: str, description: str, hyperplane: tuple[str, float] | None = None,
+                 points: list[tuple[float, ...]] | None = None):
+        self.kind, self.description, self.hyperplane = kind, description, hyperplane
+        self.points = [] if points is None else points
 
 
-@dataclass
-class StructureReport:
-    """Detected pseudostructure: where the commutator components vanish."""
+class StructureReport(_Record):
+    """Detected pseudostructure: where the components of ``commutator``,
+    d(a) of the scanned 1-form, vanish."""
 
-    locus: Locus
-    restricted_form: DifferentialForm | None
-    dual_condition_residual: Expression
-    intensity: float
-    chart: Parameterization | None = None
-    commutator: DifferentialForm | None = None   # d(a) of the scanned 1-form
+    __slots__ = __match_args__ = ("locus", "restricted_form", "dual_condition_residual",
+                                  "intensity", "chart", "commutator")
+
+    def __init__(self, locus: Locus, restricted_form: DifferentialForm | None,
+                 dual_condition_residual: Expression, intensity: float,
+                 chart: Parameterization | None = None, commutator: DifferentialForm | None = None):
+        self.locus, self.restricted_form, self.intensity = locus, restricted_form, intensity
+        self.dual_condition_residual, self.chart, self.commutator = dual_condition_residual, chart, commutator
 
 
 def _axis_zero_hyperplane(comm: DifferentialForm, box) -> tuple[str, float] | None:

@@ -10,9 +10,7 @@ identical in the restricted sense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .expr import Expression, VariableSet
+from .expr import Expression, VariableSet, _Record
 from .forms import DifferentialForm, exterior_derivative, pullback, zero_verdict
 from .duality import Metric
 from .analysis import (
@@ -28,30 +26,27 @@ __all__ = ["BalanceSystem", "EvolutionaryRelation", "EquilibriumReport",
            "build_relation", "equilibrium_scan"]
 
 
-@dataclass
-class BalanceSystem:
+class BalanceSystem(_Record):
     """Action coefficients over trajectory coordinates; A_1 is the energy
     action and the remaining entries are force actions (labels only)."""
 
-    vars: VariableSet
-    actions: tuple[Expression, ...]
-    psi: Expression | None = None
+    __slots__ = __match_args__ = ("vars", "actions", "psi")
 
-    def __post_init__(self):
-        self.actions = tuple(self.actions)
-        if len(self.actions) != self.vars.dimension:
+    def __init__(self, vars: VariableSet, actions: tuple[Expression, ...], psi: Expression | None = None):
+        self.vars, self.actions, self.psi = vars, tuple(actions), psi
+        if len(self.actions) != vars.dimension:
             raise ValueError("one action coefficient per coordinate is required")
 
 
-@dataclass
-class EvolutionaryRelation:
-    system: BalanceSystem
-    omega: DifferentialForm
-    commutator: DifferentialForm      # d(omega)
-    verdict: str                      # "identical" | "nonidentical" | "unknown"
-    relation: Relation | None
-    psi: Expression | None
-    notes: str = ""
+class EvolutionaryRelation(_Record):
+    """commutator is d(omega); verdict is "identical", "nonidentical" or "unknown"."""
+
+    __slots__ = __match_args__ = ("system", "omega", "commutator", "verdict", "relation", "psi", "notes")
+
+    def __init__(self, system: BalanceSystem, omega: DifferentialForm, commutator: DifferentialForm,
+                 verdict: str, relation: Relation | None, psi: Expression | None, notes: str = ""):
+        self.system, self.omega, self.commutator, self.verdict = system, omega, commutator, verdict
+        self.relation, self.psi, self.notes = relation, psi, notes
 
 
 def build_relation(system: BalanceSystem) -> EvolutionaryRelation:
@@ -82,13 +77,14 @@ def build_relation(system: BalanceSystem) -> EvolutionaryRelation:
     return EvolutionaryRelation(system, omega, comm, "unknown", None, None, notes)
 
 
-@dataclass
-class EquilibriumReport:
-    """A pseudostructure report relabeled in balance-law vocabulary."""
+class EquilibriumReport(_Record):
+    """A pseudostructure report relabeled in balance-law vocabulary;
+    identity_on_locus is the zero verdict of d_pi(psi) - omega_pi."""
 
-    structure: StructureReport
-    label: str
-    identity_on_locus: str | None = None   # zero-verdict of d_pi(psi) - omega_pi
+    __slots__ = __match_args__ = ("structure", "label", "identity_on_locus")
+
+    def __init__(self, structure: StructureReport, label: str, identity_on_locus: str | None = None):
+        self.structure, self.label, self.identity_on_locus = structure, label, identity_on_locus
 
 
 def equilibrium_scan(relation: EvolutionaryRelation, box, grid,

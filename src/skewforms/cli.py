@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 
@@ -60,7 +59,10 @@ class Reporter:
 
     def emit(self, text: str, record: dict, *verdicts):
         self.saw_unknown |= "unknown" in verdicts
-        print(json.dumps(record, sort_keys=True) if self.fmt == "jsonl" else text)
+        if self.fmt == "jsonl":
+            import json  # here, not at the top: every text-mode call would pay for it
+            text = json.dumps(record, sort_keys=True)
+        print(text)
 
 
 def _fmt_float(v: float) -> str:
@@ -73,6 +75,10 @@ def _load(path: str) -> Document:
             text = handle.read()
     except OSError as err:
         raise InputError(f"cannot read {path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        # read() decodes the whole file in one call, so err.object holds all of its bytes
+        before = err.object[:err.start].decode("utf-8").split("\n")
+        raise InputError(f"{path}: line {len(before)}, column {len(before[-1]) + 1}: not valid UTF-8") from None
     try:
         return parse(text)
     except DslError as err:

@@ -36,7 +36,6 @@ one declaration per line.  ``parse(print(doc))`` reproduces the document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expr import (
@@ -53,6 +52,7 @@ from .expr import (
     sin,
     to_text,
     var,
+    _Record,
     _combine,
 )
 from .forms import DifferentialForm, form_to_text, wedge
@@ -89,36 +89,41 @@ class DslError(ValueError):
 # --- documents -----------------------------------------------------------------
 
 
-@dataclass
-class ScalarDecl:
-    name: str
-    expr: Expression
+class ScalarDecl(_Record):
+    __slots__ = __match_args__ = ("name", "expr")
+
+    def __init__(self, name: str, expr: Expression):
+        self.name, self.expr = name, expr
 
 
-@dataclass
-class FormDecl:
-    name: str
-    form: DifferentialForm
+class FormDecl(_Record):
+    __slots__ = __match_args__ = ("name", "form")
+
+    def __init__(self, name: str, form: DifferentialForm):
+        self.name, self.form = name, form
 
 
-@dataclass
-class RelationDecl:
-    name: str
-    phi: DifferentialForm
-    eta: DifferentialForm
+class RelationDecl(_Record):
+    __slots__ = __match_args__ = ("name", "phi", "eta")
+
+    def __init__(self, name: str, phi: DifferentialForm, eta: DifferentialForm):
+        self.name, self.phi, self.eta = name, phi, eta
 
 
-@dataclass
-class BalanceDecl:
-    name: str
-    system: BalanceSystem
+class BalanceDecl(_Record):
+    __slots__ = __match_args__ = ("name", "system")
+
+    def __init__(self, name: str, system: BalanceSystem):
+        self.name, self.system = name, system
 
 
-@dataclass
-class Document:
-    vars: VariableSet | None = None
-    metric: Metric | None = None
-    declarations: list = field(default_factory=list)
+class Document(_Record):
+    __slots__ = __match_args__ = ("vars", "metric", "declarations")
+
+    def __init__(self, vars: VariableSet | None = None, metric: Metric | None = None,
+                 declarations: list | None = None):
+        self.vars, self.metric = vars, metric
+        self.declarations = [] if declarations is None else declarations
 
     def find(self, name: str):
         for decl in self.declarations:
@@ -135,13 +140,12 @@ _ASCII_ALPHA = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CHARS = _ASCII_ALPHA | _ASCII_DIGITS
 
 
-@dataclass
-class Token:
-    kind: str          # IDENT | NUMBER | OP | NEWLINE | EOF
-    text: str
-    line: int
-    column: int
-    value: int | Fraction | None = None
+class Token(_Record):
+    # kind is IDENT, NUMBER, OP, NEWLINE or EOF
+    __slots__ = __match_args__ = ("kind", "text", "line", "column", "value")
+
+    def __init__(self, kind: str, text: str, line: int, column: int, value: int | Fraction | None = None):
+        self.kind, self.text, self.line, self.column, self.value = kind, text, line, column, value
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -172,7 +176,11 @@ def _tokenize(text: str) -> list[Token]:
                 while i < n and text[i] in _ASCII_DIGITS:
                     i += 1
             literal = text[start:i]
-            tokens.append(Token("NUMBER", literal, line, col, Fraction(literal) if "." in literal else int(literal)))
+            try:
+                value = Fraction(literal) if "." in literal else int(literal)
+            except ValueError:  # past CPython's cap on integer string conversion (4300 digits)
+                raise DslError("number literal has too many digits", line, col) from None
+            tokens.append(Token("NUMBER", literal, line, col, value))
         elif ch in _ASCII_ALPHA:
             while i < n and text[i] in _NAME_CHARS:
                 i += 1

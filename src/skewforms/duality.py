@@ -9,26 +9,28 @@ convention against the known dual of a gradient field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .expr import VariableSet, mul, const
+from .expr import VariableSet, mul, const, _Record, _immutable
 from .forms import DifferentialForm, FormError, exterior_derivative, sort_index_tuple, zero_verdict
 
 __all__ = ["Metric", "hodge_star", "dual_closure_check"]
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(_Record):
     """Diagonal constant metric: one entry of +1 or -1 per coordinate."""
 
-    vars: VariableSet
-    signature: tuple[int, ...]
+    __slots__ = __match_args__ = ("vars", "signature")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if len(self.signature) != self.vars.dimension:
+    def __init__(self, vars: VariableSet, signature: tuple[int, ...]):
+        if len(signature) != vars.dimension:
             raise ValueError("metric signature length must match the dimension")
-        if any(s not in (1, -1) for s in self.signature):
+        if any(s not in (1, -1) for s in signature):
             raise ValueError("metric entries must be +1 or -1")
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "signature", signature)
+
+    def __hash__(self):
+        return hash((self.vars, self.signature))
 
     @classmethod
     def euclidean(cls, variables: VariableSet) -> "Metric":

@@ -22,7 +22,10 @@ base and (-1 - x)*(1 + x)^-1 is -1.  A derivative walks the canonical terms:
 a power of the variable is lowered in place, and each other factor that
 depends on it costs one product.  Each node computes its hash, its sort key
 and each derivative taken of it once, on first use; equality, hashing,
-printing and pickling ignore all three.
+printing and pickling ignore all three.  Nodes are plain slotted classes
+with their constructor and equality written out, not dataclasses: importing
+``dataclasses`` and generating the methods took about a third of the
+start-up of every CLI call.
 
 Constants and exponents are exact rationals with one representation: a
 plain ``int`` when the denominator is 1, otherwise a ``Fraction`` with
@@ -41,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from types import CodeType, FunctionType
 from typing import Iterable, Mapping, Sequence
@@ -86,9 +88,9 @@ PROBE_BOX = 2.0
 
 
 class DomainError(ArithmeticError):
-    """Numeric evaluation left the real domain (ln <= 0, 1/0, overflow), or
-    expanding one product would form more than _MAX_EXPANSION_PRODUCTS
-    term products."""
+    """Numeric evaluation left the real domain (ln <= 0, 1/0, overflow), or an
+    exact result would pass a bound: _MAX_EXPANSION_PRODUCTS term products in
+    one expansion, or _MAX_CONSTANT_BITS bits in a power of a constant."""
 
 
 class UnknownVariableError(ValueError):
@@ -103,10 +105,37 @@ def _coerce(value):
     return None
 
 
-class Expression:
-    """Base node. Instances built via the factories are always canonical."""
+class _Record:
+    """Equality, ``repr`` and pickling over the fields ``__match_args__`` names, in
+    constructor order; unhashable unless a subclass defines ``__hash__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+def _immutable(self, *_):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Expression(_Record):
+    """Base node. Instances built via the factories are always canonical.  Each
+    kind writes out its ``__init__`` and ``__eq__``, which run on every build and
+    comparison: generic loops over the fields made the symbolic benchmark 17% slower."""
 
     __slots__ = ("_hash", "_key", "_derivatives")
+    __setattr__ = __delattr__ = _immutable
 
     def __hash__(self):
         try:
@@ -153,44 +182,74 @@ class Expression:
     def __str__(self):
         return to_text(self)
 
-    def __repr__(self):
-        return to_text(self)
 
-
-@dataclass(frozen=True, slots=True)
 class Const(Expression):
-    value: int | Fraction
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: int | Fraction):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        return self.value == other.value if other.__class__ is self.__class__ else NotImplemented
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expression):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
 
 
-@dataclass(frozen=True, slots=True)
 class Add(Expression):
-    terms: tuple[Expression, ...]
+    __slots__ = __match_args__ = ("terms",)
+
+    def __init__(self, terms: tuple[Expression, ...]):
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        return self.terms == other.terms if other.__class__ is self.__class__ else NotImplemented
 
 
-@dataclass(frozen=True, slots=True)
 class Mul(Expression):
-    factors: tuple[Expression, ...]
+    __slots__ = __match_args__ = ("factors",)
+
+    def __init__(self, factors: tuple[Expression, ...]):
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        return self.factors == other.factors if other.__class__ is self.__class__ else NotImplemented
 
 
-@dataclass(frozen=True, slots=True)
 class Pow(Expression):
-    base: Expression
-    exponent: int | Fraction
+    # Pow and Func compare tuples, which compare a shared subtree by identity before walking it
+    __slots__ = __match_args__ = ("base", "exponent")
+
+    def __init__(self, base: Expression, exponent: int | Fraction):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        return ((self.base, self.exponent) == (other.base, other.exponent)
+                if other.__class__ is self.__class__ else NotImplemented)
 
 
-@dataclass(frozen=True, slots=True)
 class Func(Expression):
-    name: str
-    arg: Expression
+    __slots__ = __match_args__ = ("name", "arg")
+
+    def __init__(self, name: str, arg: Expression):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arg", arg)
+
+    def __eq__(self, other):
+        return ((self.name, self.arg) == (other.name, other.arg)
+                if other.__class__ is self.__class__ else NotImplemented)
 
 
 for _node in (Const, Var, Add, Mul, Pow, Func):
-    _node.__hash__ = Expression.__hash__  # a dataclass's own hash walks the tree on every call
+    _node.__hash__ = Expression.__hash__  # defining __eq__ cleared it
 
 
 def _rational(value) -> int | Fraction:
@@ -237,8 +296,7 @@ class VariableSet:
             seen.add(name)
         object.__setattr__(self, "names", names)
 
-    def __setattr__(self, *_):
-        raise AttributeError("VariableSet is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @property
     def dimension(self) -> int:
@@ -427,7 +485,7 @@ def mul(*parts: Expression) -> Expression:
         # a bare sum joins a negative power of its base through its signed content: (-2 - 2*x)*(1 + x)^-1 = -2
         for b, e in [(b, e) for b, e in powers.items() if isinstance(b, Add) and e > 0 and e.denominator == 1]:
             if (c := _content(b, signed=True)) != 1 and powers.get(r := mul(const(Fraction(1) / c), b), 0) < 0:
-                coeff *= c**e
+                coeff *= _const_power(c, int(e))
                 powers[r] += powers.pop(b)
 
     factors: list[Expression] = []
@@ -473,12 +531,24 @@ def mul(*parts: Expression) -> Expression:
 
 _MAX_EXPANSION_EXPONENT = 64
 _MAX_EXPANSION_PRODUCTS = 100_000
+# str() of an int stops at 4300 digits (about 14,284 bits), so every admitted power prints
+_MAX_CONSTANT_BITS = 14_000
+
+
+def _const_power(c: int | Fraction, k: int) -> int | Fraction:
+    """c**k for a rational c and an integer k, checked for size before it is formed."""
+    bits = math.log2(max(abs(c.numerator), c.denominator))
+    if bits and abs(k) > _MAX_CONSTANT_BITS / bits:
+        raise DomainError(f"a constant power would need more than {_MAX_CONSTANT_BITS} bits")
+    return _rational(c**k if k > 0 else Fraction(c) ** k)
 
 
 def _nth_root_exact(value: int, n: int) -> int | None:
     """The integer n-th root of value when it is exact, else None."""
     if value < 2:
         return value if value >= 0 else None
+    if value.bit_length() <= n:
+        return None  # 2 <= value < 2^n, and Newton's first step would form 2^(n - 1)
     if n == 2:
         root = math.isqrt(value)
     else:
@@ -516,14 +586,14 @@ def _split(base: Expression, e: int | Fraction) -> tuple[int | Fraction, list[Ex
         if c == 0 and e < 0 or c < 0 and e.denominator != 1:
             return None  # undefined (evaluation raises), or a radical of a negative constant
         if e.denominator == 1:
-            return (c**e if e > 0 else _rational(Fraction(c) ** e)), []
+            return _const_power(c, e), []
         num = _nth_root_exact(c.numerator, e.denominator)
         den = _nth_root_exact(c.denominator, e.denominator)
         if num is not None and den is not None:
-            return _rational(Fraction(num, den) ** e.numerator), []
+            return _const_power(Fraction(num, den), e.numerator), []
         # c^(p/q) = c^floor(p/q) * c^(r/q) with 0 < r < q: one form per radical
         whole, r = divmod(e.numerator, e.denominator)
-        return (_rational(Fraction(c) ** whole), [Pow(base, Fraction(r, e.denominator))]) if whole else None
+        return (_const_power(c, whole), [Pow(base, Fraction(r, e.denominator))]) if whole else None
     if isinstance(base, Add):
         content = _content(base, signed=e.denominator == 1)
         if content == 1:

@@ -134,6 +134,7 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert err.count("error:") == 1
+        return err
 
     def test_tolerance_must_be_positive_and_finite(self):
         for command in ("pseudostructure", "balance-scan"):
@@ -176,6 +177,25 @@ class TestExitCodes:
             code, out, err = run_cli(*argv)
             assert code == 0, (argv, err)
             assert out and err == ""
+
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.forms"
+        for data, where in ((b"\xff\xfe bad", "line 1, column 1"),
+                            ("vars x, y\r\n# café ".encode() + b"\xe9\n", "line 2, column 8")):
+            bad.write_bytes(data)
+            code, out, err = run_cli("d", str(bad))
+            assert (code, out) == (2, "")
+            assert err == f"error: {bad}: {where}: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("9" * 5001 + "*dx", "line 2, column 10: number literal has too many digits"),
+        # a 6,021-digit constant, past what str() of an int may print
+        ("2^20000*x*dy", "a constant power would need more than 14000 bits"),
+    ], ids=["literal", "power"])
+    def test_oversized_constant_exits_2(self, tmp_path, text, message):
+        doc = tmp_path / "big.forms"
+        doc.write_text(f"vars x, y\nform a = {text}\n")
+        assert message in self.assert_one_error("d", str(doc))
 
     def test_deep_nesting_exits_2(self, tmp_path):
         doc = tmp_path / "deep.forms"
@@ -439,7 +459,7 @@ NUMPY_PROBE = """
 import sys
 import skewforms, skewforms.cli
 code = skewforms.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, "numpy" in sys.modules)
+print(code, *(name in sys.modules for name in ("numpy", "inspect", "json", "dataclasses")))
 """
 
 
@@ -456,4 +476,8 @@ def test_numpy_is_imported_only_by_grid_scans(argv, loads_numpy):
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+    code, numpy, inspect, json_, dataclasses = proc.stdout.splitlines()[-1].split()
+    assert (code, numpy, dataclasses) == ("0", str(loads_numpy), "False")
+    # numpy imports inspect itself; json serves --format jsonl alone
+    assert inspect == "False" or loads_numpy
+    assert json_ == str("jsonl" in argv)

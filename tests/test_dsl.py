@@ -120,6 +120,14 @@ class TestParseErrors:
             parse(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("literal", ["9" * 5001, "0." + "0" * 5000 + "1"],
+                             ids=["integer", "decimal"])
+    def test_number_literal_past_the_conversion_cap(self, literal):
+        with pytest.raises(DslError) as err:
+            parse(f"vars x\nform a = x*dx + {literal}*dx")
+        assert (err.value.line, err.value.column) == (2, 17)
+        assert err.value.message == "number literal has too many digits"
+
     def test_every_error_carries_position(self):
         for text, _ in self.CASES:
             try:

@@ -356,6 +356,24 @@ class TestExpansion:
             # four binomials in one call: the last step alone forms 8 products
             expr_module.mul(x + y, x - y, x + 2 * y, 2 * x + y)
 
+    def test_constant_powers_are_bounded(self):
+        # the exponents stay small enough that an unchecked power is quick to form,
+        # and so fails the test, where 2^99999999999 would ask for 12.5 GB
+        assert len(to_text(power(const(2), 14_000))) == 4215  # the largest admitted power prints
+        for base, e in [(const(2), 14_001), (const(2), 10**7), (const(Fraction(1, 3)), -10**6),
+                        (const(4), Fraction(10**7 + 1, 2)), (2 * x + 2, 10**7)]:
+            with pytest.raises(DomainError, match="14000 bits"):
+                power(base, e)
+        # a bare sum joins (1 + x)^-1 through its content, here (2^300)^64
+        s = const(2**300) * (1 + x)
+        with pytest.raises(DomainError, match="14000 bits"):
+            expr_module.mul(*[s] * 64, power(1 + x, -1))
+        # 2 has no integer n-th root, found without a Newton step that forms 2^(n - 1)
+        root = Fraction(1, 3 * 10**8)
+        start = time.perf_counter()
+        assert power(const(2), root) == Pow(Const(2), root)
+        assert time.perf_counter() - start < 0.25  # the Newton step took over 1 s
+
     def test_product_does_not_depend_on_association(self):
         r2, rx = power(const(2), Fraction(1, 2)), power(x, Fraction(1, 2))
         a, b, c = r2 + rx, r2 + y, rx + r2 * y
@@ -424,6 +442,51 @@ class TestSingleBaseRules:
 
 def _memo_tree():
     return sin(x * y) * power(x + y, Fraction(1, 2)) - exp(x) / (x + 2 * y)
+
+
+def test_nodes_and_records_are_plain_values():
+    from skewforms.analysis import ClosureVerdict, Locus
+    from skewforms.duality import Metric
+
+    half = Fraction(1, 2)
+    nodes = {
+        "Const(value=Fraction(1, 2))": Const(half),
+        "Var(name='x')": x,
+        "Add(terms=(Const(value=1), Var(name='x')))": 1 + x,
+        "Mul(factors=(Const(value=2), Var(name='x')))": 2 * x,
+        "Pow(base=Var(name='x'), exponent=Fraction(1, 2))": power(x, half),
+        "Func(name='sin', arg=Var(name='x'))": sin(x),
+    }
+    for text, node in nodes.items():
+        assert repr(node) == text
+        back = pickle.loads(pickle.dumps(node))
+        assert back == node and type(back) is type(node) and hash(back) == hash(node)
+        with pytest.raises(AttributeError):
+            setattr(node, node.__match_args__[0], ONE)
+        with pytest.raises(AttributeError):
+            delattr(node, node.__match_args__[0])
+
+    plane = VariableSet(["x", "y"])
+    metric = Metric(plane, (1, -1))
+    assert repr(metric) == "Metric(vars=VariableSet(x, y), signature=(1, -1))"
+    assert hash(metric) == hash(Metric(plane, (1, -1))) and metric != Metric.euclidean(plane)
+    for attempt in (lambda: setattr(metric, "signature", (1, 1)), lambda: delattr(metric, "vars")):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert repr(ClosureVerdict("closed", "exact", x)) == (
+        "ClosureVerdict(closed='closed', exact='exact', potential=Var(name='x'), notes='', "
+        "derivative=None, residual=None)")
+    assert repr(Locus("points", "one point", None, [(0.5, 1.0)])) == (
+        "Locus(kind='points', description='one point', hyperplane=None, points=[(0.5, 1.0)])")
+    a, b = Locus("empty", "none"), Locus("empty", "none")
+    assert a == b and a.points == [] and a.points is not b.points
+
+    records = [cls for cls in expr_module._Record.__subclasses__() if cls is not expr_module.Expression]
+    assert len(records) == 14 and Metric in records
+    for cls in records:
+        if cls is not Metric:
+            with pytest.raises(TypeError):
+                hash(cls.__new__(cls))
 
 
 class TestDerivativeMemo:
