@@ -40,6 +40,7 @@ from fractions import Fraction
 
 from .expr import (
     Const,
+    DomainError,
     Expression,
     VariableSet,
     ZERO,
@@ -267,6 +268,8 @@ class _Parser:
                 # deeper than MAX_NESTING lets the text nest
                 raise DslError("expression nested too deeply once names are inlined",
                                tok.line, tok.column) from None
+            except DomainError as exc:  # a bound of expr, passed outside '^' and '*' chains
+                raise DslError(str(exc), tok.line, tok.column) from None
             self.end_statement()
             self.skip_separators()
         return self.doc
@@ -431,7 +434,15 @@ class _Parser:
         return _combine(run) if len(run) > 1 else run[0][1]
 
     def _mul_level(self) -> Expression | DifferentialForm:
-        """A '*'/'/' chain of scalars and at most one form; one mul call multiplies the scalars."""
+        """A '*'/'/' chain of scalars and at most one form; one mul call multiplies the
+        scalars.  A bound of expr that the chain passes is blamed on its first token."""
+        first = self.peek()
+        try:
+            return self._product()
+        except DomainError as exc:
+            self.error(str(exc), first)
+
+    def _product(self) -> Expression | DifferentialForm:
         factors = [self._unary()]
         form = factors.pop() if isinstance(factors[0], DifferentialForm) else None
         while self.at_op("*") or self.at_op("/"):
@@ -478,14 +489,17 @@ class _Parser:
         while self.at_op("^"):
             op = self.advance()
             right = self._unary()  # right-associative; accepts x^-2
-            if isinstance(left, DifferentialForm) or isinstance(right, DifferentialForm):
-                left = wedge(self._form(left), self._form(right))
-            elif not isinstance(right, Const):
-                self.error("exponent must be an integer constant", op)
-            elif left == ZERO and right.value < 0:
-                self.error("division by zero", op)
-            else:
-                left = power(left, right.value)
+            try:
+                if isinstance(left, DifferentialForm) or isinstance(right, DifferentialForm):
+                    left = wedge(self._form(left), self._form(right))
+                elif not isinstance(right, Const):
+                    self.error("exponent must be an integer constant", op)
+                elif left == ZERO and right.value < 0:
+                    self.error("division by zero", op)
+                else:
+                    left = power(left, right.value)
+            except DomainError as exc:  # a bound of expr, passed by this power or wedge
+                self.error(str(exc), op)
         return left
 
     def _atom(self) -> Expression | DifferentialForm:

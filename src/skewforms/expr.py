@@ -20,12 +20,16 @@ power is the product of its one factor.  A bare sum joins a negative power
 of its base through its signed content, so no term holds two factors of one
 base and (-1 - x)*(1 + x)^-1 is -1.  A derivative walks the canonical terms:
 a power of the variable is lowered in place, and each other factor that
-depends on it costs one product.  Each node computes its hash, its sort key
-and each derivative taken of it once, on first use; equality, hashing,
-printing and pickling ignore all three.  Nodes are plain slotted classes
-with their constructor and equality written out, not dataclasses: importing
-``dataclasses`` and generating the methods took about a third of the
-start-up of every CLI call.
+depends on it costs one product.  Each node computes its sort key and each
+derivative taken of it once, on first use.  Nodes are interned: a class's
+``__new__`` returns the one live node with the given fields from a table of
+weak references, which inserts by ``dict.setdefault`` and removes only dead
+entries, so threads that build one value at once get one node.  ``==`` and
+``hash`` are then identity, in C (hashing and comparing trees took a fifth
+of the symbolic benchmark), equal trees share one derivative memo, and no
+output may iterate a set of nodes, whose order follows addresses.  Nodes
+are plain slotted classes, not dataclasses: importing ``dataclasses`` took
+about a third of the start-up of a CLI call.
 
 Constants and exponents are exact rationals with one representation: a
 plain ``int`` when the denominator is 1, otherwise a ``Fraction`` with
@@ -44,6 +48,8 @@ from __future__ import annotations
 import functools
 import math
 import random
+import weakref
+from _weakref import _remove_dead_weakref
 from fractions import Fraction
 from types import CodeType, FunctionType
 from typing import Iterable, Mapping, Sequence
@@ -129,21 +135,45 @@ def _immutable(self, *_):
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+class _Ref(weakref.ref):
+    __slots__ = ("key", "pin")  # its table key, and a node it keeps alive (see _intern)
+
+
+# key -> a weak reference to the one live node it stands for.  A key names a child by id, or
+# hashes the children of a sum or product (checked on a hit): a key that held a node would keep
+# it alive, and through a derivative memo (d sin = cos, d cos = -sin) a node above it, for good.
+_NODES: dict[tuple, _Ref] = {}
+
+
+def _drop(ref: _Ref, remove=_remove_dead_weakref, nodes=_NODES) -> None:
+    remove(nodes, ref.key)  # deletes the entry only while its reference is dead
+
+
+def _intern(node: Expression, key: tuple, children: tuple | None = None) -> Expression:
+    """Insert a node that a lookup under key missed, or return the equal live node
+    another thread inserted first.  A sum or product whose hash key holds another
+    node goes under its children's ids and pins that node, so that lookups of it
+    keep going past the hash key while it lives."""
+    ref = _Ref(node, _drop)
+    ref.key = key
+    while (old := _NODES.setdefault(ref.key, ref)) is not ref:
+        if (live := old()) is None:
+            _remove_dead_weakref(_NODES, ref.key)
+        elif children is None or live._fields() == (children,):
+            return live
+        else:
+            ref.key, ref.pin = (type(node), *map(id, children)), live
+    return node
+
+
 class Expression(_Record):
-    """Base node. Instances built via the factories are always canonical.  Each
-    kind writes out its ``__init__`` and ``__eq__``, which run on every build and
-    comparison: generic loops over the fields made the symbolic benchmark 17% slower."""
+    """Base node. Instances built via the factories are always canonical.  Each kind
+    writes out its ``__new__``, which runs on every build: generic loops over the
+    fields made the symbolic benchmark 17% slower."""
 
-    __slots__ = ("_hash", "_key", "_derivatives")
+    __slots__ = ("_key", "_derivatives", "__weakref__")
     __setattr__ = __delattr__ = _immutable
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((type(self), *map(self.__getattribute__, self.__match_args__)))
-            object.__setattr__(self, "_hash", h)
-            return h
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __add__(self, other):
         other = _coerce(other)
@@ -186,70 +216,70 @@ class Expression(_Record):
 class Const(Expression):
     __slots__ = __match_args__ = ("value",)
 
-    def __init__(self, value: int | Fraction):
-        object.__setattr__(self, "value", value)
-
-    def __eq__(self, other):
-        return self.value == other.value if other.__class__ is self.__class__ else NotImplemented
+    def __new__(cls, value: int | Fraction):
+        # a value keys by its ratio: hashing a Fraction runs Python code
+        if (ref := _NODES.get(key := (cls, *value.as_integer_ratio()))) and (node := ref()):
+            return node
+        node = object.__new__(cls)
+        object.__setattr__(node, "value", _rational(value))
+        return _intern(node, key)
 
 
 class Var(Expression):
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def __eq__(self, other):
-        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
+    def __new__(cls, name: str):
+        if (ref := _NODES.get(key := (cls, name))) and (node := ref()):
+            return node
+        node = object.__new__(cls)
+        object.__setattr__(node, "name", name)
+        return _intern(node, key)
 
 
 class Add(Expression):
     __slots__ = __match_args__ = ("terms",)
 
-    def __init__(self, terms: tuple[Expression, ...]):
-        object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other):
-        return self.terms == other.terms if other.__class__ is self.__class__ else NotImplemented
+    def __new__(cls, terms: tuple[Expression, ...]):
+        if (ref := _NODES.get(key := (cls, hash(terms)))) and (node := ref()) and node.terms == terms:
+            return node
+        node = object.__new__(cls)
+        object.__setattr__(node, "terms", terms)
+        return _intern(node, key, terms)
 
 
 class Mul(Expression):
     __slots__ = __match_args__ = ("factors",)
 
-    def __init__(self, factors: tuple[Expression, ...]):
-        object.__setattr__(self, "factors", factors)
-
-    def __eq__(self, other):
-        return self.factors == other.factors if other.__class__ is self.__class__ else NotImplemented
+    def __new__(cls, factors: tuple[Expression, ...]):
+        if (ref := _NODES.get(key := (cls, hash(factors)))) and (node := ref()) and node.factors == factors:
+            return node
+        node = object.__new__(cls)
+        object.__setattr__(node, "factors", factors)
+        return _intern(node, key, factors)
 
 
 class Pow(Expression):
-    # Pow and Func compare tuples, which compare a shared subtree by identity before walking it
     __slots__ = __match_args__ = ("base", "exponent")
 
-    def __init__(self, base: Expression, exponent: int | Fraction):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-
-    def __eq__(self, other):
-        return ((self.base, self.exponent) == (other.base, other.exponent)
-                if other.__class__ is self.__class__ else NotImplemented)
+    def __new__(cls, base: Expression, exponent: int | Fraction):
+        if (ref := _NODES.get(key := (cls, id(base), *exponent.as_integer_ratio()))) and (node := ref()):
+            return node
+        node = object.__new__(cls)
+        object.__setattr__(node, "base", base)
+        object.__setattr__(node, "exponent", _rational(exponent))
+        return _intern(node, key)
 
 
 class Func(Expression):
     __slots__ = __match_args__ = ("name", "arg")
 
-    def __init__(self, name: str, arg: Expression):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arg", arg)
-
-    def __eq__(self, other):
-        return ((self.name, self.arg) == (other.name, other.arg)
-                if other.__class__ is self.__class__ else NotImplemented)
-
-
-for _node in (Const, Var, Add, Mul, Pow, Func):
-    _node.__hash__ = Expression.__hash__  # defining __eq__ cleared it
+    def __new__(cls, name: str, arg: Expression):
+        if (ref := _NODES.get(key := (cls, name, id(arg)))) and (node := ref()):
+            return node
+        node = object.__new__(cls)
+        object.__setattr__(node, "name", name)
+        object.__setattr__(node, "arg", arg)
+        return _intern(node, key)
 
 
 def _rational(value) -> int | Fraction:
@@ -297,6 +327,9 @@ class VariableSet:
         object.__setattr__(self, "names", names)
 
     __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return VariableSet, (self.names,)  # the default restore would go through __setattr__
 
     @property
     def dimension(self) -> int:

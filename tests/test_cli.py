@@ -197,6 +197,14 @@ class TestExitCodes:
         doc.write_text(f"vars x, y\nform a = {text}\n")
         assert message in self.assert_one_error("d", str(doc))
 
+    def test_bound_passed_while_parsing_exits_2_with_its_position(self, tmp_path):
+        doc = tmp_path / "big.forms"
+        for text, where in (("2^20000*x*dy", "line 2, column 11: a constant power would need more than 14000 bits"),
+                            ("(x + y + z + w + 1)^20*dx", "line 2, column 29: expansion needs more than 100000 "
+                                                          "term products")):
+            doc.write_text(f"vars x, y, z, w\nform a = {text}\n")
+            assert self.assert_one_error("d", str(doc)) == f"error: {doc}: {where}\n"
+
     def test_deep_nesting_exits_2(self, tmp_path):
         doc = tmp_path / "deep.forms"
         doc.write_text("vars x, y\nform w = " + "(" * 300 + "x" + ")" * 300 + "*dy\n")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewforms import dsl
 from skewforms.expr import (
-    Const, VariableSet, ZERO, const, cos, exp, ln, power, sin, var,
+    Const, DomainError, VariableSet, ZERO, const, cos, exp, ln, power, sin, var,
 )
 from skewforms.forms import DifferentialForm, wedge
 from skewforms.duality import Metric
@@ -127,6 +127,35 @@ class TestParseErrors:
             parse(f"vars x\nform a = x*dx + {literal}*dx")
         assert (err.value.line, err.value.column) == (2, 17)
         assert err.value.message == "number literal has too many digits"
+
+    _BOUND_CASES = [
+        # a power or wedge is blamed on its '^', a '*'/'/' chain on its first token
+        ("form a = 2^20000*x*dy", (2, 11), "a constant power would need more than 14000 bits"),
+        ("form a = y*dx + 3*2^14001*dx", (2, 20), "a constant power would need more than 14000 bits"),
+        ("form a = (x + y + z + w + 1)^20*dx", (2, 29), "expansion needs more than 100000 term products"),
+        ("scalar s = x*(1 + x + y + z + w)^8*(1 + x + y + z + w)^8", (2, 12),
+         "expansion needs more than 100000 term products"),
+        ("form a = z*dx - x*(1 + x + y + z + w)^8/y*(1 + x + y + z + w)^8*dy", (2, 17),
+         "expansion needs more than 100000 term products"),
+        ("form a = (1 + x)*dx ^ ((x + y + z + w + 1)^8*(x + y + z + w + 1)^8*dy)", (2, 24),
+         "expansion needs more than 100000 term products"),
+    ]
+
+    @pytest.mark.parametrize("text, position, message", _BOUND_CASES,
+                             ids=["power", "power-in-chain", "expansion", "chain", "second-chain", "nested"])
+    def test_a_bound_passed_while_parsing_has_a_position(self, text, position, message):
+        with pytest.raises(DslError) as err:
+            parse(f"vars x, y, z, w\n{text}\n")
+        assert ((err.value.line, err.value.column), err.value.message) == (position, message)
+
+    def test_a_bound_passed_elsewhere_is_blamed_on_its_declaration(self, monkeypatch):
+        def refuse(*_):
+            raise DomainError("a bound of expr")
+
+        monkeypatch.setattr(dsl, "BalanceSystem", refuse)
+        with pytest.raises(DslError) as err:
+            parse("vars x, y\n\n  balance b: A = (x, y)\n")
+        assert (err.value.line, err.value.column, err.value.message) == (3, 3, "a bound of expr")
 
     def test_every_error_carries_position(self):
         for text, _ in self.CASES:

@@ -1,11 +1,15 @@
 """Expression kernel: canonicalization, calculus, evaluation, zero tests."""
 
+import copy
+import gc
 import math
 import os
 import pickle
 import random
 import sys
+import threading
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -388,7 +392,7 @@ class TestExpansion:
     def test_cached_hash_and_key_leave_equality_alone(self):
         a = (x + 2 * y) * sin(x) ** 2 - exp(y) / (x + y)
         b = sin(x) ** 2 * (2 * y + x) + -exp(y) * power(y + x, -1)
-        assert a is not b
+        assert a is b  # interned: one live node per value
         key = expr_module._sort_key(a)  # a caches its hash and key, b not yet
         assert hash(a) == hash(a) and a == b and repr(a) == repr(b)
         assert hash(a) == hash(b) and key == expr_module._sort_key(b)
@@ -489,6 +493,20 @@ def test_nodes_and_records_are_plain_values():
                 hash(cls.__new__(cls))
 
 
+
+def test_forms_and_records_round_trip_through_pickle():
+    from skewforms.analysis import classify_closure
+    from skewforms.duality import Metric
+    from skewforms.forms import DifferentialForm
+
+    plane = VariableSet(["x", "y"])
+    form = DifferentialForm.one_form(plane, [y * exp(x), exp(x) + x**2])
+    doc = parse("vars x, y\nmetric +1, -1\nscalar s = sin(x*y)\nform a = y*dx - x*dy\n")
+    for value in (plane, Metric(plane, (1, -1)), form, doc, classify_closure(form)):
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and back == value
+    assert pickle.loads(pickle.dumps(form)).coefficient((1,)) is form.coefficient((1,))
+
 class TestDerivativeMemo:
     def test_a_repeated_derivative_is_the_same_object(self):
         e = _memo_tree()
@@ -498,10 +516,11 @@ class TestDerivativeMemo:
 
     def test_an_equal_tree_gives_an_equal_derivative(self):
         a, b = _memo_tree(), _memo_tree()
-        assert a is not b
+        assert a is b
         da = differentiate(a, "x")
+        assert b._derivatives["x"] is da  # so the second call is a memo hit
         db = differentiate(b, "x")
-        assert da is not db and da == db and da == _reference_diff(b, "x")
+        assert da is db and da == _reference_diff(b, "x")
 
     def test_equality_hash_repr_and_pickling_ignore_the_memo(self):
         a, b = _memo_tree(), _memo_tree()
@@ -510,7 +529,7 @@ class TestDerivativeMemo:
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert pickle.dumps(a) == pickle.dumps(b)
         back = pickle.loads(pickle.dumps(a))
-        assert back == a and not hasattr(back, "_derivatives")
+        assert back is a
         assert differentiate(back, "x") == differentiate(a, "x")
 
     def test_nesting_costs_one_frame_per_level(self):
@@ -530,6 +549,104 @@ class TestDerivativeMemo:
         finally:
             sys.setrecursionlimit(limit)
         assert len(d.factors) == n
+
+
+class TestInterning:
+    def test_equal_builds_are_one_object(self):
+        assert const(Fraction(4, 2)) is const(2) is Const(Fraction(2, 1)) and power(x, Fraction(6, 3)) is x**2
+        big, fresh = Const(Fraction(10**30 + 7, 1)), Pow(var("fresh"), Fraction(12345, 1))  # built by a miss
+        assert type(big.value) is int and type(fresh.exponent) is int and big is Const(10**30 + 7)
+        assert (x + y) ** 2 * sin(x) is sin(x) * (y**2 + 2 * x * y + x * x)
+        assert -(x - y) / (y - x) is ONE and exp(ln(x)) - exp(ln(x)) is ZERO
+        doc = parse("vars x, y\nscalar s = (x + y)^2*sin(x) - 1/(x + 2*y)\n"
+                    "form a = exp(x*y)*dx + (x + y)^(1/2)*dy\nform b = a ^ (x*dy - y^2*dx)\n")
+        again = parse(print_document(doc))
+        assert doc.find("s").expr is (x + y) ** 2 * sin(x) - 1 / (x + 2 * y)
+        for name in ("s", "a", "b"):
+            old, new = doc.find(name), again.find(name)
+            pairs = ([(old.expr, new.expr)] if name == "s" else
+                     [(c, new.form.coefficient(i)) for i, c in old.form.items()])
+            assert pairs and all(p is q for p, q in pairs)
+
+    def test_equality_and_hashing_are_identity_in_c(self):
+        for cls in (expr_module.Expression, *expr_module.Expression.__subclasses__()):
+            if cls is not expr_module.Expression:
+                assert not {"__eq__", "__ne__", "__hash__", "__init__"} & set(vars(cls)), cls
+            assert (cls.__eq__, cls.__ne__, cls.__hash__) == (object.__eq__, object.__ne__, object.__hash__)
+        assert len(expr_module.Expression.__subclasses__()) == 6
+
+    def test_dropped_nodes_leave_the_table(self):
+        gc.collect()
+        before = set(expr_module._NODES)
+        u, v = var("u_dropped"), var("v_dropped")
+        # the first two derivatives hold their own tree as a child, and the tree's memo holds them
+        trees = [exp(u**2 * v), u * exp(u), _memo_tree() * u - power(u + v + 1, 5) / (u - v)]
+        for t in trees:
+            differentiate(differentiate(t, "u_dropped"), "v_dropped")
+        chain = u
+        for _ in range(20_000):
+            chain = sin(chain)
+        probes = [weakref.ref(t) for t in (*trees, chain, u)]
+        assert len(expr_module._NODES) > len(before) + 20_000
+        del trees, chain, t, u, v
+        gc.collect()
+        assert [p() for p in probes] == [None] * len(probes)
+        assert set(expr_module._NODES) <= before
+        assert all(ref() is not None for ref in expr_module._NODES.values())
+
+    def test_a_sum_whose_hash_key_is_taken_still_has_one_node(self):
+        p, q = var("p_collides"), var("q_collides")
+        terms = (p, q)
+        decoy = p + 2 * q  # stands under the hash key of p + q, as a hash collision would put it
+        key = (Add, hash(terms))
+        ref = expr_module._Ref(decoy, expr_module._drop)
+        ref.key = key
+        expr_module._NODES[key] = ref
+        total = Add(terms)
+        assert total is not decoy and total.terms == terms and Add(terms) is p + q is total
+        assert p + 2 * q is decoy
+        probe = weakref.ref(decoy)
+        del decoy, ref
+        gc.collect()
+        assert probe() is not None and expr_module._NODES[key]() is probe()  # pinned by the sum
+        assert Add(terms) is total and q + p is total
+        exact = (Add, id(p), id(q))
+        assert expr_module._NODES[exact]() is total
+        del total
+        gc.collect()
+        assert probe() is None and key not in expr_module._NODES and exact not in expr_module._NODES
+
+    def test_pickle_and_copies_return_the_live_node(self):
+        e = _memo_tree() * power(x + y, Fraction(-3, 2)) + Const(Fraction(1, 3))
+        d = differentiate(e, "x")
+        for node in (e, x, Const(Fraction(1, 3)), e.terms[-1]):
+            assert pickle.loads(pickle.dumps(node)) is node
+            assert copy.copy(node) is node and copy.deepcopy(node) is node
+        assert copy.deepcopy(e)._derivatives["x"] is d
+        held = copy.deepcopy({"e": [e, (d, 1)]})
+        assert held["e"][0] is e and held["e"][1][0] is d
+
+    def test_threads_building_the_same_trees_share_one_node_each(self):
+        def build(trial, out, barrier):
+            a, b = var(f"thread_a{trial}"), var(f"thread_b{trial}")
+            barrier.wait()
+            out.append([(a + i) * b**2 - sin(a * i) / (b + i) for i in range(400)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(10):
+                results, barrier = [], threading.Barrier(4)
+                threads = [threading.Thread(target=build, args=(trial, results, barrier)) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert len(results) == 4
+                duplicates = sum(len({id(t) for t in trees}) - 1 for trees in zip(*results))
+                assert duplicates == 0, f"trial {trial}: {duplicates} duplicate trees"
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _reference_diff(e, v):
