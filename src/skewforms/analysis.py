@@ -8,8 +8,10 @@ integrals read each term's exponents (i, j, ...) in the coordinates off
 ``expr._exponents`` and integrate it as x^i y^j ..., substituting nothing.
 
 A characteristic curve runs as one RK4 loop generated for its phi from the
-statements of ``expr._emit``; a pseudostructure scan reads grid-node
-indices from each mask by one flat index scan, in np.argwhere's order.
+statements of ``expr._emit``; a pseudostructure scan holds each commutator
+component on its own grid, of size 1 along an axis it does not read, and
+reads its grid hits, sign changes and intensity from those arrays, taking
+grid-node indices from each mask by one flat index scan, in np.argwhere's order.
 
 Verdicts are three-valued throughout; "unknown" zero tests propagate and
 are never coerced into a definite answer.
@@ -72,7 +74,9 @@ __all__ = [
 ]
 
 CRITICAL_GRADIENT_TOL = 1e-12
-MAX_GRID_NODES = 10_000_000  # 201^3 fits; each scanned array holds this many floats
+# 201^3 fits; the hit mask holds this many bools, and a component that reads
+# every coordinate this many floats
+MAX_GRID_NODES = 10_000_000
 MAX_CURVE_STEPS = 1_000_000  # each returned curve point holds about 112 bytes
 DEFAULT_STEPS = 10_000  # RK4 steps of a characteristic curve
 DEFAULT_STEP = 1e-3  # RK4 step size
@@ -430,7 +434,8 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
     the largest commutator magnitude on grid nodes adjacent to the locus.
     Each component is scanned, bisected and bounded on its own grid, of
     size 1 along an axis it does not read, and its roots are then repeated
-    along that axis; the result is what a scan of the whole box gives.
+    along that axis; grid hits and the intensity read each component on
+    that grid too.  The result is what a scan of the whole box gives.
     """
     if a.degree != 1:
         raise AnalysisError("pseudostructure detection needs a 1-form")
@@ -482,14 +487,12 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
         return np.stack([axes[d][nodes[:, d]] for d in range(n)])
 
     with np.errstate(all="ignore"):
-        max_abs = np.zeros(np.broadcast_shapes(*(arr.shape for arr in comp_values)))
-        for arr in comp_values:
-            np.maximum(max_abs, np.abs(arr), out=max_abs)
-        max_abs[np.isnan(max_abs)] = np.inf
-
         # grid hits, then sign-change edges refined per driving component;
         # each candidate is kept where every component is within tol
-        found_nodes = [_nodes(np.broadcast_to(max_abs <= tol, shape))]
+        hits = True
+        for arr in comp_values:
+            hits = hits & (np.abs(arr) <= tol)
+        found_nodes = [_nodes(np.broadcast_to(hits, shape))]
         found_roots = [coords(found_nodes[0])]
         for fn, arr in zip(compiled, comp_values):
             for axis in range(n):
@@ -530,16 +533,14 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
         locus = Locus("empty", "no structure realized")
         return StructureReport(locus, None, dual_residual, 0.0, None, comm)
 
-    # intensity: the largest finite |K| on grid nodes adjacent to the locus,
-    # on max_abs's grid, where a node has index 0 along an axis no component reads
-    near = np.zeros(max_abs.shape, dtype=bool)
-    locus_nodes = nodes[list(accepted.values())] * (np.array(max_abs.shape) > 1)
+    # intensity: the largest |K| on grid nodes next to the locus where every component
+    # is finite, each read on its own grid (index 0 along an axis it does not read)
+    locus_nodes, intensity = nodes[list(accepted.values())], 0.0
     for offsets in itertools.product((-1, 0, 1), repeat=n):
-        neighbors = locus_nodes + offsets
-        neighbors = neighbors[((neighbors >= 0) & (neighbors < max_abs.shape)).all(axis=1)]
-        near[tuple(neighbors.T)] = True
-    near &= np.isfinite(max_abs)
-    intensity = float(max_abs[near].max()) if near.any() else 0.0
+        near = locus_nodes + offsets
+        near = near[((near >= 0) & (near < shape)).all(axis=1)]
+        k = np.abs([arr[tuple((near * (np.array(arr.shape) > 1)).T)] for arr in comp_values])
+        intensity = max(intensity, float(k[:, np.isfinite(k).all(axis=0)].max(initial=0.0)))
 
     points = sorted(accepted)
     if hyperplane is not None:

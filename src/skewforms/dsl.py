@@ -208,9 +208,9 @@ class _Parser:
         self.closing: dict[int, int] = {}   # token index of each '(' -> that of its matching ')'
         opened = []
         for i, tok in enumerate(self.tokens):
-            if tok.kind == "OP" and tok.text == "(":
+            if tok.text == "(":
                 opened.append(i)
-            elif tok.kind == "OP" and tok.text == ")" and opened:
+            elif tok.text == ")" and opened:
                 self.closing[opened.pop()] = i
 
     # token plumbing
@@ -229,8 +229,8 @@ class _Parser:
         raise DslError(message, tok.line, tok.column)
 
     def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.text == text
+        # a token's text tells its kind: the lexer's kinds share no text
+        return self.tokens[self.pos].text == text
 
     def expect_op(self, text: str) -> Token:
         if not self.at_op(text):
@@ -244,11 +244,11 @@ class _Parser:
         return self.advance()
 
     def skip_separators(self):
-        while self.peek().kind == "NEWLINE" or self.at_op(";"):
+        while self.tokens[self.pos].text in ("\n", ";"):
             self.advance()
 
     def end_statement(self):
-        if self.peek().kind not in ("NEWLINE", "EOF") and not self.at_op(";"):
+        if self.tokens[self.pos].text not in ("\n", ";", ""):
             self.error("expected end of statement")
 
     # document
@@ -297,12 +297,6 @@ class _Parser:
             self.advance()
             items.append(item())
         return items
-
-    def _word(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            self.error(f"expected {word!r}")
-        return self.advance()
 
     def _scalar(self, what: str, tok: Token | None = None) -> Expression:
         """An expression of degree 0, blamed on tok (default: its first token)."""
@@ -386,7 +380,7 @@ class _Parser:
 
     def _parse_relation(self):
         tok = self._head("relation", ":")
-        self._word("d")
+        self.expect_op("d")
         phi = self._form(self._parens())
         eq = self.expect_op("=")
         eta = self._form(self._expr())
@@ -399,7 +393,7 @@ class _Parser:
 
     def _parse_balance(self):
         tok = self._head("balance", ":")
-        a_tok = self._word("A")
+        a_tok = self.expect_op("A")
         self.expect_op("=")
         self.expect_op("(")
         actions = self._list(lambda: self._scalar("action coefficients"))
@@ -409,7 +403,7 @@ class _Parser:
         psi = None
         if self.at_op(","):
             self.advance()
-            self._word("psi")
+            self.expect_op("psi")
             self.expect_op("=")
             psi = self._scalar("psi")
         self._declare(tok, BalanceDecl(tok.text, BalanceSystem(self.doc.vars, tuple(actions), psi)))
@@ -507,7 +501,7 @@ class _Parser:
         if tok.kind == "NUMBER":
             self.advance()
             return const(tok.value)
-        if tok.kind == "OP" and tok.text == "(":
+        if tok.text == "(":
             return self._parens()
         if tok.kind == "IDENT":
             self.advance()

@@ -96,7 +96,7 @@ PROBE_BOX = 2.0
 class DomainError(ArithmeticError):
     """Numeric evaluation left the real domain (ln <= 0, 1/0, overflow), or an
     exact result would pass a bound: _MAX_EXPANSION_PRODUCTS term products in
-    one expansion, or _MAX_CONSTANT_BITS bits in a power of a constant."""
+    one expansion, or _MAX_CONSTANT_BITS bits in a constant or a power of one."""
 
 
 class UnknownVariableError(ValueError):
@@ -220,6 +220,8 @@ class Const(Expression):
         # a value keys by its ratio: hashing a Fraction runs Python code
         if (ref := _NODES.get(key := (cls, *value.as_integer_ratio()))) and (node := ref()):
             return node
+        if abs(key[1]) > _MAX_CONSTANT or key[2] > _MAX_CONSTANT:
+            raise DomainError(f"a constant would need more than {_MAX_CONSTANT_BITS} bits")
         node = object.__new__(cls)
         object.__setattr__(node, "value", _rational(value))
         return _intern(node, key)
@@ -298,6 +300,9 @@ def const(value) -> Const:
     return Const(_rational(value))
 
 
+# str() of an int stops at 4300 digits (about 14,284 bits), so every admitted constant prints
+_MAX_CONSTANT_BITS = 14_000
+_MAX_CONSTANT = 2**_MAX_CONSTANT_BITS
 ZERO = const(0)
 ONE = const(1)
 
@@ -564,8 +569,6 @@ def mul(*parts: Expression) -> Expression:
 
 _MAX_EXPANSION_EXPONENT = 64
 _MAX_EXPANSION_PRODUCTS = 100_000
-# str() of an int stops at 4300 digits (about 14,284 bits), so every admitted power prints
-_MAX_CONSTANT_BITS = 14_000
 
 
 def _const_power(c: int | Fraction, k: int) -> int | Fraction:

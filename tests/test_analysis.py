@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -633,6 +634,29 @@ class TestPseudostructure:
         # all of K_xz = 5/7*y - 2*z on its 101 x 101 grid; the box repeats them 101 times
         assert own == 132
         assert sum(received) == own
+
+    def test_intensity_skips_nodes_where_a_component_is_not_finite(self):
+        # K_xy = -2*y*(1 - 2*x)^-1 is not finite at the nodes x = 1/2, next to the
+        # locus line x = y = 0, where K_xz = 2*x + 3*x^2 reads 1.75; the largest
+        # |K| on the other nodes next to the locus is |K_xy| = 1 at (0, +-1/2)
+        a = DifferentialForm.one_form(V3, [ZERO, y * ln(x - Fraction(1, 2)), x**2 + x**3])
+        box = [(-1.0, 1.0)] * 3
+        rep = find_pseudostructure(a, Metric.euclidean(V3), box, 5, 1e-6)
+        assert (rep.locus.points, rep.intensity) == _scalar_bisection_locus(a, box, 5, 1e-6)
+        assert len(rep.locus.points) == 10 and rep.intensity == 1.0
+
+    def test_scan_holds_no_box_sized_float_array(self):
+        # no component of the shell reads every coordinate, so only the hit mask
+        # (201^3 bools, 7.7 MiB, and its flat copy) spans the box; a float array
+        # over the box would take 61.8 MiB
+        tracemalloc.start()
+        try:
+            rep = find_pseudostructure(self.SHELL_WORKLOAD, Metric.euclidean(V3), [(-1.0, 1.0)] * 3, 201)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.locus.points == [(0.0, 0.0, 0.0)]
+        assert peak < 40 * 2**20
 
     def test_points_stay_finite_near_the_float_limit(self):
         # K_xy = y reads no x, so x must stay a node coordinate: 0.5*(c + c)

@@ -191,7 +191,10 @@ class TestExitCodes:
         ("9" * 5001 + "*dx", "line 2, column 10: number literal has too many digits"),
         # a 6,021-digit constant, past what str() of an int may print
         ("2^20000*x*dy", "a constant power would need more than 14000 bits"),
-    ], ids=["literal", "power"])
+        # powers under the bound whose product, or whose expansion's coefficients, pass it
+        ("2^13000*3^8000*x*dy", "line 2, column 10: a constant would need more than 14000 bits"),
+        ("(2^300 + 2^300*x)^64*dy", "line 2, column 27: a constant would need more than 14000 bits"),
+    ], ids=["literal", "power", "product", "expansion"])
     def test_oversized_constant_exits_2(self, tmp_path, text, message):
         doc = tmp_path / "big.forms"
         doc.write_text(f"vars x, y\nform a = {text}\n")

@@ -372,6 +372,9 @@ class TestExpansion:
         s = const(2**300) * (1 + x)
         with pytest.raises(DomainError, match="14000 bits"):
             expr_module.mul(*[s] * 64, power(1 + x, -1))
+        # so does a product of admitted constants
+        with pytest.raises(DomainError, match="14000 bits"):
+            expr_module.mul(const(2**13000), const(3**8000))
         # 2 has no integer n-th root, found without a Newton step that forms 2^(n - 1)
         root = Fraction(1, 3 * 10**8)
         start = time.perf_counter()
