@@ -384,6 +384,17 @@ def _nodes(mask: np.ndarray) -> np.ndarray:
     return np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)
 
 
+def _spread(nodes: np.ndarray, own: tuple, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Repeat (m, n) indices on a grid of shape own (1 along an axis it does not read) along those
+    axes of shape, in C order (alike for any shape that bounds them), and give the row each repeats."""
+    import numpy as np
+
+    spread = np.indices([s if o == 1 else 1 for s, o in zip(shape, own)]).reshape(len(shape), -1).T
+    out = (nodes[:, None] + spread).reshape(-1, len(shape))
+    order = np.argsort(np.ravel_multi_index(out.T, shape), kind="stable")
+    return out[order], order // len(spread)
+
+
 def _bisect_edges(fn, lo: np.ndarray, hi: np.ndarray,
                   tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Bisect a compiled component along m grid edges with (n, m) end points
@@ -492,8 +503,9 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
         hits = True
         for arr in comp_values:
             hits = hits & (np.abs(arr) <= tol)
-        found_nodes = [_nodes(np.broadcast_to(hits, shape))]
+        found_nodes = [_spread(_nodes(hits), hits.shape, shape)[0]]
         found_roots = [coords(found_nodes[0])]
+        del hits  # as large as the box where the components read every axis between them
         for fn, arr in zip(compiled, comp_values):
             for axis in range(n):
                 if arr.shape[axis] == 1:
@@ -503,15 +515,11 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
                 flips = _nodes(flip)
                 hi_ends = flips + np.eye(n, dtype=np.intp)[axis]
                 roots, edges = _bisect_edges(fn, coords(flips), coords(hi_ends), tol)
-                # repeat each root on every edge of the box that broadcasts
-                # onto its edge, in the C order of the box's edges
-                edge_shape = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
-                spread = np.indices([e if f == 1 else 1 for e, f in zip(edge_shape, flip.shape)])
-                box_edges = (flips[edges][:, None] + spread.reshape(n, -1).T).reshape(-1, n)
-                order = np.argsort(np.ravel_multi_index(box_edges.T, edge_shape), kind="stable")
-                found_nodes.append(box_edges[order])
-                found_roots.append(coords(found_nodes[-1]))
-                found_roots[-1][axis] = roots[axis, order // spread[0].size]
+                # repeat each root on every edge of the box that broadcasts onto its edge
+                box_edges, source = _spread(flips[edges], flip.shape, shape)
+                found_nodes.append(box_edges)
+                found_roots.append(coords(box_edges))
+                found_roots[-1][axis] = roots[axis, source]
         roots = np.concatenate(found_roots, axis=1)
         nodes = np.concatenate(found_nodes)
         on_locus = np.ones(len(nodes), dtype=bool)

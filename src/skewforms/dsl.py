@@ -26,9 +26,11 @@ whole document.  Reserved words: vars, metric, form, scalar, relation,
 balance, psi, d, sin, cos, exp, ln.  A variable may not be named ``d`` +
 another variable's name, since that spelling denotes the differential.
 
-A parenthesized group is parsed once per document for each distinct source
-text: a repeat reuses that value unless a fresh parse at its depth would
-pass MAX_NESTING, so every error keeps its message, line and column.
+One regular expression lexes the text; the parser reads its token texts by
+index and looks up a line and column only for an error.  Lexer errors come
+first.  A group in parentheses is parsed once per document for each distinct
+token sequence: a repeat reuses its value unless a fresh parse at its depth
+would pass MAX_NESTING, so every error keeps its message, line and column.
 
 Printing is canonical: sorted index tuples, canonical expression order,
 one declaration per line.  ``parse(print(doc))`` reproduces the document.
@@ -36,6 +38,7 @@ one declaration per line.  ``parse(print(doc))`` reproduces the document.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .expr import (
@@ -135,10 +138,14 @@ class Document(_Record):
 
 # --- lexer ----------------------------------------------------------------------
 
-_OPS = set("+-*/^(),:;=")
-_ASCII_DIGITS = set("0123456789")
-_ASCII_ALPHA = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _ASCII_ALPHA | _ASCII_DIGITS
+# a token (a number, a name or any other character but a blank or '#'), then the blanks and
+# comments after it: the matches tile the text from its first token on
+_BLANKS = r"(?:[ \t\r]|#[^\n]*)*"
+_TOKEN = re.compile(r"([0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z_0-9]*|[^ \t\r#])" + _BLANKS)
+_LEADING = re.compile(_BLANKS)
+_SYMBOLS = frozenset("+-*/^(),:;=\n") | {""}   # the texts of OP, NEWLINE and EOF tokens
+_ASCII_DIGITS = frozenset("0123456789")
+_WORD_START = _ASCII_DIGITS | frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
 
 class Token(_Record):
@@ -149,46 +156,35 @@ class Token(_Record):
         self.kind, self.text, self.line, self.column, self.value = kind, text, line, column, value
 
 
+def _number(literal: str) -> int | Fraction | None:
+    try:   # None past CPython's cap on integer string conversion (4300 digits)
+        return Fraction(literal) if "." in literal else int(literal)
+    except ValueError:
+        return None
+
+
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of a document with their lines and columns, ending in EOF; raises the
+    first bad character or oversized literal.  The parser builds these only for an error."""
     tokens: list[Token] = []
     line, line_start = 1, 0   # line_start: offset of the current line's first character
-    i, n = 0, len(text)
-    while i < n:
-        start = i
-        ch = text[i]
-        i += 1
-        if ch in " \t\r":
-            continue
-        if ch == "#":
-            i = text.find("\n", i)
-            i = n if i < 0 else i
-            continue
+    for match in _TOKEN.finditer(text, _LEADING.match(text).end()):
+        tok, start = match.group(1), match.start()
         col = start - line_start + 1
-        if ch == "\n":
-            tokens.append(Token("NEWLINE", ch, line, col))
-            line, line_start = line + 1, i
-        elif ch in _OPS:
-            tokens.append(Token("OP", ch, line, col))
-        elif ch in _ASCII_DIGITS:
-            while i < n and text[i] in _ASCII_DIGITS:
-                i += 1
-            if text[i:i + 1] == "." and text[i + 1:i + 2] in _ASCII_DIGITS:
-                i += 2
-                while i < n and text[i] in _ASCII_DIGITS:
-                    i += 1
-            literal = text[start:i]
-            try:
-                value = Fraction(literal) if "." in literal else int(literal)
-            except ValueError:  # past CPython's cap on integer string conversion (4300 digits)
-                raise DslError("number literal has too many digits", line, col) from None
-            tokens.append(Token("NUMBER", literal, line, col, value))
-        elif ch in _ASCII_ALPHA:
-            while i < n and text[i] in _NAME_CHARS:
-                i += 1
-            tokens.append(Token("IDENT", text[start:i], line, col))
+        if tok == "\n":
+            tokens.append(Token("NEWLINE", tok, line, col))
+            line, line_start = line + 1, start + 1
+        elif tok in _SYMBOLS:
+            tokens.append(Token("OP", tok, line, col))
+        elif tok[0] in _ASCII_DIGITS:
+            if (value := _number(tok)) is None:
+                raise DslError("number literal has too many digits", line, col)
+            tokens.append(Token("NUMBER", tok, line, col, value))
+        elif tok[0] in _WORD_START:   # a name: the digits are taken above
+            tokens.append(Token("IDENT", tok, line, col))
         else:
-            raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, n - line_start + 1))
+            raise DslError(f"unexpected character {tok!r}", line, col)
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -197,86 +193,83 @@ def _tokenize(text: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.doc = Document()
+        self.text = text
+        # "" is EOF; a token's text tells its kind, for the lexer's kinds share no text
+        self.texts = texts = [*_TOKEN.findall(text, _LEADING.match(text).end()), ""]
+        distinct = set(texts) - _SYMBOLS   # names, numbers and bad characters
+        self.numbers = {t: _number(t) for t in distinct if t[0] in _ASCII_DIGITS}   # literal -> value
+        if None in self.numbers.values() or any(t[0] not in _WORD_START for t in distinct):
+            _tokenize(text)   # raises the first bad token in text order, whatever the set's order
+        self.pos, self.doc = 0, Document()
         self.names: dict[str, object] = {}   # name -> its declaration; None for a variable
         self.depth = 0   # open _unary calls, bounded by MAX_NESTING
         self.peak = 0    # the deepest _unary call in the group being parsed
-        self.lines = text.split("\n")
-        self.groups: dict[str, tuple] = {}   # a group's source text -> (its value, its nesting depth)
-        self.closing: dict[int, int] = {}   # token index of each '(' -> that of its matching ')'
-        opened = []
-        for i, tok in enumerate(self.tokens):
-            if tok.text == "(":
+        self.groups: dict[tuple, tuple] = {}   # a group's token texts -> (its value, its nesting depth)
+        opened, self.closing = [], {}   # token index of each '(' -> that of its matching ')'
+        for i, t in enumerate(texts):
+            if t == "(":
                 opened.append(i)
-            elif tok.text == ")" and opened:
+            elif t == ")" and opened:
                 self.closing[opened.pop()] = i
 
-    # token plumbing
+    # token plumbing: a token is its index in self.texts
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise DslError(message, tok.line, tok.column)
+    def error(self, message: str, at: int | None = None):
+        """Raise DslError at token at (default: the current one)."""
+        tok = _tokenize(self.text)[self.pos if at is None else at]
+        raise DslError(message, tok.line, tok.column) from None
 
     def at_op(self, text: str) -> bool:
-        # a token's text tells its kind: the lexer's kinds share no text
-        return self.tokens[self.pos].text == text
+        return self.texts[self.pos] == text
 
-    def expect_op(self, text: str) -> Token:
-        if not self.at_op(text):
+    def advance(self) -> int:
+        self.pos += 1   # every caller has checked that the token is not EOF
+        return self.pos - 1
+
+    def expect_op(self, text: str) -> int:
+        if self.texts[self.pos] != text:
             self.error(f"expected {text!r}")
         return self.advance()
 
-    def expect_ident(self, what: str = "a name") -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT":
+    def expect_ident(self, what: str = "a name") -> int:
+        # tokens are ASCII once lexed, so a name is exactly an identifier
+        if not self.texts[self.pos].isidentifier():
             self.error(f"expected {what}")
         return self.advance()
 
     def skip_separators(self):
-        while self.tokens[self.pos].text in ("\n", ";"):
-            self.advance()
+        while self.texts[self.pos] in ("\n", ";"):
+            self.pos += 1
 
     def end_statement(self):
-        if self.tokens[self.pos].text not in ("\n", ";", ""):
+        if self.texts[self.pos] not in ("\n", ";", ""):
             self.error("expected end of statement")
 
     # document
 
     def parse_document(self) -> Document:
         self.skip_separators()
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind != "IDENT" or tok.text not in KEYWORDS:
+        while keyword := self.texts[self.pos]:
+            tok = self.pos
+            if keyword not in KEYWORDS:
                 self.error("expected a declaration (vars, metric, scalar, form, relation, balance)")
-            if tok.text != "vars" and self.doc.vars is None:
+            if keyword != "vars" and self.doc.vars is None:
                 self.error("the vars declaration must come first")
             try:
-                getattr(self, f"_parse_{tok.text}")()
+                getattr(self, f"_parse_{keyword}")()
             except RecursionError:
                 # names are inlined, so a chain of references can nest a tree
                 # deeper than MAX_NESTING lets the text nest
-                raise DslError("expression nested too deeply once names are inlined",
-                               tok.line, tok.column) from None
+                self.error("expression nested too deeply once names are inlined", tok)
             except DomainError as exc:  # a bound of expr, passed outside '^' and '*' chains
-                raise DslError(str(exc), tok.line, tok.column) from None
+                self.error(str(exc), tok)
             self.end_statement()
             self.skip_separators()
         return self.doc
 
-    def _declare(self, tok: Token, decl) -> str:
+    def _declare(self, tok: int, decl) -> str:
         """Register a name with its declaration (None for a variable)."""
-        name = tok.text
+        name = self.texts[tok]
         if name in RESERVED:
             self.error(f"{name!r} is a reserved word", tok)
         if name in self.names:
@@ -298,9 +291,9 @@ class _Parser:
             items.append(item())
         return items
 
-    def _scalar(self, what: str, tok: Token | None = None) -> Expression:
+    def _scalar(self, what: str, tok: int | None = None) -> Expression:
         """An expression of degree 0, blamed on tok (default: its first token)."""
-        tok = tok or self.peek()
+        tok = self.pos if tok is None else tok
         value = self._form(self._expr())
         if value.degree != 0 and not value.is_structurally_zero():
             self.error(f"{what} must have degree 0", tok)
@@ -312,12 +305,10 @@ class _Parser:
         return DifferentialForm.scalar(self.doc.vars, value)
 
     def _parens(self) -> Expression | DifferentialForm:
-        """ "(" expr ")"; a repeat of an earlier group's text reuses its value
+        """ "(" expr ")"; a repeat of an earlier group's tokens reuses its value
         unless a fresh parse at this depth would pass MAX_NESTING."""
-        # no key for an unbalanced '(' or a group over several lines: both fail below
-        close = self.closing.get(self.pos)
-        tok, end = self.peek(), close and self.tokens[close]
-        key = end and end.line == tok.line and self.lines[tok.line - 1][tok.column:end.column - 1]
+        close = self.closing.get(self.pos)   # None for an unbalanced '(', which fails below
+        key = close and tuple(self.texts[self.pos + 1:close])
         self.expect_op("(")
         hit = self.groups.get(key)
         if hit and self.depth + hit[1] <= MAX_NESTING:
@@ -331,7 +322,7 @@ class _Parser:
         self.peak = max(outer, self.peak)
         return inner
 
-    def _head(self, kind: str, sep: str) -> Token:
+    def _head(self, kind: str, sep: str) -> int:
         """The keyword, name and separator opening a named declaration."""
         self.advance()
         tok = self.expect_ident(f"a {kind} name")
@@ -359,8 +350,7 @@ class _Parser:
             negative = self.at_op("-")
             if negative or self.at_op("+"):
                 self.advance()
-            tok = self.peek()
-            if tok.kind != "NUMBER" or tok.value != 1:
+            if self.numbers.get(self.texts[self.pos]) != 1:
                 self.error("metric entries must be +1 or -1")
             self.advance()
             return -1 if negative else 1
@@ -372,11 +362,11 @@ class _Parser:
 
     def _parse_scalar(self):
         tok = self._head("scalar", "=")
-        self._declare(tok, ScalarDecl(tok.text, self._scalar(f"scalar {tok.text!r}", tok)))
+        self._declare(tok, ScalarDecl(self.texts[tok], self._scalar(f"scalar {self.texts[tok]!r}", tok)))
 
     def _parse_form(self):
         tok = self._head("form", "=")
-        self._declare(tok, FormDecl(tok.text, self._form(self._expr())))
+        self._declare(tok, FormDecl(self.texts[tok], self._form(self._expr())))
 
     def _parse_relation(self):
         tok = self._head("relation", ":")
@@ -389,7 +379,7 @@ class _Parser:
                 self.error(
                     f"relation needs deg(eta) = deg(phi)+1, got {eta.degree} and {phi.degree}", eq)
             eta = DifferentialForm.zero(self.doc.vars, min(phi.degree + 1, self.doc.vars.dimension))
-        self._declare(tok, RelationDecl(tok.text, phi, eta))
+        self._declare(tok, RelationDecl(self.texts[tok], phi, eta))
 
     def _parse_balance(self):
         tok = self._head("balance", ":")
@@ -406,16 +396,16 @@ class _Parser:
             self.expect_op("psi")
             self.expect_op("=")
             psi = self._scalar("psi")
-        self._declare(tok, BalanceDecl(tok.text, BalanceSystem(self.doc.vars, tuple(actions), psi)))
+        self._declare(tok, BalanceDecl(self.texts[tok], BalanceSystem(self.doc.vars, tuple(actions), psi)))
 
     # expressions: scalars are Expressions; a form (degree >= 1) comes from a differential or name
 
     def _expr(self) -> Expression | DifferentialForm:
         """A '+'/'-' chain with a left fold's degree checks; one pass sums each run of scalars."""
         run = [(1, self._mul_level())]   # (sign, operand) pairs whose sum is the value so far
-        while self.at_op("+") or self.at_op("-"):
-            op = self.advance()
-            sign, right = -1 if op.text == "-" else 1, self._mul_level()
+        while (t := self.texts[self.pos]) == "+" or t == "-":
+            op, self.pos = self.pos, self.pos + 1
+            sign, right = -1 if t == "-" else 1, self._mul_level()
             if isinstance(right, Expression) and isinstance(run[0][1], Expression):
                 run.append((sign, right))
                 continue
@@ -430,35 +420,34 @@ class _Parser:
     def _mul_level(self) -> Expression | DifferentialForm:
         """A '*'/'/' chain of scalars and at most one form; one mul call multiplies the
         scalars.  A bound of expr that the chain passes is blamed on its first token."""
-        first = self.peek()
+        first = self.pos
         try:
-            return self._product()
+            factors = [self._unary()]
+            form = factors.pop() if isinstance(factors[0], DifferentialForm) else None
+            while (t := self.texts[self.pos]) == "*" or t == "/":
+                op, self.pos = self.pos, self.pos + 1
+                right = self._unary()
+                if t == "*":
+                    if not isinstance(right, DifferentialForm):
+                        factors.append(right)
+                    elif form is not None:
+                        self.error("cannot '*' two forms of degree >= 1; use '^' for the exterior product", op)
+                    else:
+                        form = right
+                else:
+                    if isinstance(right, DifferentialForm):
+                        self.error("cannot divide by a form of degree >= 1", op)
+                    if right == ZERO:
+                        self.error("division by zero", op)
+                    # a constant divisor is its exact reciprocal, as power(c, -1) would give
+                    factors.append(const(1 / Fraction(right.value)) if isinstance(right, Const)
+                                   else power(right, -1))
+            if not factors:
+                return form
+            scalar = mul(*factors) if len(factors) > 1 else factors[0]
+            return scalar if form is None else form * scalar
         except DomainError as exc:
             self.error(str(exc), first)
-
-    def _product(self) -> Expression | DifferentialForm:
-        factors = [self._unary()]
-        form = factors.pop() if isinstance(factors[0], DifferentialForm) else None
-        while self.at_op("*") or self.at_op("/"):
-            op = self.advance()
-            right = self._unary()
-            if op.text == "*":
-                if not isinstance(right, DifferentialForm):
-                    factors.append(right)
-                elif form is not None:
-                    self.error("cannot '*' two forms of degree >= 1; use '^' for the exterior product", op)
-                else:
-                    form = right
-            else:
-                if isinstance(right, DifferentialForm):
-                    self.error("cannot divide by a form of degree >= 1", op)
-                if right == ZERO:
-                    self.error("division by zero", op)
-                factors.append(power(right, -1))
-        if not factors:
-            return form
-        scalar = mul(*factors) if len(factors) > 1 else factors[0]
-        return scalar if form is None else form * scalar
 
     def _unary(self) -> Expression | DifferentialForm:
         # every nesting (parentheses, calls, '^' chains, signs) passes here
@@ -468,11 +457,12 @@ class _Parser:
         self.peak = max(self.peak, self.depth)
         try:
             # unary minus binds looser than '^': -x^2 means -(x^2)
-            if self.at_op("-"):
-                self.advance()
+            t = self.texts[self.pos]
+            if t == "-":
+                self.pos += 1
                 return -self._unary()
-            if self.at_op("+"):
-                self.advance()
+            if t == "+":
+                self.pos += 1
                 return self._unary()
             return self._wedge_level()
         finally:
@@ -480,8 +470,8 @@ class _Parser:
 
     def _wedge_level(self) -> Expression | DifferentialForm:
         left = self._atom()
-        while self.at_op("^"):
-            op = self.advance()
+        while self.texts[self.pos] == "^":
+            op, self.pos = self.pos, self.pos + 1
             right = self._unary()  # right-associative; accepts x^-2
             try:
                 if isinstance(left, DifferentialForm) or isinstance(right, DifferentialForm):
@@ -497,30 +487,31 @@ class _Parser:
         return left
 
     def _atom(self) -> Expression | DifferentialForm:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            return const(tok.value)
-        if tok.text == "(":
+        tok = self.pos
+        name = self.texts[tok]
+        if name in self.names:
+            self.pos = tok + 1
+            decl = self.names[name]
+            if decl is None:
+                return var(name)
+            if isinstance(decl, ScalarDecl):
+                return decl.expr
+            if isinstance(decl, FormDecl):
+                return decl.form if decl.form.degree else decl.form.coefficient(())
+            kind = "relation" if isinstance(decl, RelationDecl) else "balance"
+            self.error(f"{name!r} is a {kind} and cannot be used in an expression", tok)
+        if name in self.numbers:
+            self.pos = tok + 1
+            return const(self.numbers[name])
+        if name == "(":
             return self._parens()
-        if tok.kind == "IDENT":
-            self.advance()
-            name = tok.text
+        if name.isidentifier():
+            self.pos = tok + 1
             if name in FUNCTIONS:
                 arg = self._parens()
                 if isinstance(arg, DifferentialForm):
                     self.error(f"{name} needs a scalar argument", tok)
                 return FUNCTIONS[name](arg)
-            if name in self.names:
-                decl = self.names[name]
-                if decl is None:
-                    return var(name)
-                if isinstance(decl, ScalarDecl):
-                    return decl.expr
-                if isinstance(decl, FormDecl):
-                    return decl.form if decl.form.degree else decl.form.coefficient(())
-                kind = "relation" if isinstance(decl, RelationDecl) else "balance"
-                self.error(f"{name!r} is a {kind} and cannot be used in an expression", tok)
             if name.startswith("d") and len(name) > 1:
                 if name[1:] in self.doc.vars:
                     return DifferentialForm.basis(self.doc.vars, name[1:])

@@ -710,7 +710,7 @@ def differentiate(e: Expression, v: str) -> Expression:
         object.__setattr__(e, "_derivatives", {})
     except KeyError:
         pass
-    parts: list[tuple[int | Fraction, Expression]] = []
+    acc: dict[tuple[Expression, ...], int | Fraction] = {}   # each term's monomial -> its coefficient
     for t in _terms(e):
         coeff, mono = _as_term(t)
         for i, f in enumerate(mono):
@@ -718,14 +718,15 @@ def differentiate(e: Expression, v: str) -> Expression:
             if isinstance(base, Var):
                 if base.name == v:
                     lowered = mono[:i] + (() if k == 1 else (power(base, k - 1),)) + mono[i + 1:]
-                    parts.append((coeff * k, _from_term(1, lowered)))
+                    acc[lowered] = acc.get(lowered, 0) + coeff * k
                 continue
             inner = _derivative(base.arg if isinstance(base, Func) else base, v)
             if inner == ZERO:
                 continue
             sign, outer = _OUTER[base.name](base.arg) if isinstance(base, Func) else (1, ONE)
-            parts.append((coeff * k * sign, mul(power(base, k - 1), outer, inner, *mono[:i], *mono[i + 1:])))
-    e._derivatives[v] = derivative = _combine(parts)
+            for c, m in map(_as_term, _terms(mul(power(base, k - 1), outer, inner, *mono[:i], *mono[i + 1:]))):
+                acc[m] = acc.get(m, 0) + c * coeff * k * sign
+    e._derivatives[v] = derivative = _assemble(acc)
     return derivative
 
 

@@ -646,17 +646,24 @@ class TestPseudostructure:
         assert len(rep.locus.points) == 10 and rep.intensity == 1.0
 
     def test_scan_holds_no_box_sized_float_array(self):
-        # no component of the shell reads every coordinate, so only the hit mask
-        # (201^3 bools, 7.7 MiB, and its flat copy) spans the box; a float array
+        # no component of the shell reads every coordinate, but between them they
+        # read all three, so only the hit mask (201^3 bools, 7.7 MiB) spans the box;
+        # the axis workload's hits read (x, y) and never span it.  A float array
         # over the box would take 61.8 MiB
-        tracemalloc.start()
-        try:
-            rep = find_pseudostructure(self.SHELL_WORKLOAD, Metric.euclidean(V3), [(-1.0, 1.0)] * 3, 201)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        def scan(form):
+            tracemalloc.start()
+            try:
+                rep = find_pseudostructure(form, Metric.euclidean(V3), [(-1.0, 1.0)] * 3, 201)
+                return rep, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rep, peak = scan(self.SHELL_WORKLOAD)
         assert rep.locus.points == [(0.0, 0.0, 0.0)]
-        assert peak < 40 * 2**20
+        assert peak < 12 * 2**20
+        rep, peak = scan(self.AXIS_WORKLOAD)
+        assert len(rep.locus.points) == 201 and {p[:2] for p in rep.locus.points} == {(0.0, 0.0)}
+        assert peak < 4 * 2**20
 
     def test_points_stay_finite_near_the_float_limit(self):
         # K_xy = y reads no x, so x must stay a node coordinate: 0.5*(c + c)

@@ -105,6 +105,8 @@ class TestParseErrors:
         ("vars x\nbalance b: A = (x, x)", "needs 1 action"),
         ("vars x,y\nrelation r: d(x) = x*dx^dy", "deg(eta) = deg(phi)+1"),
         ("vars x\nscalar s = x @", "unexpected character"),
+        # every token is lexed before any is parsed
+        ("vars x\nscalar s = )\nscalar t = x @", "line 3, column 14: unexpected character '@'"),
         ("vars x\nform w = q", "unknown variable 'q'"),
         ("vars x\nform w = x form q = x", "expected end of statement"),
         # nesting past the cap is an error, not a RecursionError
@@ -398,6 +400,9 @@ def test_lexer_matches_reference_on_fuzzed_text():
     for _ in range(20_000):
         text = "".join(rng.choice(LEXER_PIECES) for _ in range(rng.randrange(0, 24)))
         assert _lex(_tokenize, text) == _lex(_reference_tokenize, text), repr(text)
+        tokens = _lex(_tokenize, text)
+        texts = [tok.text for tok in tokens] if isinstance(tokens, list) else tokens
+        assert _lex(lambda t: dsl._Parser(t).texts, text) == texts, repr(text)
 
 
 def test_parse_never_scans_the_document(monkeypatch):
@@ -440,7 +445,7 @@ class _PairwiseParser(dsl._Parser):
         while self.at_op("+") or self.at_op("-"):
             op = self.advance()
             right = self._mul_level()
-            if op.text == "-":
+            if self.texts[op] == "-":
                 right = -right
             try:
                 left = left + right
@@ -453,7 +458,7 @@ class _PairwiseParser(dsl._Parser):
         while self.at_op("*") or self.at_op("/"):
             op = self.advance()
             right = self._unary()
-            if op.text == "*":
+            if self.texts[op] == "*":
                 if left.degree > 0 and right.degree > 0:
                     self.error("cannot '*' two forms of degree >= 1; use '^' for the exterior product", op)
                 left = wedge(left, right)
@@ -484,13 +489,13 @@ class _PairwiseParser(dsl._Parser):
         return left
 
     def _atom(self):
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text in dsl.FUNCTIONS:
+        tok, name = self.pos, self.texts[self.pos]
+        if name in dsl.FUNCTIONS:
             self.advance()
             arg = self._parens()
             if arg.degree != 0:
-                self.error(f"{tok.text} needs a scalar argument", tok)
-            return self._form(dsl.FUNCTIONS[tok.text](arg.coefficient(())))
+                self.error(f"{name} needs a scalar argument", tok)
+            return self._form(dsl.FUNCTIONS[name](arg.coefficient(())))
         return self._form(super()._atom())
 
 
@@ -560,7 +565,6 @@ def test_folded_chains_match_the_pairwise_parser():
 
 
 def test_repeated_groups_are_parsed_once():
-    text = "vars x, y\nscalar a = (x + y)^2*(x + y)\nscalar b = sin(x + y) + (x + y)\n"
     parsed = []
 
     class Counting(dsl._Parser):
@@ -568,8 +572,15 @@ def test_repeated_groups_are_parsed_once():
             parsed.append(self.pos)
             return super()._expr()
 
-    assert Counting(text).parse_document() == _PairwiseParser(text).parse_document()
-    assert len(parsed) == 3  # the two statements and the first (x + y)
+    for text, fresh in [
+        # the two statements and the first (x + y)
+        ("vars x, y\nscalar a = (x + y)^2*(x + y)\nscalar b = sin(x + y) + (x + y)\n", 3),
+        # a group is its tokens, whatever the blanks between them
+        ("vars x, y\nscalar a = (x + y)/(x+y)\n", 2),
+    ]:
+        parsed.clear()
+        assert Counting(text).parse_document() == _PairwiseParser(text).parse_document()
+        assert len(parsed) == fresh, text
 
 
 @pytest.mark.parametrize("signs", range(dsl.MAX_NESTING - 12, dsl.MAX_NESTING + 1))
