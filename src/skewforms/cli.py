@@ -35,7 +35,7 @@ from .analysis import (
     stokes_check,
 )
 from .balance import build_relation, equilibrium_scan
-from .dsl import BalanceDecl, Document, DslError, FormDecl, RelationDecl, ScalarDecl, parse
+from .dsl import BalanceDecl, Document, DslError, FormDecl, RelationDecl, ScalarDecl, _line_column, parse
 
 __all__ = ["main"]
 
@@ -77,8 +77,8 @@ def _load(path: str) -> Document:
         raise InputError(f"cannot read {path}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
         # read() decodes the whole file in one call, so err.object holds all of its bytes
-        before = err.object[:err.start].decode("utf-8").split("\n")
-        raise InputError(f"{path}: line {len(before)}, column {len(before[-1]) + 1}: not valid UTF-8") from None
+        before = err.object[:err.start].decode("utf-8")
+        raise InputError(f"{path}: {DslError('not valid UTF-8', *_line_column(before, len(before)))}") from None
     try:
         return parse(text)
     except DslError as err:

@@ -27,10 +27,13 @@ balance, psi, d, sin, cos, exp, ln.  A variable may not be named ``d`` +
 another variable's name, since that spelling denotes the differential.
 
 One regular expression lexes the text; the parser reads its token texts by
-index and looks up a line and column only for an error.  Lexer errors come
-first.  A group in parentheses is parsed once per document for each distinct
-token sequence: a repeat reuses its value unless a fresh parse at its depth
-would pass MAX_NESTING, so every error keeps its message, line and column.
+index.  An error finds its position only when it is raised: the start offset
+of its token from the same pattern (the end of the text for EOF), and the
+newlines before that offset give the line and column.  Lexer errors still come
+first, in text order.  A group in parentheses is parsed once per document for
+each distinct token sequence: a repeat reuses its value unless a fresh parse at
+its depth would pass MAX_NESTING, so every error keeps its message, line and
+column.
 
 Printing is canonical: sorted index tuples, canonical expression order,
 one declaration per line.  ``parse(print(doc))`` reproduces the document.
@@ -143,17 +146,9 @@ class Document(_Record):
 _BLANKS = r"(?:[ \t\r]|#[^\n]*)*"
 _TOKEN = re.compile(r"([0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z_0-9]*|[^ \t\r#])" + _BLANKS)
 _LEADING = re.compile(_BLANKS)
-_SYMBOLS = frozenset("+-*/^(),:;=\n") | {""}   # the texts of OP, NEWLINE and EOF tokens
+_SYMBOLS = frozenset("+-*/^(),:;=\n") | {""}   # operators, the newline and EOF
 _ASCII_DIGITS = frozenset("0123456789")
 _WORD_START = _ASCII_DIGITS | frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-
-
-class Token(_Record):
-    # kind is IDENT, NUMBER, OP, NEWLINE or EOF
-    __slots__ = __match_args__ = ("kind", "text", "line", "column", "value")
-
-    def __init__(self, kind: str, text: str, line: int, column: int, value: int | Fraction | None = None):
-        self.kind, self.text, self.line, self.column, self.value = kind, text, line, column, value
 
 
 def _number(literal: str) -> int | Fraction | None:
@@ -163,29 +158,10 @@ def _number(literal: str) -> int | Fraction | None:
         return None
 
 
-def _tokenize(text: str) -> list[Token]:
-    """The tokens of a document with their lines and columns, ending in EOF; raises the
-    first bad character or oversized literal.  The parser builds these only for an error."""
-    tokens: list[Token] = []
-    line, line_start = 1, 0   # line_start: offset of the current line's first character
-    for match in _TOKEN.finditer(text, _LEADING.match(text).end()):
-        tok, start = match.group(1), match.start()
-        col = start - line_start + 1
-        if tok == "\n":
-            tokens.append(Token("NEWLINE", tok, line, col))
-            line, line_start = line + 1, start + 1
-        elif tok in _SYMBOLS:
-            tokens.append(Token("OP", tok, line, col))
-        elif tok[0] in _ASCII_DIGITS:
-            if (value := _number(tok)) is None:
-                raise DslError("number literal has too many digits", line, col)
-            tokens.append(Token("NUMBER", tok, line, col, value))
-        elif tok[0] in _WORD_START:   # a name: the digits are taken above
-            tokens.append(Token("IDENT", tok, line, col))
-        else:
-            raise DslError(f"unexpected character {tok!r}", line, col)
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of offset in text (len(text) is the end): the newlines
+    before it give both."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 # --- parser ----------------------------------------------------------------------
@@ -199,7 +175,11 @@ class _Parser:
         distinct = set(texts) - _SYMBOLS   # names, numbers and bad characters
         self.numbers = {t: _number(t) for t in distinct if t[0] in _ASCII_DIGITS}   # literal -> value
         if None in self.numbers.values() or any(t[0] not in _WORD_START for t in distinct):
-            _tokenize(text)   # raises the first bad token in text order, whatever the set's order
+            for i, t in enumerate(texts):   # the first bad token in text order, whatever the set's order
+                if t in distinct and t[0] not in _WORD_START:
+                    self.error(f"unexpected character {t!r}", i)
+                if t in self.numbers and self.numbers[t] is None:
+                    self.error("number literal has too many digits", i)
         self.pos, self.doc = 0, Document()
         self.names: dict[str, object] = {}   # name -> its declaration; None for a variable
         self.depth = 0   # open _unary calls, bounded by MAX_NESTING
@@ -215,9 +195,11 @@ class _Parser:
     # token plumbing: a token is its index in self.texts
 
     def error(self, message: str, at: int | None = None):
-        """Raise DslError at token at (default: the current one)."""
-        tok = _tokenize(self.text)[self.pos if at is None else at]
-        raise DslError(message, tok.line, tok.column) from None
+        """Raise DslError at token at (default: the current one), placed by the start
+        offsets of the lexer's matches; EOF, past the last match, is at the end of the text."""
+        text = self.text
+        starts = [m.start() for m in _TOKEN.finditer(text, _LEADING.match(text).end())] + [len(text)]
+        raise DslError(message, *_line_column(text, starts[self.pos if at is None else at])) from None
 
     def at_op(self, text: str) -> bool:
         return self.texts[self.pos] == text

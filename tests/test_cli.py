@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -269,6 +271,36 @@ class TestExitCodes:
     def test_wedge_degree_error(self):
         code, _, err = run_cli("wedge", CONTACT, "area", "area")
         assert code == 0  # 2+2 clamps to the zero form, not an error
+
+
+FUZZ_PIECES = ("(", ")", "((", "))", "@", "é", "\t", "\n", ";", "#", "9" * 4400, "2^9999*",
+               "(x+y)^64*", "0^-1*", "x", "dx", "^", "*", "/", "+", "-", "=", ",", "3.25")
+FUZZ_COMMANDS = (("d",), ("classify",), ("relation",), ("frobenius",), ("star",), ("stokes",),
+                 ("pseudostructure", "--grid", "5"), ("balance-scan", "--grid", "5"))
+
+
+def test_cli_contract_on_mutated_documents(tmp_path):
+    """300 mutated corpus documents, spread over the subcommands: each call exits 0, 1 or 2,
+    an exit 2 prints one 'error: ' line, and a parse error's position lies inside the text."""
+    rng = random.Random(0xC0A7)
+    corpus = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.forms"))]
+    for i in range(300):
+        chars = list(rng.choice(corpus))
+        for _ in range(rng.randint(1, 2)):
+            pos = rng.randrange(len(chars) + 1)
+            chars[pos:pos + rng.randint(0, 1)] = [rng.choice(FUZZ_PIECES)]   # insert or replace
+        text = "".join(chars)
+        doc = tmp_path / f"{i}.forms"   # a new file: truncating one can wait for a flush
+        doc.write_text(text, encoding="utf-8")
+        command, *options = FUZZ_COMMANDS[i % len(FUZZ_COMMANDS)]
+        code, out, err = run_cli(command, str(doc), *options)
+        assert code in (0, 1, 2), (command, text)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, text, err)
+            if match := re.match(rf"error: {re.escape(str(doc))}: line (\d+), column (\d+): ", err):
+                line, column = map(int, match.groups())
+                lines = text.split("\n")
+                assert 1 <= line <= len(lines) and 1 <= column <= len(lines[line - 1]) + 1, (text, err)
 
 
 def assert_input_error(argv, message):

@@ -21,8 +21,6 @@ from skewforms.dsl import (
     FormDecl,
     RelationDecl,
     ScalarDecl,
-    Token,
-    _tokenize,
     parse,
     print_document,
 )
@@ -327,17 +325,17 @@ _REF_DIGITS = set("0123456789")
 _REF_ALPHA = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
 
-def _reference_tokenize(text: str) -> list[Token]:
-    """The earlier lexer, which counted columns by hand: the oracle for the
-    offset-based one."""
-    tokens: list[Token] = []
+def _reference_tokenize(text: str) -> list[tuple]:
+    """The earlier lexer, which counted columns by hand: (kind, text, line, column) for
+    each token, ending in EOF.  The oracle for the parser's regex lexer."""
+    tokens: list[tuple] = []
     line, col = 1, 1
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
         if ch == "\n":
-            tokens.append(Token("NEWLINE", "\n", line, col))
+            tokens.append(("NEWLINE", "\n", line, col))
             line += 1
             col = 1
             i += 1
@@ -364,7 +362,7 @@ def _reference_tokenize(text: str) -> list[Token]:
                     i += 1
                     col += 1
             literal = text[start:i]
-            tokens.append(Token("NUMBER", literal, line, start_col, Fraction(literal)))
+            tokens.append(("NUMBER", literal, line, start_col))
             continue
         if ch in _REF_ALPHA:
             start = i
@@ -372,15 +370,15 @@ def _reference_tokenize(text: str) -> list[Token]:
             while i < n and (text[i] in _REF_ALPHA or text[i] in _REF_DIGITS):
                 i += 1
                 col += 1
-            tokens.append(Token("IDENT", text[start:i], line, start_col))
+            tokens.append(("IDENT", text[start:i], line, start_col))
             continue
         if ch in _REF_OPS:
-            tokens.append(Token("OP", ch, line, col))
+            tokens.append(("OP", ch, line, col))
             i += 1
             col += 1
             continue
         raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    tokens.append(("EOF", "", line, col))
     return tokens
 
 
@@ -395,14 +393,28 @@ LEXER_PIECES = ("\r", "\t", "\n", "\f", " ", "#", ".", "1.", "٣", "é", "@",
                 "x", "dx", "_a9", "0", "12", "3.25", "+", "-", "^", "(", ")", ",", ";", ":", "=")
 
 
+def _position(parser, at):
+    try:
+        parser.error("", at)
+    except DslError as err:
+        return err.line, err.column
+
+
 def test_lexer_matches_reference_on_fuzzed_text():
+    """The parser's token texts and literal values, the position it gives each token and
+    EOF, and its first lexer error match the reference lexer's."""
     rng = random.Random(0x1E7)
     for _ in range(20_000):
         text = "".join(rng.choice(LEXER_PIECES) for _ in range(rng.randrange(0, 24)))
-        assert _lex(_tokenize, text) == _lex(_reference_tokenize, text), repr(text)
-        tokens = _lex(_tokenize, text)
-        texts = [tok.text for tok in tokens] if isinstance(tokens, list) else tokens
-        assert _lex(lambda t: dsl._Parser(t).texts, text) == texts, repr(text)
+        expected = _lex(_reference_tokenize, text)
+        parser = _lex(dsl._Parser, text)
+        if isinstance(expected, tuple):   # a lexer error: its message, line and column
+            assert parser == expected, repr(text)
+            continue
+        assert parser.texts == [tok[1] for tok in expected], repr(text)
+        assert parser.numbers == {tok[1]: Fraction(tok[1]) for tok in expected if tok[0] == "NUMBER"}
+        positions = [_position(parser, i) for i in range(len(expected))]
+        assert positions == [tok[2:] for tok in expected], repr(text)
 
 
 def test_parse_never_scans_the_document(monkeypatch):

@@ -489,7 +489,7 @@ def test_nodes_and_records_are_plain_values():
     assert a == b and a.points == [] and a.points is not b.points
 
     records = [cls for cls in expr_module._Record.__subclasses__() if cls is not expr_module.Expression]
-    assert len(records) == 14 and Metric in records
+    assert len(records) == 13 and Metric in records
     for cls in records:
         if cls is not Metric:
             with pytest.raises(TypeError):
