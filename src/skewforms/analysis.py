@@ -10,8 +10,10 @@ integrals read each term's exponents (i, j, ...) in the coordinates off
 A characteristic curve runs as one RK4 loop generated for its phi from the
 statements of ``expr._emit``; a pseudostructure scan holds each commutator
 component on its own grid, of size 1 along an axis it does not read, and
-reads its grid hits, sign changes and intensity from those arrays, taking
-grid-node indices from each mask by one flat index scan, in np.argwhere's order.
+reads its grid hits, sign changes and intensity from those values.  A grid
+of at most SCALAR_SCAN_NODES nodes is scanned in scalar mode alone and never
+imports numpy; a larger one in array mode, taking grid-node indices from each
+mask by one flat index scan, in np.argwhere's order.
 
 Verdicts are three-valued throughout; "unknown" zero tests propagate and
 are never coerced into a definite answer.
@@ -27,12 +29,14 @@ from typing import Mapping, Sequence
 
 from .expr import (
     Const,
+    DomainError,
     Expression,
     VariableSet,
     ZERO,
     compile_expression,
     differentiate,
     evaluate,
+    free_variables,
     mul,
     substitute,
     var,
@@ -74,9 +78,10 @@ __all__ = [
 ]
 
 CRITICAL_GRADIENT_TOL = 1e-12
-# 201^3 fits; the hit mask holds this many bools, and a component that reads
-# every coordinate this many floats
+# 201^3 fits; a component that reads every coordinate holds this many floats
 MAX_GRID_NODES = 10_000_000
+# a scan of at most this many nodes runs in scalar mode alone and never imports numpy
+SCALAR_SCAN_NODES = 4096
 MAX_CURVE_STEPS = 1_000_000  # each returned curve point holds about 112 bytes
 DEFAULT_STEPS = 10_000  # RK4 steps of a characteristic curve
 DEFAULT_STEP = 1e-3  # RK4 step size
@@ -434,6 +439,153 @@ def _bisect_edges(fn, lo: np.ndarray, hi: np.ndarray,
     return np.concatenate(roots, axis=1)[:, order], edges[order]
 
 
+def _array_scan(comps: Sequence[Expression], names: Sequence[str], box, shape: tuple,
+                tol: float) -> tuple[list[tuple[float, ...]], float]:
+    """The node pass of ``find_pseudostructure`` in array mode: the sorted locus points,
+    rounded to 9 digits, and the intensity."""
+    import numpy as np
+
+    n = len(shape)
+    axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(box, shape)]
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    compiled = [compile_expression(c, names) for c in comps]
+    # each component on its own grid: size 1 along an axis it does not read,
+    # so its sign changes are found, bisected and bounded once along that axis
+    comp_values = [v.reshape(v.shape or (1,) * n) for v in (fn.array(*mesh) for fn in compiled)]
+
+    def coords(nodes: np.ndarray) -> np.ndarray:
+        """(n, m) coordinates of m grid nodes given by their (m, n) indices."""
+        return np.stack([axes[d][nodes[:, d]] for d in range(n)])
+
+    found_nodes, found_roots = [], []
+
+    def offer(nodes: np.ndarray, roots: np.ndarray) -> None:
+        """Keep the candidates, in order, where every component is within tol."""
+        on_locus = np.ones(len(nodes), dtype=bool)
+        for fn in compiled:
+            on_locus &= np.abs(fn.array(*roots)) <= tol
+        found_nodes.append(nodes[on_locus])
+        found_roots.append(roots[:, on_locus])
+
+    with np.errstate(all="ignore"):
+        # grid hits: the own-grid hits of the component that hits the fewest box nodes,
+        # spread over the box and kept where every component is within tol
+        masks = [np.abs(arr) <= tol for arr in comp_values]
+        fewest = min(masks, key=lambda mask: np.count_nonzero(mask) / mask.size)
+        hits = _spread(_nodes(fewest), fewest.shape, shape)[0]
+        for mask in masks:
+            hits = hits[np.broadcast_to(mask, shape)[tuple(hits.T)]]
+        offer(hits, coords(hits))
+        # then sign-change edges refined per driving component
+        for fn, arr in zip(compiled, comp_values):
+            for axis in range(n):
+                if arr.shape[axis] == 1:
+                    continue  # constant along this axis: no sign change
+                v = np.moveaxis(arr, axis, 0)
+                flip = np.moveaxis(v[:-1] * v[1:] < 0, 0, axis)
+                flips = _nodes(flip)
+                hi_ends = flips + np.eye(n, dtype=np.intp)[axis]
+                roots, edges = _bisect_edges(fn, coords(flips), coords(hi_ends), tol)
+                # repeat each root on every edge of the box that broadcasts onto its edge
+                box_edges, source = _spread(flips[edges], flip.shape, shape)
+                box_roots = coords(box_edges)
+                box_roots[axis] = roots[axis, source]
+                offer(box_edges, box_roots)
+    nodes = np.concatenate(found_nodes)
+
+    accepted: dict[tuple[float, ...], int] = {}  # rounded point -> its first candidate
+    for k, point in enumerate(np.concatenate(found_roots, axis=1).T.tolist()):
+        accepted.setdefault(tuple(round(v, 9) for v in point), k)
+
+    # intensity: the largest |K| on grid nodes next to the locus where every component
+    # is finite, each read on its own grid (index 0 along an axis it does not read)
+    locus_nodes, intensity = nodes[list(accepted.values())], 0.0
+    for offsets in itertools.product((-1, 0, 1), repeat=n):
+        near = locus_nodes + offsets
+        near = near[((near >= 0) & (near < shape)).all(axis=1)]
+        k = np.abs([np.broadcast_to(arr, shape)[tuple(near.T)] for arr in comp_values])
+        intensity = max(intensity, float(k[:, np.isfinite(k).all(axis=0)].max(initial=0.0)))
+    return sorted(accepted), intensity
+
+
+def _linspace(lo: float, hi: float, m: int) -> list[float]:
+    """The m nodes of np.linspace(lo, hi, m), bit for bit."""
+    step = (hi - lo) / (m - 1)
+    return [i * step + lo if step else i / (m - 1) * (hi - lo) + lo for i in range(m - 1)] + [hi]
+
+
+def _scalar_scan(comps: Sequence[Expression], names: Sequence[str], box, shape: tuple,
+                 tol: float) -> tuple[list[tuple[float, ...]], float]:
+    """``_array_scan`` in scalar mode alone, with NaN where scalar mode raises: the same
+    candidates in the same order, each component on its own grid, bisected by the rules
+    of ``_bisect_edges`` with only the edge's own coordinate moving."""
+    axes = [_linspace(lo, hi, m) for (lo, hi), m in zip(box, shape)]
+    compiled = [compile_expression(c, names) for c in comps]
+    owns = [tuple(m if name in free_variables(c) else 1 for name, m in zip(names, shape)) for c in comps]
+
+    def value(fn, point) -> float:
+        try:
+            return fn.scalar(*point)
+        except DomainError:
+            return math.nan
+
+    def at(node) -> list[float]:
+        return [axes[d][i] for d, i in enumerate(node)]
+
+    def k(c: int, node) -> float:  # component c at a box node, read on its own grid
+        return own_values[c][tuple(i if m > 1 else 0 for i, m in zip(node, owns[c]))]
+
+    def spread(node, own):  # the box nodes that a node of an own grid stands for, in C order
+        return itertools.product(*[(i,) if m > 1 else range(s) for i, m, s in zip(node, own, shape)])
+
+    def bisect(fn, point: list[float], d: int, f_a: float, b: float) -> float | None:
+        a = point[d]
+        for _ in range(80):
+            point[d] = mid = 0.5 * (a + b)
+            f_mid = value(fn, point)
+            if abs(f_mid) <= tol:
+                return mid
+            if math.isnan(f_mid):
+                return None
+            a, b, f_a = (a, mid, f_a) if f_a * f_mid < 0 else (mid, b, f_mid)
+        return None
+
+    # each component on its own grid, in C order: index 0 along an axis it does not read
+    own_values = [dict(zip(itertools.product(*map(range, own)), (value(fn, point) for point in
+                           itertools.product(*[axis[:m] for axis, m in zip(axes, own)]))))
+                  for fn, own in zip(compiled, owns)]
+    # grid hits, from the own-grid hits of the component that hits the fewest box nodes
+    own_hits = [[node for node, v in values.items() if abs(v) <= tol] for values in own_values]
+    fewest = min(range(len(comps)), key=lambda c: len(own_hits[c]) / len(own_values[c]))
+    hits = sorted(node for own_node in own_hits[fewest] for node in spread(own_node, owns[fewest])
+                  if all(abs(k(c, node)) <= tol for c in range(len(comps))))
+    candidates = [(node, at(node)) for node in hits]
+    # then the sign-change edges of each own grid, each bisected once and spread over the box
+    for fn, own, values in zip(compiled, owns, own_values):
+        flat = list(values.values())
+        for d in [d for d, m in enumerate(own) if m > 1]:
+            edges, stride = [], math.prod(own[d + 1:])
+            for j, (own_node, f_a) in enumerate(values.items()):
+                if own_node[d] + 1 < own[d] and f_a * flat[j + stride] < 0:
+                    root = bisect(fn, at(own_node), d, f_a, axes[d][own_node[d] + 1])
+                    if root is not None:
+                        edges += [(node, root) for node in spread(own_node, own)]
+            for node, root in sorted(edges):
+                point = at(node)
+                point[d] = root
+                candidates.append((node, point))
+
+    accepted: dict[tuple[float, ...], tuple[int, ...]] = {}  # rounded point -> its first candidate
+    for node, point in candidates:
+        if all(abs(value(fn, point)) <= tol for fn in compiled):
+            accepted.setdefault(tuple(round(v, 9) for v in point), node)
+    near = {tuple(i + o for i, o in zip(node, offsets)) for node in accepted.values()
+            for offsets in itertools.product((-1, 0, 1), repeat=len(shape))}
+    ks = [[abs(k(c, node)) for c in range(len(comps))] for node in near
+          if all(0 <= i < s for i, s in zip(node, shape))]
+    return sorted(accepted), max((max(row) for row in ks if all(map(math.isfinite, row))), default=0.0)
+
+
 def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
                          tol: float = DEFAULT_TOL) -> StructureReport:
     """Locate the zero locus of the commutator of a 1-form in a box.
@@ -447,6 +599,14 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
     size 1 along an axis it does not read, and its roots are then repeated
     along that axis; grid hits and the intensity read each component on
     that grid too.  The result is what a scan of the whole box gives.
+
+    A grid of at most SCALAR_SCAN_NODES nodes is scanned in scalar mode
+    alone: every value the scan decides on or reports comes from
+    ``CompiledExpression.scalar`` (libm and fsum), so the output does not
+    depend on numpy, which it never imports.  A larger grid runs the same
+    pass in array mode, whose sums and functions may round otherwise: where
+    K is exactly 0 at a node, the two modes can give it opposite tiny signs
+    and so bisect different edges next to it.
     """
     if a.degree != 1:
         raise AnalysisError("pseudostructure detection needs a 1-form")
@@ -483,52 +643,8 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
         locus = Locus("empty", "no structure realized")
         return StructureReport(locus, None, dual_residual, 0.0, None, comm)
 
-    import numpy as np
-
-    shape = tuple(grid)
-    axes = [np.linspace(lo, hi, gv) for (lo, hi), gv in zip(box, grid)]
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    compiled = [compile_expression(c, a.vars.names) for c in comps]
-    # each component on its own grid: size 1 along an axis it does not read,
-    # so its sign changes are found, bisected and bounded once along that axis
-    comp_values = [v.reshape(v.shape or (1,) * n) for v in (fn.array(*mesh) for fn in compiled)]
-
-    def coords(nodes: np.ndarray) -> np.ndarray:
-        """(n, m) coordinates of m grid nodes given by their (m, n) indices."""
-        return np.stack([axes[d][nodes[:, d]] for d in range(n)])
-
-    with np.errstate(all="ignore"):
-        # grid hits, then sign-change edges refined per driving component;
-        # each candidate is kept where every component is within tol
-        hits = True
-        for arr in comp_values:
-            hits = hits & (np.abs(arr) <= tol)
-        found_nodes = [_spread(_nodes(hits), hits.shape, shape)[0]]
-        found_roots = [coords(found_nodes[0])]
-        del hits  # as large as the box where the components read every axis between them
-        for fn, arr in zip(compiled, comp_values):
-            for axis in range(n):
-                if arr.shape[axis] == 1:
-                    continue  # constant along this axis: no sign change
-                v = np.moveaxis(arr, axis, 0)
-                flip = np.moveaxis(v[:-1] * v[1:] < 0, 0, axis)
-                flips = _nodes(flip)
-                hi_ends = flips + np.eye(n, dtype=np.intp)[axis]
-                roots, edges = _bisect_edges(fn, coords(flips), coords(hi_ends), tol)
-                # repeat each root on every edge of the box that broadcasts onto its edge
-                box_edges, source = _spread(flips[edges], flip.shape, shape)
-                found_nodes.append(box_edges)
-                found_roots.append(coords(box_edges))
-                found_roots[-1][axis] = roots[axis, source]
-        roots = np.concatenate(found_roots, axis=1)
-        nodes = np.concatenate(found_nodes)
-        on_locus = np.ones(len(nodes), dtype=bool)
-        for fn in compiled:
-            on_locus &= np.abs(fn.array(*roots)) <= tol
-
-    accepted: dict[tuple[float, ...], int] = {}  # rounded point -> its first candidate
-    for k in np.flatnonzero(on_locus).tolist():
-        accepted.setdefault(tuple(round(v, 9) for v in roots[:, k].tolist()), k)
+    scan = _scalar_scan if math.prod(grid) <= SCALAR_SCAN_NODES else _array_scan
+    points, intensity = scan(comps, a.vars.names, box, tuple(grid), tol)
 
     hyperplane = _axis_zero_hyperplane(comm, box)
     restricted = None
@@ -537,20 +653,10 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
         chart = _hyperplane_chart(a.vars, hyperplane[0])
         restricted = pullback(a, chart)
 
-    if not accepted and hyperplane is None:
+    if not points and hyperplane is None:
         locus = Locus("empty", "no structure realized")
         return StructureReport(locus, None, dual_residual, 0.0, None, comm)
 
-    # intensity: the largest |K| on grid nodes next to the locus where every component
-    # is finite, each read on its own grid (index 0 along an axis it does not read)
-    locus_nodes, intensity = nodes[list(accepted.values())], 0.0
-    for offsets in itertools.product((-1, 0, 1), repeat=n):
-        near = locus_nodes + offsets
-        near = near[((near >= 0) & (near < shape)).all(axis=1)]
-        k = np.abs([arr[tuple((near * (np.array(arr.shape) > 1)).T)] for arr in comp_values])
-        intensity = max(intensity, float(k[:, np.isfinite(k).all(axis=0)].max(initial=0.0)))
-
-    points = sorted(accepted)
     if hyperplane is not None:
         name, value = hyperplane
         locus = Locus("hyperplane", f"{name} = {value:g} (hyperplane)", hyperplane, points)

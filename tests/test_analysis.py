@@ -531,14 +531,28 @@ class TestPseudostructure:
 
         monkeypatch.setattr(np, "linspace", no_grid)
         monkeypatch.setattr(np, "meshgrid", no_grid)
-        rep = find_pseudostructure(a, Metric.euclidean(V3), [(-1, 1)] * 3, 11)
-        assert rep.locus.kind == "empty"
-        assert rep.locus.description == "no structure realized"
-        assert rep.locus.points == [] and rep.locus.hyperplane is None
-        assert rep.intensity == 0.0
-        assert rep.dual_condition_residual == x
-        assert rep.restricted_form is None and rep.chart is None
-        assert str(rep.commutator) == "2*dx^dy + z*dx^dz"
+        monkeypatch.setattr(analysis, "_linspace", no_grid)
+        for grid in (11, 17):  # the scalar path, then the array path
+            rep = find_pseudostructure(a, Metric.euclidean(V3), [(-1, 1)] * 3, grid)
+            assert rep.locus.kind == "empty"
+            assert rep.locus.description == "no structure realized"
+            assert rep.locus.points == [] and rep.locus.hyperplane is None
+            assert rep.intensity == 0.0
+            assert rep.dual_condition_residual == x
+            assert rep.restricted_form is None and rep.chart is None
+            assert str(rep.commutator) == "2*dx^dy + z*dx^dz"
+
+    def test_component_without_variables_that_is_not_a_constant_node(self):
+        # exp(-20) and 4*exp(4/3) + 3*exp(3/2) read no coordinate, yet they are not
+        # Const nodes, so the scan runs: every node is a hit, or none is
+        tiny = DifferentialForm.one_form(V2, [ZERO, x * exp(const(-20))])
+        big = DifferentialForm.one_form(V2, [3 * exp(const(Fraction(3, 2))) * (1 - y),
+                                             4 * x * exp(const(Fraction(4, 3)))])
+        for grid in (5, 65):  # the scalar path, then the array path
+            rep = find_pseudostructure(tiny, Metric.euclidean(V2), BOX2, grid)
+            assert len(rep.locus.points) == grid**2
+            assert rep.intensity == pytest.approx(math.exp(-20), rel=1e-15)
+            assert find_pseudostructure(big, Metric.euclidean(V2), BOX2, grid).locus.kind == "empty"
 
     # K_xy = 1/2 - x^2 - y^2 - z^2, a spherical shell; K_xz = -2yz; K_yz = 0
     SHELL = DifferentialForm.one_form(V3, [x**2 * y + y**3 / 3 + y * z**2 - y / 2, ZERO, ZERO])
@@ -635,21 +649,25 @@ class TestPseudostructure:
         assert own == 132
         assert sum(received) == own
 
-    def test_intensity_skips_nodes_where_a_component_is_not_finite(self):
+    def test_intensity_skips_nodes_where_a_component_is_not_finite(self, monkeypatch):
         # K_xy = -2*y*(1 - 2*x)^-1 is not finite at the nodes x = 1/2, next to the
         # locus line x = y = 0, where K_xz = 2*x + 3*x^2 reads 1.75; the largest
         # |K| on the other nodes next to the locus is |K_xy| = 1 at (0, +-1/2)
         a = DifferentialForm.one_form(V3, [ZERO, y * ln(x - Fraction(1, 2)), x**2 + x**3])
         box = [(-1.0, 1.0)] * 3
-        rep = find_pseudostructure(a, Metric.euclidean(V3), box, 5, 1e-6)
-        assert (rep.locus.points, rep.intensity) == _scalar_bisection_locus(a, box, 5, 1e-6)
-        assert len(rep.locus.points) == 10 and rep.intensity == 1.0
+        for bound, evaluator in ((analysis.SCALAR_SCAN_NODES, _scalar_nodes), (0, _array_nodes)):
+            monkeypatch.setattr(analysis, "SCALAR_SCAN_NODES", bound)  # the scalar path, then the array path
+            rep = find_pseudostructure(a, Metric.euclidean(V3), box, 5, 1e-6)
+            assert (rep.locus.points, rep.intensity) == _scalar_bisection_locus(a, box, 5, 1e-6, evaluator)
+            assert len(rep.locus.points) == 10 and rep.intensity == 1.0
 
     def test_scan_holds_no_box_sized_float_array(self):
         # no component of the shell reads every coordinate, but between them they
-        # read all three, so only the hit mask (201^3 bools, 7.7 MiB) spans the box;
-        # the axis workload's hits read (x, y) and never span it.  A float array
-        # over the box would take 61.8 MiB
+        # read all three; the grid hits are those of K_xz = 5/7*y - 2*z, the
+        # component with the fewest, spread along x and checked against the
+        # others, so no mask spans the box (201^3 bools would take 7.7 MiB).
+        # The axis workload's hits read (x, y).  A float array over the box
+        # would take 61.8 MiB
         def scan(form):
             tracemalloc.start()
             try:
@@ -660,20 +678,79 @@ class TestPseudostructure:
 
         rep, peak = scan(self.SHELL_WORKLOAD)
         assert rep.locus.points == [(0.0, 0.0, 0.0)]
-        assert peak < 12 * 2**20
+        assert peak < 4 * 2**20
         rep, peak = scan(self.AXIS_WORKLOAD)
         assert len(rep.locus.points) == 201 and {p[:2] for p in rep.locus.points} == {(0.0, 0.0)}
         assert peak < 4 * 2**20
 
-    def test_points_stay_finite_near_the_float_limit(self):
+    def test_points_stay_finite_near_the_float_limit(self, monkeypatch):
         # K_xy = y reads no x, so x must stay a node coordinate: 0.5*(c + c)
         # would overflow above about 9e307
         a = DifferentialForm.one_form(V2, [ZERO, x * y])
         box = [(1e308, 1.6e308), (-1.0, 1.0)]
-        rep = find_pseudostructure(a, Metric.euclidean(V2), box, [3, 4])
-        assert rep.locus.points == [(1e308, 0.0), (1.3e308, 0.0), (1.6e308, 0.0)]
-        for point in rep.locus.points:
-            assert all(math.isfinite(c) and lo <= c <= hi for c, (lo, hi) in zip(point, box))
+        for bound in (analysis.SCALAR_SCAN_NODES, 0):  # the scalar path, then the array path
+            monkeypatch.setattr(analysis, "SCALAR_SCAN_NODES", bound)
+            rep = find_pseudostructure(a, Metric.euclidean(V2), box, [3, 4])
+            assert rep.locus.points == [(1e308, 0.0), (1.3e308, 0.0), (1.6e308, 0.0)]
+            for point in rep.locus.points:
+                assert all(math.isfinite(c) and lo <= c <= hi for c, (lo, hi) in zip(point, box))
+
+
+class TestScalarScan:
+    """Grids of at most SCALAR_SCAN_NODES nodes are scanned in scalar mode alone."""
+
+    def test_nodes_are_numpy_linspace_bit_for_bit(self):
+        rng = random.Random(4096)
+        boxes = [(-1.0, 1.0), (1e308, 1.6e308), (0.0, 5e-324), (-1e-310, 1e-310), (0.1, 0.7)]
+        boxes += [tuple(sorted((rng.uniform(-50, 50), rng.uniform(-50, 50)))) for _ in range(40)]
+        for lo, hi in boxes:
+            for m in (3, 4, 7, 21, 64, 101):
+                want = [float.hex(v) for v in np.linspace(lo, hi, m).tolist()]
+                assert [float.hex(v) for v in analysis._linspace(lo, hi, m)] == want, (lo, hi, m)
+
+    def test_scan_matches_the_scalar_reference(self):
+        """Points and intensity bits are those of the reference scan with
+        every node value read in scalar mode, on seeded 2-D and 3-D forms up
+        to the bound, with ln, negative powers and roots that leave the
+        domain at some nodes."""
+        rng = random.Random(2718)
+
+        def r():
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 4]))
+
+        def factor(names):
+            u = random_polynomial(rng, names, 2, 2) + r()
+            return rng.choice([ONE, ONE, ln(u), u ** -1, u ** -2, u ** Fraction(1, 2), exp(u / 3), sin(u)])
+
+        def form(variables):
+            names = variables.names
+            return DifferentialForm.one_form(
+                variables, [random_polynomial(rng, names) * factor(names) for _ in names])
+
+        cases = [(form(V2), [(-1.0, 1.0), (-0.5, 1.5)], rng.choice([5, 11, 21, 40, 64])) for _ in range(30)]
+        cases += [(form(V3), [(-1.0, 1.0)] * 3, rng.choice([3, 5, 8, 16])) for _ in range(8)]
+        # c*dz alone: K_xz = c_x and K_yz = c_y vanish together on curves
+        for _ in range(8):
+            c = random_polynomial(rng, V3.names) * factor(V3.names)
+            cases.append((DifferentialForm.one_form(V3, [ZERO, ZERO, c]),
+                          [(-1.0, 1.0), (-0.5, 1.5), (-1.0, 1.0)], rng.choice([5, 9, 15, 16])))
+        cases += [(TestPseudostructure.SHELL, [(-1.0, 1.0)] * 3, 15),
+                  (TestPseudostructure.SHELL_WORKLOAD, [(-1.0, 1.0)] * 3, 15)]
+        assert all(grid ** len(box) <= analysis.SCALAR_SCAN_NODES for _, box, grid in cases)
+        kinds, total, gaps = set(), 0, 0
+        for a, box, grid in cases:
+            rep = find_pseudostructure(a, Metric.euclidean(a.vars), box, grid)
+            if rep.locus.kind == "whole_box":
+                continue  # a closed form: no commutator component to scan
+            points, intensity = _scalar_bisection_locus(a, box, grid, analysis.DEFAULT_TOL, _scalar_nodes)
+            assert rep.locus.points == points, (a, grid)
+            assert float.hex(rep.intensity) == float.hex(intensity), (a, grid)
+            kinds.add(rep.locus.kind)
+            total += len(points)
+            mesh = np.meshgrid(*[np.linspace(lo, hi, grid) for lo, hi in box], indexing="ij")
+            gaps += any(np.isnan(_scalar_nodes(compile_expression(c, a.vars.names), mesh)).any()
+                        for _, c in commutator(a).items())
+        assert {"points", "empty"} <= kinds and total > 500 and gaps >= 5
 
 
 class TestNodeIndices:
@@ -709,6 +786,8 @@ class TestNodeIndices:
             return [find_pseudostructure(a, Metric.euclidean(a.vars), box, grid)
                     for a, box, grid in cases]
 
+        # these grids are small enough for the scalar path, which takes no indices from a mask
+        monkeypatch.setattr(analysis, "SCALAR_SCAN_NODES", 0)
         reports = scan_all()
         monkeypatch.setattr(analysis, "_nodes", np.argwhere)
         kinds = set()
@@ -750,18 +829,36 @@ def _scalar_bisect(f, lo, hi, tol):
     return None
 
 
-def _scalar_bisection_locus(a, box, grid, tol):
+def _array_nodes(fn, mesh):
+    """A compiled component at every node of the box, in array mode."""
+    return np.broadcast_to(fn.array(*mesh), mesh[0].shape)
+
+
+def _scalar_nodes(fn, mesh):
+    """A compiled component at every node of the box, one scalar call per
+    node, NaN where scalar mode raises."""
+    def one(*point):
+        try:
+            return fn.scalar(*map(float, point))
+        except DomainError:
+            return math.nan
+    with np.errstate(all="ignore"):  # libm leaves its status flags, which numpy would report
+        return np.vectorize(one, otypes=[float])(*mesh)
+
+
+def _scalar_bisection_locus(a, box, grid, tol, evaluator=_array_nodes):
     """The reference for the pseudostructure scan: grid nodes where every
     commutator component is within tol, then one scalar bisection per
     sign-change grid edge of each component, each root kept where every
     component is within tol.  Returns the points, rounded to 9 digits and
     sorted, and the largest finite |K| on the grid nodes next to the grid
-    node that first gave each point."""
+    node that first gave each point.  Node values come from
+    ``evaluator(compiled, mesh)``, over the whole box."""
     names = a.vars.names
     comps = [compile_expression(c, names) for _, c in commutator(a).items()]
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
-    values = [np.broadcast_to(c.array(*mesh), mesh[0].shape) for c in comps]
+    values = [evaluator(c, mesh) for c in comps]
 
     def on_locus(point):
         try:

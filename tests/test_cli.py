@@ -512,8 +512,12 @@ print(code, *(name in sys.modules for name in ("numpy", "inspect", "json", "data
     (("--format", "jsonl", "classify", BASIC), False),
     (("characteristics", BASIC, "--scalar", "f", "--start", "1,0", "--steps", "20"), False),
     (("table", "1", "2"), False),
-    (("pseudostructure", BALANCE, "--name", "omega", "--grid", "21"), True),
-], ids=["import", "d", "classify", "characteristics", "table", "pseudostructure"])
+    # a scan of at most analysis.SCALAR_SCAN_NODES (4096) nodes runs in scalar mode alone
+    (("pseudostructure", BALANCE, "--name", "omega", "--grid", "21"), False),
+    (("balance-scan", BALANCE, "--grid", "21"), False),
+    (("pseudostructure", BALANCE, "--name", "omega", "--grid", "101"), True),  # 10,201 nodes
+], ids=["import", "d", "classify", "characteristics", "table", "pseudostructure", "balance-scan",
+        "pseudostructure-10201-nodes"])
 def test_numpy_is_imported_only_by_grid_scans(argv, loads_numpy):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
@@ -524,3 +528,50 @@ def test_numpy_is_imported_only_by_grid_scans(argv, loads_numpy):
     # numpy imports inspect itself; json serves --format jsonl alone
     assert inspect == "False" or loads_numpy
     assert json_ == str("jsonl" in argv)
+
+
+ULP_DOCS = {
+    "plane.forms": """vars x, y
+form e = exp(x)*sin(y)*dx + (x^2 + cos(x*y) - 1)*dy
+form l = y*ln(2 + x)*dx + (y^2 - 1/4)*exp(x/2)*dy
+balance b: A = (sin(x)*y, x*exp(y) - ln(2 + y))
+""",
+    "space.forms": """vars x, y, z
+form s = exp(z/2)*(sin(x - 1/4)^2 + ln(2 + y)^2)*dz
+""",
+}
+
+
+def test_small_scans_do_not_depend_on_numpy_float_bits(tmp_path, monkeypatch):
+    """Array-mode sin, cos, exp and ln moved by one ulp leave every scan of at
+    most 4096 nodes byte for byte as it was; a larger scan reads them."""
+    import numpy as np
+    from skewforms import expr
+
+    for name, text in ULP_DOCS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    plane, space = str(tmp_path / "plane.forms"), str(tmp_path / "space.forms")
+    helpers = expr._array_helpers()
+    moved = dict(helpers)
+    for fn, toward in (("_sin", np.inf), ("_cos", -np.inf), ("_exp", np.inf), ("_ln", -np.inf)):
+        moved[fn] = lambda a, fn=fn, toward=toward: np.nextafter(helpers[fn](a), toward)
+
+    def outputs(calls, array_helpers):
+        monkeypatch.setattr(expr, "_array_helpers", array_helpers)
+        return [run_cli(*argv) for argv in calls]
+
+    small, large = [], []
+    for fmt in ("text", "jsonl"):
+        for grid, calls in ((21, small), (64, small), (65, large)):
+            calls.append(("--format", fmt, "pseudostructure", plane, "--grid", str(grid)))
+            calls.append(("--format", fmt, "balance-scan", plane, "--grid", str(grid)))
+        for grid, calls in ((9, small), (16, small), (17, large)):
+            calls.append(("--format", fmt, "pseudostructure", space, "--grid", str(grid)))
+    want = outputs(small, lambda: helpers)
+    assert all(code == 0 for code, _, _ in want)
+    # forms l and s at two grids each, in text and jsonl, and the balance b likewise
+    assert sum(out.count("point cloud (") for _, out, _ in want) == 8
+    assert sum(out.count("equilibrium pseudostructure realized") for _, out, _ in want) == 4
+    assert outputs(small, lambda: moved) == want
+    # the control: above the bound the scan runs in array mode and its output moves
+    assert outputs(large, lambda: moved) != outputs(large, lambda: helpers)
