@@ -266,40 +266,46 @@ def _rk4_kernel(phi: Expression, names: Sequence[str]) -> FunctionType:
     is appended only once it and phi there are finite.  The statements come
     from ``expr._emit``, as ``compile_expression`` emits them, so every value
     is the one that evaluating phi and its derivatives one call at a time gives.
+    phi and its partials are emitted together; phi's own lines, up to phi's
+    temporary, run in the level's ``try`` block, and stage 1 runs the rest,
+    reusing phi's temporaries.  Stages 2-4 run the partials emitted alone.
     """
     xn, yn = names
     args = {xn: "_a0", yn: "_a1"}
-    level_lines, (level,) = _emit([phi], args)
-    field_lines, (phi_y, phi_x) = _emit([differentiate(phi, yn), differentiate(phi, xn)], args)
+    partials = [differentiate(phi, yn), differentiate(phi, xn)]
+    lines, (level, phi_y, phi_x) = _emit([phi, *partials], args)
+    cut = int(level[2:]) + 1 if level.startswith("_t") else 0  # phi's lines end at _t<k>
+    field_lines, (field_y, field_x) = _emit(partials, args)
 
     def block(*lines: str) -> str:
         return "".join(f"            {line}\n" for line in lines)
 
     def stage(k: int, x: str, y: str) -> str:
-        return block(f"_a0, _a1 = {x}, {y}", *field_lines, f"_k{k}x, _k{k}y = -({phi_y}), {phi_x}")
+        return block(f"_a0, _a1 = {x}, {y}", *field_lines, f"_k{k}x, _k{k}y = -({field_y}), {field_x}")
 
     source = ("def _rk4(_x, _y, _steps, _h):\n"
               "    _points, _levels = [], []\n"
+              "    _add_point, _add_level, _n, _hh, _h6 = _points.append, _levels.append, 0, 0.5 * _h, _h / 6.0\n"
               "    while True:\n"
               "        try:\n"
-              + block("_a0, _a1 = _x, _y", *level_lines, f"_lv = {level}")
+              + block("_a0, _a1 = _x, _y", *lines[:cut], f"_lv = {level}")
               + "        except (_DomainError, *_ARITH):\n"
               "            return _points, _levels\n"
               "        if not (_isfinite(_lv) and _isfinite(_x) and _isfinite(_y)):\n"
               "            return _points, _levels\n"
-              "        _points.append((_x, _y))\n"
-              "        _levels.append(_lv)\n"
-              "        if len(_points) > _steps:\n"
+              "        _add_point((_x, _y))\n"
+              "        _add_level(_lv)\n"
+              "        if (_n := _n + 1) > _steps:\n"
               "            return _points, _levels\n"
               "        try:\n"
-              + stage(1, "_x", "_y")
-              + block(f"if _hypot(_k1x, _k1y) < {CRITICAL_GRADIENT_TOL!r}:",
+              + block(*lines[cut:], f"_k1x, _k1y = -({phi_y}), {phi_x}",
+                      f"if _hypot(_k1x, _k1y) < {CRITICAL_GRADIENT_TOL!r}:",
                       "    return _points, _levels")
-              + stage(2, "_x + 0.5 * _h * _k1x", "_y + 0.5 * _h * _k1y")
-              + stage(3, "_x + 0.5 * _h * _k2x", "_y + 0.5 * _h * _k2y")
+              + stage(2, "_x + _hh * _k1x", "_y + _hh * _k1y")
+              + stage(3, "_x + _hh * _k2x", "_y + _hh * _k2y")
               + stage(4, "_x + _h * _k3x", "_y + _h * _k3y")
-              + block("_x, _y = (_x + _h / 6.0 * (_k1x + 2 * _k2x + 2 * _k3x + _k4x),",
-                      "          _y + _h / 6.0 * (_k1y + 2 * _k2y + 2 * _k3y + _k4y))")
+              + block("_x, _y = (_x + _h6 * (_k1x + 2 * _k2x + 2 * _k3x + _k4x),",
+                      "          _y + _h6 * (_k1y + 2 * _k2y + 2 * _k3y + _k4y))")
               + "        except (_DomainError, *_ARITH):\n"
               "            return _points, _levels\n")
     return FunctionType(_function_code(source),

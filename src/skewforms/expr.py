@@ -37,6 +37,10 @@ denominator > 1.  ``int`` and ``Fraction`` compare and hash alike, so the
 choice never changes equality; integral arithmetic just skips ``Fraction``.
 Floats are rejected so that structural zero tests (e.g. dd = 0) stay exact.
 
+Evaluation compiles a tree to straight-line Python code.  One code object is
+kept per distinct generated source per process, for the 256 last used; the
+cache keys on source text and holds no nodes.
+
 Zero-testing is three-valued.  "zero" is certified only by exact
 normalization, including clearing denominators of rational functions.
 "nonzero" is certified by an exact nonzero constant or by a randomized
@@ -814,7 +818,8 @@ def _array_helpers() -> dict:
 
 
 class CompiledExpression:
-    """An expression compiled once to Python code, callable in two modes.
+    """An expression compiled to Python code, callable in two modes; equal trees
+    under equal names share one code object, compiled once per process.
 
     ``scalar(*floats)`` returns what evaluating the tree node by node gives:
     sums by math.fsum (of two terms as ``a + b + 0.0``, the same bits),
@@ -853,9 +858,10 @@ def _emit(exprs: Sequence[Expression], args: Mapping[str, str]) -> tuple[list[st
     helpers and from the local names ``args`` gives each variable.
 
     Returns the statements, in order, and the source of each tree's value: a
-    literal, a local from ``args`` or a temporary ``_t<k>``.  Equal
-    subtrees, in one tree or across the trees, are computed once.  A
-    variable outside ``args`` raises UnknownVariableError.
+    literal, a local from ``args`` or ``_t<k>``, which statement k assigns, so
+    a tree's statements end at its own.  Equal subtrees, in one tree or across
+    the trees, are computed once.  A variable outside ``args`` raises
+    UnknownVariableError.
     """
     refs: dict[Expression, str] = {}  # equal subtrees compute equal values
     lines: list[str] = []
@@ -890,8 +896,10 @@ def _emit(exprs: Sequence[Expression], args: Mapping[str, str]) -> tuple[list[st
     return lines, [emit(e) for e in exprs]
 
 
+@functools.lru_cache(maxsize=256)
 def _function_code(source: str) -> CodeType:
-    """The code of the one function that ``source`` defines."""
+    """The code of the one function that ``source`` defines, compiled once
+    while the source is among the 256 last used."""
     module = compile(source, "<compiled expression>", "exec")
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
@@ -913,7 +921,8 @@ def _scalar_code(exprs: Sequence[Expression], names: Sequence[str], returns: str
 def compile_expression(e: Expression, names: Sequence[str]) -> CompiledExpression:
     """Compile a canonical tree into a function of the given names, in order.
 
-    Equal subtrees are computed once.  A variable outside ``names`` raises
+    Equal subtrees are computed once, and an equal source is not compiled
+    again (``_function_code``).  A variable outside ``names`` raises
     UnknownVariableError.
     """
     return CompiledExpression(_scalar_code([e], names, "{}"))

@@ -1,15 +1,18 @@
 """Classification engines: closure, relations, integrability, loci, Stokes."""
 
+import gc
 import itertools
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from skewforms import analysis
+from skewforms import analysis, expr as expr_module
+from skewforms.dsl import parse
 from skewforms.expr import (
     Add, Const, DomainError, Mul, Pow, UnknownVariableError, Var, VariableSet, ZERO, ONE,
     compile_expression, const, cos, differentiate, evaluate, exp, free_variables, ln, mul, sin,
@@ -257,14 +260,14 @@ def _walked(e, names):
 def _reference_curve(phi, variables, start, steps, h, evaluator=_compiled):
     """characteristic_curve as one call per evaluation of phi_x, phi_y or
     phi, each made by ``evaluator(tree, names)``: the reference for the
-    generated RK4 loop.  Returns the points and where the loop stopped:
-    "steps", "critical", "stage 1" to "stage 4" (the field left the domain),
-    "level" (phi did) or "point" (phi is finite at the new point, but a
-    coordinate is not)."""
+    generated RK4 loop.  Returns the points, phi at each, and where the loop
+    stopped: "steps", "critical", "stage 1" to "stage 4" (the field left the
+    domain), "level" (phi did) or "point" (phi is finite at the new point,
+    but a coordinate is not)."""
     xn, yn = variables.names
     level = evaluator(phi, variables.names)
     try:
-        level(*map(float, start))
+        levels = [level(*map(float, start))]
     except DomainError:
         raise AnalysisError("phi is not finite at the start point") from None
     phi_x = evaluator(differentiate(phi, xn), variables.names)
@@ -280,7 +283,7 @@ def _reference_curve(phi, variables, start, steps, h, evaluator=_compiled):
         try:
             k1 = field(x, y)
             if math.hypot(*k1) < analysis.CRITICAL_GRADIENT_TOL:
-                return points, "critical"
+                return points, levels, "critical"
             stop = "stage 2"
             k2 = field(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1])
             stop = "stage 3"
@@ -290,14 +293,15 @@ def _reference_curve(phi, variables, start, steps, h, evaluator=_compiled):
             nx = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             ny = y + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
             stop = "level"
-            level(nx, ny)
+            lv = level(nx, ny)
         except DomainError:
-            return points, stop
+            return points, levels, stop
         if not (math.isfinite(nx) and math.isfinite(ny)):
-            return points, "point"
+            return points, levels, "point"
         x, y = nx, ny
         points.append((x, y))
-    return points, "steps"
+        levels.append(lv)
+    return points, levels, "steps"
 
 
 def _hex_points(points):
@@ -305,12 +309,14 @@ def _hex_points(points):
 
 
 class TestCurveMatchesReference:
-    """The generated loop gives the reference's points bit for bit."""
+    """The generated loop gives the reference's points, and phi at each, bit for bit."""
 
     def _check(self, phi, start, steps, h, evaluator=_compiled):
-        want, stop = _reference_curve(phi, V2, start, steps, h, evaluator)
-        got = characteristic_curve(phi, V2, start, steps, h)
+        want, want_levels, stop = _reference_curve(phi, V2, start, steps, h, evaluator)
+        got, levels = analysis._curve_and_levels(phi, V2, start, steps, h)
         assert _hex_points(got) == _hex_points(want), (phi, start, steps, h)
+        assert list(map(float.hex, levels)) == list(map(float.hex, want_levels)), (phi, start, steps, h)
+        assert characteristic_curve(phi, V2, start, steps, h) == got
         return stop
 
     def test_seeded_phis(self):
@@ -361,6 +367,9 @@ class TestCurveMatchesReference:
         assert self._check(x**2 + y**2, (0.0, 0.0), 10, 1e-2) == "critical"
         assert self._check(x**2 + y**2, (1.0, 0.0), 1, 1e-2) == "steps"
         assert self._check(x * y, (0.0, 0.0), 1, 1e-2) == "critical"
+        # stage 1 raises after the start point and phi there are appended
+        assert analysis._curve_and_levels(x ** Fraction(1, 2) + y, V2, (0.0, 0.5), 10, 1e-2) == (
+            [(0.0, 0.5)], [0.5])
 
     def test_overflow_of_a_product_stops_the_curve(self):
         # a product overflows to inf without raising: in phi_y = 3*c*y^2 at the
@@ -408,6 +417,16 @@ class TestCurveMatchesReference:
         assert sum("_cos(" in line for line in lines) == 1
         assert self._check(phi, (0.5, 0.5), 200, 1e-2) == "steps"
 
+    def test_stage_one_reuses_the_level_lines(self, monkeypatch):
+        # x*y is computed for the level, reused by stage 1 and computed again
+        # by stages 2-4; cos(x*y) once by stage 1 and by each later stage
+        sources = []
+        monkeypatch.setattr(analysis, "_function_code", lambda source: sources.append(source)
+                            or expr_module._function_code(source))
+        assert self._check(sin(x * y) + x / 7, (0.5, 0.5), 30, 1e-2) == "steps"
+        (source,) = set(sources)
+        assert source.count("_a0 * _a1") == 4 and source.count("_cos(") == 4
+
     def test_unknown_variable_and_bad_start_raise_as_before(self):
         with pytest.raises(UnknownVariableError):
             characteristic_curve(x + var("z"), V2, (1.0, 0.0), steps=10)
@@ -418,6 +437,42 @@ class TestCurveMatchesReference:
                 characteristic_curve(phi, V2, start, steps=10)
             with pytest.raises(AnalysisError, match="not finite at the start point"):
                 _reference_curve(phi, V2, start, 10, 1e-3)
+
+
+class TestCompileOnce:
+    """Each generated source is compiled once per process, and the cache
+    holds no nodes: a document parsed again, after the first one's nodes
+    died, runs on the code objects compiled for the first."""
+
+    TEXT = ("vars x, y\n"
+            "scalar phi = x^2 + y^2 + 3/7*sin(x*y)\n"
+            "form w = -1/3*y^3*dx + (1/3*x^3 - 1/4*x)*dy\n"
+            "form g = exp(x)*sin(5/7*y)*dx + x*cos(y)*dy\n")
+
+    def _run(self):
+        doc = parse(self.TEXT)
+        curve = characteristic_curve(doc.find("phi").expr, doc.vars, (1.0, 0.0), 50, 1e-2)
+        # 21 x 21 nodes: scalar mode
+        report = find_pseudostructure(doc.find("w").form, Metric.euclidean(doc.vars), BOX2, 21)
+        # exp and sin are not polynomial: the Gauss-Legendre fallback
+        stokes = stokes_check(doc.find("g").form, (0.0, 1.0, 0.0, 1.0))
+        return weakref.ref(doc.find("phi").expr), (curve, report.locus.points, report.intensity, stokes)
+
+    def test_a_second_parse_compiles_nothing(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return compile(*args)
+
+        monkeypatch.setattr(expr_module, "compile", counted, raising=False)
+        expr_module._function_code.cache_clear()
+        first, results = self._run()
+        gc.collect()
+        assert first() is None and len(calls) >= 5
+        calls.clear()
+        again, results_again = self._run()
+        assert calls == [] and results_again == results
 
 
 class TestPseudostructure:

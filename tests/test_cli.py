@@ -78,6 +78,40 @@ def test_golden_outputs(name):
     assert out2 == out
 
 
+# the goldens that print floats, and other Pythons in pyenv's default place
+FLOAT_GOLDENS = ("characteristics_basic.txt", "stokes_basic.txt", "pseudostructure_balance.txt",
+                 "pseudostructure_balance.jsonl", "balance_scan.txt", "balance_scan.jsonl")
+PYENV_VERSIONS = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+_GOLDEN_CHILD = """
+import contextlib, io, json, sys
+from skewforms.cli import main
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        outputs.append((main(argv), out.getvalue()))
+sys.stdout.write(json.dumps(outputs))
+"""
+
+
+@pytest.mark.parametrize("minor", ["3.10", "3.12", "3.13"])
+def test_float_goldens_under_other_pythons(minor):
+    """The float-printing goldens are byte-identical under each other
+    supported Python that pyenv holds; none of these calls imports numpy,
+    which those interpreters may lack.  Skipped where pyenv has no such
+    Python, as on a CI host, whose matrix runs the whole suite instead."""
+    pythons = sorted(PYENV_VERSIONS.glob(f"{minor}.*/bin/python"))
+    if not pythons:
+        pytest.skip(f"no Python {minor} under {PYENV_VERSIONS}")
+    runs = [list(GOLDEN_RUNS[name]) for name in FLOAT_GOLDENS]
+    child = subprocess.run([str(pythons[0]), "-c", _GOLDEN_CHILD, json.dumps(runs)],
+                           capture_output=True, text=True, timeout=120,
+                           env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")))
+    assert child.returncode == 0 and child.stderr == "", child.stderr
+    for name, (code, out) in zip(FLOAT_GOLDENS, json.loads(child.stdout)):
+        assert code == 0 and out == (GOLDEN / name).read_text(encoding="utf-8"), (pythons[0], name)
+
+
 class TestExitCodes:
     def test_missing_file(self):
         code, _, err = run_cli("classify", "/nonexistent/file.forms")

@@ -863,6 +863,64 @@ class TestEvaluate:
                 compile_expression(const(v), []).scalar()
 
 
+class TestCompileOnce:
+    @staticmethod
+    def _count_compiles(monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return compile(*args)
+
+        monkeypatch.setattr(expr_module, "compile", counted, raising=False)
+        expr_module._function_code.cache_clear()
+        return calls
+
+    def test_evaluate_compiles_a_tree_once(self, monkeypatch):
+        calls = self._count_compiles(monkeypatch)
+        e = sin(x * y) + x**3 / (1 + y**2)
+        rng = random.Random(4)
+        points = [{"x": rng.uniform(-2, 2), "y": rng.uniform(-2, 2)} for _ in range(100)]
+        values = [evaluate(e, p) for p in points]
+        assert len(calls) == 1
+        assert values == [tree_walk(e, p) for p in points]
+
+    def test_the_cache_holds_at_most_its_bound(self, monkeypatch):
+        calls = self._count_compiles(monkeypatch)
+        bound = expr_module._function_code.cache_info().maxsize
+        assert bound == 256
+        for k in range(bound + 44):
+            assert compile_expression(x + k, ["x"]).scalar(0.5) == 0.5 + k
+        assert len(calls) == bound + 44
+        assert expr_module._function_code.cache_info().currsize == bound
+        compile_expression(x + bound + 43, ["x"])  # the newest source is still held
+        assert len(calls) == bound + 44
+
+    def test_threads_compiling_one_source_get_one_value(self):
+        expr_module._function_code.cache_clear()
+        e = exp(x) * cos(y) - x * y**2 + ln(1 + x**2)
+        want = tree_walk(e, {"x": 0.3, "y": -0.7})
+        barrier = threading.Barrier(8)
+        results = []
+
+        def work():
+            barrier.wait(timeout=30)
+            results.append(compile_expression(e, ["x", "y"]).scalar(0.3, -0.7))
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 8
+
+
 def _random_tree(rng, depth):
     if depth == 0 or rng.random() < 0.25:
         return rng.choice([const(rng.randint(-5, 5)), x, y])
