@@ -10,10 +10,10 @@ integrals read each term's exponents (i, j, ...) in the coordinates off
 A characteristic curve runs as one RK4 loop generated for its phi from the
 statements of ``expr._emit``; a pseudostructure scan holds each commutator
 component on its own grid, of size 1 along an axis it does not read, and
-reads its grid hits, sign changes and intensity from those values.  A grid
-of at most SCALAR_SCAN_NODES nodes is scanned in scalar mode alone and never
-imports numpy; a larger one in array mode, taking grid-node indices from each
-mask by one flat index scan, in np.argwhere's order.
+reads its grid hits, bisection end values and intensity from those values.  A
+grid of at most SCALAR_SCAN_NODES nodes is scanned in scalar mode alone and
+never imports numpy; a larger one in array mode, taking grid-node indices
+from each mask by one flat index scan, in np.argwhere's order.
 
 Verdicts are three-valued throughout; "unknown" zero tests propagate and
 are never coerced into a definite answer.
@@ -406,43 +406,28 @@ def _spread(nodes: np.ndarray, own: tuple, shape: tuple) -> tuple[np.ndarray, np
     return out[order], order // len(spread)
 
 
-def _bisect_edges(fn, lo: np.ndarray, hi: np.ndarray,
-                  tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect a compiled component along m grid edges with (n, m) end points
-    lo and hi, each edge as a scalar bisection would: an end point where it
-    is exactly 0 is the root; otherwise the end values must be finite and
-    not of one sign, and the root is the first of at most 80 midpoints with
-    |K| <= tol.  Only coordinates that differ along some edge move.  Returns
-    the (n, k) roots and the indices of their edges, in edge order.
-    """
+def _bisect_edges(fn, point: np.ndarray, d: int, f_a: np.ndarray, b: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """The scalar pass's ``bisect`` on m grid edges at once.  Edge k leaves column k of the
+    (n, m) points along axis d, where the component holds the value f_a[k], for coordinate
+    b[k], where it holds a finite value of the other sign.  Only row d of point moves, and
+    is overwritten; the root is the first of at most 80 midpoints with |K| <= tol.
+    Returns the root coordinate of each edge, NaN where none is found."""
     import numpy as np
 
-    f_lo, f_hi = fn.array(*lo), fn.array(*hi)
-    valid = np.isfinite(f_lo) & np.isfinite(f_hi)
-    at_lo = valid & (f_lo == 0.0)
-    at_hi = valid & (f_hi == 0.0) & ~at_lo
-    edges = [np.flatnonzero(at_lo), np.flatnonzero(at_hi)]
-    roots = [lo[:, at_lo], hi[:, at_hi]]
-    live = np.flatnonzero(valid & ~at_lo & ~at_hi & ~(f_lo * f_hi > 0))
-    moving = (lo != hi).any(axis=1)
-    point, a, b, f_a = lo[:, live], lo[moving][:, live], hi[moving][:, live], f_lo[live]
+    roots, live, a = np.full(len(f_a), np.nan), np.arange(len(f_a)), point[d].copy()
     for _ in range(80):
         if not live.size:
             break
-        mid = 0.5 * (a + b)
-        point[moving] = mid
+        point[d] = mid = 0.5 * (a + b)
         f_mid = fn.array(*point)
         hit = np.abs(f_mid) <= tol
-        edges.append(live[hit])
-        roots.append(point[:, hit])
+        roots[live[hit]] = mid[hit]
         left = f_a * f_mid < 0
-        a, b = np.where(left, a, mid), np.where(left, mid, b)
-        f_a = np.where(left, f_a, f_mid)
-        keep = np.isfinite(f_mid) & ~hit
-        live, point, a, b, f_a = live[keep], point[:, keep], a[:, keep], b[:, keep], f_a[keep]
-    edges = np.concatenate(edges)
-    order = np.argsort(edges, kind="stable")
-    return np.concatenate(roots, axis=1)[:, order], edges[order]
+        a, b, f_a = np.where(left, a, mid), np.where(left, mid, b), np.where(left, f_a, f_mid)
+        keep = ~np.isnan(f_mid) & ~hit
+        live, point, a, b, f_a = live[keep], point[:, keep], a[keep], b[keep], f_a[keep]
+    return roots
 
 
 def _array_scan(comps: Sequence[Expression], names: Sequence[str], box, shape: tuple,
@@ -463,40 +448,47 @@ def _array_scan(comps: Sequence[Expression], names: Sequence[str], box, shape: t
         """(n, m) coordinates of m grid nodes given by their (m, n) indices."""
         return np.stack([axes[d][nodes[:, d]] for d in range(n)])
 
-    found_nodes, found_roots = [], []
-
-    def offer(nodes: np.ndarray, roots: np.ndarray) -> None:
-        """Keep the candidates, in order, where every component is within tol."""
-        on_locus = np.ones(len(nodes), dtype=bool)
-        for fn in compiled:
-            on_locus &= np.abs(fn.array(*roots)) <= tol
-        found_nodes.append(nodes[on_locus])
-        found_roots.append(roots[:, on_locus])
+    def on_locus(fns, points: np.ndarray) -> np.ndarray:  # where every one of fns is within tol
+        keep = np.ones(points.shape[1], dtype=bool)
+        for fn in fns:
+            keep &= np.abs(fn.array(*points)) <= tol
+        return keep
 
     with np.errstate(all="ignore"):
-        # grid hits: the own-grid hits of the component that hits the fewest box nodes,
-        # spread over the box and kept where every component is within tol
+        # grid hits, decided by the own-grid values: the own-grid hits of the component
+        # that hits the fewest box nodes, spread over the box where every component is within tol
         masks = [np.abs(arr) <= tol for arr in comp_values]
         fewest = min(masks, key=lambda mask: np.count_nonzero(mask) / mask.size)
         hits = _spread(_nodes(fewest), fewest.shape, shape)[0]
         for mask in masks:
             hits = hits[np.broadcast_to(mask, shape)[tuple(hits.T)]]
-        offer(hits, coords(hits))
-        # then sign-change edges refined per driving component
+        found_nodes, found_roots = [hits], [coords(hits)]
+        # then the sign-change edges of each own grid, each bisected once from its held values;
+        # a root is checked against the other components: once, before it is spread, against
+        # the fixed ones, which read only axes its own component reads, and at each box edge
+        # against the rest
         for fn, arr in zip(compiled, comp_values):
+            others = [(o, all(m <= s for m, s in zip(v.shape, arr.shape)))
+                      for o, v in zip(compiled, comp_values) if o is not fn]
+            fixed, varying = [o for o, f in others if f], [o for o, f in others if not f]
             for axis in range(n):
                 if arr.shape[axis] == 1:
                     continue  # constant along this axis: no sign change
                 v = np.moveaxis(arr, axis, 0)
                 flip = np.moveaxis(v[:-1] * v[1:] < 0, 0, axis)
                 flips = _nodes(flip)
-                hi_ends = flips + np.eye(n, dtype=np.intp)[axis]
-                roots, edges = _bisect_edges(fn, coords(flips), coords(hi_ends), tol)
+                roots = coords(flips)
+                roots[axis] = _bisect_edges(fn, roots.copy(), axis, arr[tuple(flips.T)],
+                                            axes[axis][flips[:, axis] + 1], tol)
+                found = np.flatnonzero(~np.isnan(roots[axis]))
+                found = found[on_locus(fixed, roots[:, found])]
                 # repeat each root on every edge of the box that broadcasts onto its edge
-                box_edges, source = _spread(flips[edges], flip.shape, shape)
+                box_edges, source = _spread(flips[found], flip.shape, shape)
                 box_roots = coords(box_edges)
-                box_roots[axis] = roots[axis, source]
-                offer(box_edges, box_roots)
+                box_roots[axis] = roots[axis, found[source]]
+                keep = on_locus(varying, box_roots)
+                found_nodes.append(box_edges[keep])
+                found_roots.append(box_roots[:, keep])
     nodes = np.concatenate(found_nodes)
 
     accepted: dict[tuple[float, ...], int] = {}  # rounded point -> its first candidate
@@ -523,8 +515,8 @@ def _linspace(lo: float, hi: float, m: int) -> list[float]:
 def _scalar_scan(comps: Sequence[Expression], names: Sequence[str], box, shape: tuple,
                  tol: float) -> tuple[list[tuple[float, ...]], float]:
     """``_array_scan`` in scalar mode alone, with NaN where scalar mode raises: the same
-    candidates in the same order, each component on its own grid, bisected by the rules
-    of ``_bisect_edges`` with only the edge's own coordinate moving."""
+    candidates in the same order, each component on its own grid, and each edge bisected
+    from its held end value by ``bisect``, the scalar twin of ``_bisect_edges``."""
     axes = [_linspace(lo, hi, m) for (lo, hi), m in zip(box, shape)]
     compiled = [compile_expression(c, names) for c in comps]
     owns = [tuple(m if name in free_variables(c) else 1 for name, m in zip(names, shape)) for c in comps]
@@ -544,7 +536,7 @@ def _scalar_scan(comps: Sequence[Expression], names: Sequence[str], box, shape: 
     def spread(node, own):  # the box nodes that a node of an own grid stands for, in C order
         return itertools.product(*[(i,) if m > 1 else range(s) for i, m, s in zip(node, own, shape)])
 
-    def bisect(fn, point: list[float], d: int, f_a: float, b: float) -> float | None:
+    def bisect(fn, point: list[float], d: int, f_a: float, b: float) -> float | None:  # sets point[d]
         a = point[d]
         for _ in range(80):
             point[d] = mid = 0.5 * (a + b)
@@ -560,31 +552,32 @@ def _scalar_scan(comps: Sequence[Expression], names: Sequence[str], box, shape: 
     own_values = [dict(zip(itertools.product(*map(range, own)), (value(fn, point) for point in
                            itertools.product(*[axis[:m] for axis, m in zip(axes, own)]))))
                   for fn, own in zip(compiled, owns)]
-    # grid hits, from the own-grid hits of the component that hits the fewest box nodes
+    # grid hits, decided by the own-grid values of the component that hits the fewest box nodes
     own_hits = [[node for node, v in values.items() if abs(v) <= tol] for values in own_values]
     fewest = min(range(len(comps)), key=lambda c: len(own_hits[c]) / len(own_values[c]))
-    hits = sorted(node for own_node in own_hits[fewest] for node in spread(own_node, owns[fewest])
-                  if all(abs(k(c, node)) <= tol for c in range(len(comps))))
-    candidates = [(node, at(node)) for node in hits]
-    # then the sign-change edges of each own grid, each bisected once and spread over the box
+    accepted: dict[tuple[float, ...], tuple[int, ...]] = {}  # rounded point -> its first candidate
+    for node in sorted(node for own_node in own_hits[fewest] for node in spread(own_node, owns[fewest])
+                       if all(abs(k(c, node)) <= tol for c in range(len(comps)))):
+        accepted.setdefault(tuple(round(v, 9) for v in at(node)), node)
+    # then the sign-change edges of each own grid, bisected and checked as in ``_array_scan``
     for fn, own, values in zip(compiled, owns, own_values):
+        others = [(o, all(m <= s for m, s in zip(o_own, own)))
+                  for o, o_own in zip(compiled, owns) if o is not fn]
+        fixed, varying = [o for o, f in others if f], [o for o, f in others if not f]
         flat = list(values.values())
         for d in [d for d, m in enumerate(own) if m > 1]:
             edges, stride = [], math.prod(own[d + 1:])
             for j, (own_node, f_a) in enumerate(values.items()):
                 if own_node[d] + 1 < own[d] and f_a * flat[j + stride] < 0:
-                    root = bisect(fn, at(own_node), d, f_a, axes[d][own_node[d] + 1])
-                    if root is not None:
+                    point = at(own_node)
+                    root = bisect(fn, point, d, f_a, axes[d][own_node[d] + 1])
+                    if root is not None and all(abs(value(o, point)) <= tol for o in fixed):
                         edges += [(node, root) for node in spread(own_node, own)]
             for node, root in sorted(edges):
                 point = at(node)
                 point[d] = root
-                candidates.append((node, point))
-
-    accepted: dict[tuple[float, ...], tuple[int, ...]] = {}  # rounded point -> its first candidate
-    for node, point in candidates:
-        if all(abs(value(fn, point)) <= tol for fn in compiled):
-            accepted.setdefault(tuple(round(v, 9) for v in point), node)
+                if all(abs(value(o, point)) <= tol for o in varying):
+                    accepted.setdefault(tuple(round(v, 9) for v in point), node)
     near = {tuple(i + o for i, o in zip(node, offsets)) for node in accepted.values()
             for offsets in itertools.product((-1, 0, 1), repeat=len(shape))}
     ks = [[abs(k(c, node)) for c in range(len(comps))] for node in near
@@ -603,8 +596,10 @@ def find_pseudostructure(a: DifferentialForm, g: Metric, box, grid,
     the largest commutator magnitude on grid nodes adjacent to the locus.
     Each component is scanned, bisected and bounded on its own grid, of
     size 1 along an axis it does not read, and its roots are then repeated
-    along that axis; grid hits and the intensity read each component on
-    that grid too.  The result is what a scan of the whole box gives.
+    along that axis.  Those values decide the grid hits, start each
+    bisection and give the intensity, so a component is evaluated again
+    only at its midpoints and at the roots of the others.  The result is
+    what a scan of the whole box gives.
 
     A grid of at most SCALAR_SCAN_NODES nodes is scanned in scalar mode
     alone: every value the scan decides on or reports comes from

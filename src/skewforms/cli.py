@@ -25,6 +25,7 @@ from .analysis import (
     DEFAULT_STEP,
     DEFAULT_STEPS,
     DEFAULT_TOL,
+    SCALAR_SCAN_NODES,
     AnalysisError,
     _curve_and_levels,
     classification_table,
@@ -328,7 +329,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def scan(p):
         p.add_argument("--box", help="ranges lo:hi per axis, comma separated;"
                        " write --box=-2:2,-2:2 for negatives")
-        p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+        p.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                       help="nodes per axis (default: %(default)s); a grid of more than"
+                       f" {SCALAR_SCAN_NODES:,} nodes in all scans in array mode, imports numpy"
+                       " and prints floats that follow numpy's exp, ln, sin and cos")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     add("d", _cmd_d, "exterior derivative of forms")

@@ -623,30 +623,34 @@ class TestPseudostructure:
             lo = axis_nodes[flips].T
             hi = lo.copy()
             hi[axis] = axis_nodes[flips[:, axis] + 1]
-            roots, edges = analysis._bisect_edges(shell, lo, hi, 1e-6)
-            expected = [(k, root) for k in range(len(flips))
-                        if (root := _scalar_bisect(shell.scalar, lo[:, k].tolist(),
-                                                   hi[:, k].tolist(), 1e-6)) is not None]
-            assert len(expected) > 500
-            assert edges.tolist() == [k for k, _ in expected]
-            assert roots.T.tolist() == [root for _, root in expected]
+            held = lead[tuple(flips.T)], trail[tuple(flips.T)]  # both bisections start from them
+            roots = analysis._bisect_edges(shell, lo.copy(), axis, held[0], hi[axis], 1e-6)
+            expected = [_scalar_bisect(shell.scalar, lo[:, k].tolist(), hi[:, k].tolist(), 1e-6,
+                                       (held[0][k], held[1][k])) for k in range(len(flips))]
+            got = []
+            for k, r in enumerate(roots.tolist()):  # NaN: no root on edge k
+                point = lo[:, k].tolist()
+                point[axis] = r
+                got.append(None if math.isnan(r) else point)
+            assert got == expected
+            assert sum(root is not None for root in expected) > 500
 
     def test_array_bisection_edge_cases(self):
-        # (component, (x, y) lo end, (x, y) hi end)
+        # (component, x at the lo end, x at the hi end) of an edge along x at y = 0.  The scan
+        # bisects only strict sign changes of finite values it already holds, so an edge whose
+        # end value is zero, non-finite or of the other end's sign never reaches the bisection
         edges = [
-            (x - y, (0.0, 0.0), (1.0, 0.0)),     # zero at the lo end
-            (x - y, (-1.0, 0.0), (0.0, 0.0)),    # zero at the hi end
-            (x - y, (0.0, 0.0), (0.0, 0.0)),     # zero at both ends
-            (x - y, (1.0, 0.0), (2.0, 0.0)),     # no sign change
-            (x - y, (-0.3, 0.0), (0.7, 0.0)),    # a root inside
-            (ln(x), (-1.0, 0.0), (2.0, 0.0)),    # lo end outside the domain
+            (x - y, -0.3, 0.7, True),      # a root inside
+            (x**-1, -1.0, 1.0, False),     # the first midpoint, x = 0, outside the domain
         ]
-        for e, lo, hi in edges:
+        for e, lo, hi, has_root in edges:
             fn = compile_expression(e, V2.names)
-            roots, found = analysis._bisect_edges(fn, np.array([lo]).T, np.array([hi]).T, 1e-6)
-            expected = _scalar_bisect(fn.scalar, list(lo), list(hi), 1e-6)
-            assert found.tolist() == ([] if expected is None else [0])
-            assert roots.T.tolist() == ([] if expected is None else [expected])
+            held = fn.scalar(lo, 0.0), fn.scalar(hi, 0.0)
+            point = np.array([[lo], [0.0]])
+            roots = analysis._bisect_edges(fn, point, 0, np.array(held[:1]), np.array([hi]), 1e-6)
+            expected = _scalar_bisect(fn.scalar, [lo, 0.0], [hi, 0.0], 1e-6, held)
+            assert [None if math.isnan(r) else [r, 0.0] for r in roots.tolist()] == [expected]
+            assert (expected is not None) == has_root
 
     # the numeric workload's shell and axis shapes: in the shell, K_xy = -2*y and
     # K_xz = 5/7*y - 2*z read no x and K_yz = 5/7*x reads x alone; in the axis,
@@ -681,9 +685,9 @@ class TestPseudostructure:
         received = []
         bisect = analysis._bisect_edges
 
-        def counting(fn, lo, hi, tol):
-            received.append(lo.shape[1])
-            return bisect(fn, lo, hi, tol)
+        def counting(fn, point, d, f_a, b, tol):
+            received.append(len(f_a))
+            return bisect(fn, point, d, f_a, b, tol)
 
         monkeypatch.setattr(analysis, "_bisect_edges", counting)
         grid = 101
@@ -721,8 +725,11 @@ class TestPseudostructure:
         # read all three; the grid hits are those of K_xz = 5/7*y - 2*z, the
         # component with the fewest, spread along x and checked against the
         # others, so no mask spans the box (201^3 bools would take 7.7 MiB).
-        # The axis workload's hits read (x, y).  A float array over the box
-        # would take 61.8 MiB
+        # K_xy = -2*y reads only axes K_xz reads, so the roots of K_xz are
+        # checked against it before they are spread along x, and only the
+        # few that pass are spread (1.3 MiB at the peak).  The axis
+        # workload's hits read (x, y).  A float array over the box would
+        # take 61.8 MiB
         def scan(form):
             tracemalloc.start()
             try:
@@ -733,7 +740,7 @@ class TestPseudostructure:
 
         rep, peak = scan(self.SHELL_WORKLOAD)
         assert rep.locus.points == [(0.0, 0.0, 0.0)]
-        assert peak < 4 * 2**20
+        assert peak < 2 * 2**20
         rep, peak = scan(self.AXIS_WORKLOAD)
         assert len(rep.locus.points) == 201 and {p[:2] for p in rep.locus.points} == {(0.0, 0.0)}
         assert peak < 4 * 2**20
@@ -856,11 +863,89 @@ class TestNodeIndices:
         assert sum(len(r.locus.points) for r in reports) > 200
 
 
-def _scalar_bisect(f, lo, hi, tol):
+class _CountingExpression:
+    """A compiled component that counts the elements it is evaluated at."""
+
+    def __init__(self, fn):
+        self.fn, self.count = fn, 0
+
+    def scalar(self, *point):
+        self.count += 1
+        return self.fn.scalar(*point)
+
+    def array(self, *arrays):
+        out = self.fn.array(*arrays)
+        self.count += np.size(out)
+        return out
+
+
+class TestScanEvaluations:
+    """After the node pass, a scan evaluates a component only at its bisection
+    midpoints and at the roots of the other components, in either mode."""
+
+    def counts(self, monkeypatch, form, grid, bound):
+        counted = []
+
+        def counting(e, names):
+            counted.append(_CountingExpression(compile_expression(e, names)))
+            return counted[-1]
+
+        monkeypatch.setattr(analysis, "compile_expression", counting)
+        monkeypatch.setattr(analysis, "SCALAR_SCAN_NODES", bound)
+        rep = find_pseudostructure(form, Metric.euclidean(form.vars), BOX2, grid)
+        return rep, [c.count for c in counted]
+
+    def test_one_component_is_evaluated_at_its_nodes_and_midpoints(self, monkeypatch):
+        # K = x^2 + y^2 - 1/4, a circle through the grid hits (+-1/2, 0) and (0, +-1/2)
+        circle = DifferentialForm.one_form(V2, [ZERO, x**3 / 3 + x * y**2 - x / 4])
+        fn = compile_expression(commutator(circle).coefficient((1, 2)), V2.names)
+        grid = 41
+        axis_nodes = np.linspace(-1.0, 1.0, grid)
+        mesh = np.meshgrid(axis_nodes, axis_nodes, indexing="ij")
+
+        def array_value(*point):
+            return float(fn.array(*[np.array([c]) for c in point])[0])
+
+        for bound, nodes, value in ((analysis.SCALAR_SCAN_NODES, _scalar_nodes, fn.scalar),
+                                    (0, _array_nodes, array_value)):  # the scalar path, then the array path
+            # the midpoints of a bisection from the held values on every sign-change edge
+            values, midpoints = nodes(fn, mesh), 0
+
+            def counted(*point):
+                nonlocal midpoints
+                midpoints += 1
+                return value(*point)
+
+            for axis in range(2):
+                lead = np.take(values, range(grid - 1), axis=axis)
+                trail = np.take(values, range(1, grid), axis=axis)
+                for node in np.argwhere(lead * trail < 0):
+                    lo = axis_nodes[node].tolist()
+                    hi = list(lo)
+                    hi[axis] = float(axis_nodes[node[axis] + 1])
+                    ends = lead[tuple(node)], trail[tuple(node)]
+                    _scalar_bisect(counted, lo, hi, analysis.DEFAULT_TOL, ends)
+            rep, counts = self.counts(monkeypatch, circle, grid, bound)
+            assert len(rep.locus.points) == 84 and midpoints > 500
+            assert counts == [grid**2 + midpoints]
+
+    def test_grid_hits_are_not_evaluated_again(self, monkeypatch):
+        # K = -xi2 vanishes on the grid line xi2 = 0 and changes sign on no edge
+        xi = VariableSet(["xi1", "xi2"])
+        xi1, xi2 = var("xi1"), var("xi2")
+        a = DifferentialForm.one_form(xi, [xi2**2, xi1 * xi2])
+        for bound in (analysis.SCALAR_SCAN_NODES, 0):  # the scalar path, then the array path
+            rep, counts = self.counts(monkeypatch, a, 41, bound)
+            assert rep.locus.kind == "hyperplane" and len(rep.locus.points) == 41
+            assert counts == [41]  # the own grid of K: 1 x 41 nodes
+
+
+def _scalar_bisect(f, lo, hi, tol, ends=None):
     """Bisect a scalar function along one grid edge: the reference for the
-    array bisection of the pseudostructure scan."""
+    array bisection of the pseudostructure scan.  ends, when given, are the
+    values at lo and hi, which are then not evaluated."""
     try:
-        f_lo, f_hi = f(*lo), f(*hi)
+        f_lo, f_hi = (f(*lo), f(*hi)) if ends is None else ends
     except DomainError:
         return None
     if f_lo == 0.0:

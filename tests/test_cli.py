@@ -549,9 +549,11 @@ print(code, *(name in sys.modules for name in ("numpy", "inspect", "json", "data
     # a scan of at most analysis.SCALAR_SCAN_NODES (4096) nodes runs in scalar mode alone
     (("pseudostructure", BALANCE, "--name", "omega", "--grid", "21"), False),
     (("balance-scan", BALANCE, "--grid", "21"), False),
+    (("pseudostructure", BALANCE, "--name", "omega", "--grid", "64"), False),  # 4,096 nodes
+    (("pseudostructure", BALANCE, "--name", "omega", "--grid", "65"), True),  # 4,225 nodes
     (("pseudostructure", BALANCE, "--name", "omega", "--grid", "101"), True),  # 10,201 nodes
 ], ids=["import", "d", "classify", "characteristics", "table", "pseudostructure", "balance-scan",
-        "pseudostructure-10201-nodes"])
+        "pseudostructure-4096-nodes", "pseudostructure-4225-nodes", "pseudostructure-10201-nodes"])
 def test_numpy_is_imported_only_by_grid_scans(argv, loads_numpy):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
