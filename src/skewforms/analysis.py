@@ -304,8 +304,8 @@ def _rk4_kernel(phi: Expression, names: Sequence[str]) -> FunctionType:
               + stage(2, "_x + _hh * _k1x", "_y + _hh * _k1y")
               + stage(3, "_x + _hh * _k2x", "_y + _hh * _k2y")
               + stage(4, "_x + _h * _k3x", "_y + _h * _k3y")
-              + block("_x, _y = (_x + _h6 * (_k1x + 2 * _k2x + 2 * _k3x + _k4x),",
-                      "          _y + _h6 * (_k1y + 2 * _k2y + 2 * _k3y + _k4y))")
+              + block("_x, _y = (_x + _h6 * (_k1x + 2.0 * _k2x + 2.0 * _k3x + _k4x),",
+                      "          _y + _h6 * (_k1y + 2.0 * _k2y + 2.0 * _k3y + _k4y))")
               + "        except (_DomainError, *_ARITH):\n"
               "            return _points, _levels\n")
     return FunctionType(_function_code(source),

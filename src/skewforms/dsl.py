@@ -33,7 +33,9 @@ newlines before that offset give the line and column.  Lexer errors still come
 first, in text order.  A group in parentheses is parsed once per document for
 each distinct token sequence: a repeat reuses its value unless a fresh parse at
 its depth would pass MAX_NESTING, so every error keeps its message, line and
-column.
+column.  A monomial chain (literals and variables joined by '*' and '/', each
+variable with an optional integer-literal exponent, and an optional leading
+'-') is read in one loop into one term; any other chain by recursive descent.
 
 Printing is canonical: sorted index tuples, canonical expression order,
 one declaration per line.  ``parse(print(doc))`` reproduces the document.
@@ -48,6 +50,8 @@ from .expr import (
     Const,
     DomainError,
     Expression,
+    Pow,
+    Var,
     VariableSet,
     ZERO,
     const,
@@ -59,8 +63,10 @@ from .expr import (
     sin,
     to_text,
     var,
+    _MAX_CONSTANT,
     _Record,
     _combine,
+    _from_term,
 )
 from .forms import DifferentialForm, form_to_text, wedge
 from .duality import Metric
@@ -180,6 +186,8 @@ class _Parser:
                     self.error(f"unexpected character {t!r}", i)
                 if t in self.numbers and self.numbers[t] is None:
                     self.error("number literal has too many digits", i)
+        # literal -> (numerator, denominator) for the literals _monomial reads; const raises for the rest
+        self.ratios = {t: r for t, v in self.numbers.items() if max(r := v.as_integer_ratio()) <= _MAX_CONSTANT}
         self.pos, self.doc = 0, Document()
         self.names: dict[str, object] = {}   # name -> its declaration; None for a variable
         self.depth = 0   # open _unary calls, bounded by MAX_NESTING
@@ -404,6 +412,8 @@ class _Parser:
         scalars.  A bound of expr that the chain passes is blamed on its first token."""
         first = self.pos
         try:
+            if (term := self._monomial()) is not None:
+                return term
             factors = [self._unary()]
             form = factors.pop() if isinstance(factors[0], DifferentialForm) else None
             while (t := self.texts[self.pos]) == "*" or t == "/":
@@ -430,6 +440,39 @@ class _Parser:
             return scalar if form is None else form * scalar
         except DomainError as exc:
             self.error(str(exc), first)
+
+    def _monomial(self) -> Expression | None:
+        """The monomial chain that starts here as one term (see the module docstring); None,
+        with no token consumed, for any other chain and where _unary would nest past MAX_NESTING."""
+        texts, ratios, i = self.texts, self.ratios, self.pos
+        sign = texts[i] == "-"
+        num, den, powers, way, i = -1 if sign else 1, 1, {}, 1, i + sign   # way: -1 after '/'
+        deepest = nest = 1 + sign   # _unary calls for the first operand: the most so far, its own
+        while True:
+            if (t := texts[i]) in ratios and texts[i + 1] != "^":
+                p, q = ratios[t][::way]
+                if not q:
+                    return None   # division by zero
+                num, den, i = num * p, den * q, i + 1
+            elif self.names.get(t, 0) is None:   # a declared variable
+                k, i = 1, i + 1
+                if texts[i] == "^":
+                    minus = texts[i + 1] == "-"
+                    p, q = ratios.get(texts[i + 1 + minus], (0, 0))
+                    if q != 1 or texts[i + 2 + minus] == "^":
+                        return None
+                    k, i, deepest = -p if minus else p, i + 2 + minus, max(deepest, nest + 1 + minus)
+                powers[t] = powers.get(t, 0) + way * k
+            else:
+                return None
+            if (op := texts[i]) != "*" and op != "/":
+                break
+            way, i, nest = -1 if op == "/" else 1, i + 1, 1
+        if self.depth + deepest > MAX_NESTING:
+            return None
+        self.pos, self.peak = i, max(self.peak, self.depth + deepest)
+        factors = tuple(Var(n) if k == 1 else Pow(Var(n), k) for n, k in sorted(powers.items()) if k)
+        return _from_term(num if den == 1 else Fraction(num, den), factors) if num else ZERO
 
     def _unary(self) -> Expression | DifferentialForm:
         # every nesting (parentheses, calls, '^' chains, signs) passes here

@@ -11,25 +11,31 @@ fractional exponent).  Two expressions that normalize to the same tree
 compare equal with ``==``.  A sum, difference or negation is one pass over
 the parts' terms with each part's sign folded into its coefficients.  A
 product distributes its sums one at a time over a {monomial: coefficient}
-map, where two monomials multiply by merging their factors; a constant times
-a sum scales the sum's terms in their order.  The rules for one base raised
-to a power (constant roots and radicals, a power of a power, an integer
-power of a product, the content of a sum) live in one table, ``_split``; mul
-applies it to each base it accumulates, so (x*y)^(1/2) squared is x*y, and a
-power is the product of its one factor.  A bare sum joins a negative power
-of its base through its signed content, so no term holds two factors of one
-base and (-1 - x)*(1 + x)^-1 is -1.  A derivative walks the canonical terms:
-a power of the variable is lowered in place, and each other factor that
-depends on it costs one product.  Each node computes its sort key and each
-derivative taken of it once, on first use.  Nodes are interned: a class's
-``__new__`` returns the one live node with the given fields from a table of
-weak references, which inserts by ``dict.setdefault`` and removes only dead
-entries, so threads that build one value at once get one node.  ``==`` and
-``hash`` are then identity, in C (hashing and comparing trees took a fifth
-of the symbolic benchmark), equal trees share one derivative memo, and no
-output may iterate a set of nodes, whose order follows addresses.  Nodes
-are plain slotted classes, not dataclasses: importing ``dataclasses`` took
-about a third of the start-up of a CLI call.
+map.  Where two or more sums meet and every factor is a variable or function
+with an integer exponent, a monomial packs each exponent, plus a bias that
+makes it nonnegative, into a field of one int, atoms in key order, and each
+coefficient is an integer over one common denominator: two terms multiply by
+one int sum and one int product, and each output term is built once (sparse
+expansion after Johnson 1974).  Otherwise two monomials multiply by merging
+their factors.  A constant times a sum scales the sum's terms in their order.
+The rules for one base raised to a power (constant roots and radicals, a
+power of a power, an integer power of a product, the content of a sum) live
+in one table, ``_split``; mul applies it to each base it accumulates, so
+(x*y)^(1/2) squared is x*y, and a power is the product of its one factor.
+A bare sum joins a negative power of its base through its signed content,
+so no term holds two factors of one base and (-1 - x)*(1 + x)^-1 is -1.
+A derivative walks the canonical terms: a power of the variable is lowered
+in place, and each other factor that depends on it costs one product.  Each
+node computes its sort key and each derivative taken of it once, on first
+use.  Nodes are interned: a class's ``__new__`` returns the one live node
+with the given fields from a table of weak references, which inserts by
+``dict.setdefault`` and removes only dead entries, so threads that build one
+value at once get one node.  ``==`` and ``hash`` are then identity, in C
+(hashing and comparing trees took a fifth of the symbolic benchmark), equal
+trees share one derivative memo, and no output may iterate a set of nodes,
+whose order follows addresses.  Nodes are plain slotted classes, not
+dataclasses: importing ``dataclasses`` took about a third of the start-up
+of a CLI call.
 
 Constants and exponents are exact rationals with one representation: a
 plain ``int`` when the denominator is 1, otherwise a ``Fraction`` with
@@ -43,8 +49,8 @@ cache keys on source text and holds no nodes.
 
 Zero-testing is three-valued.  "zero" is certified only by exact
 normalization, including clearing denominators of rational functions.
-"nonzero" is certified by an exact nonzero constant or by a randomized
-numeric witness.  Everything else is "unknown".
+"nonzero" is certified by an exact nonzero constant, a polynomial other than
+0 or a randomized numeric witness.  Everything else is "unknown".
 """
 
 from __future__ import annotations
@@ -499,7 +505,8 @@ def mul(*parts: Expression) -> Expression:
 
     Sums accumulate in the same base/exponent table as their inverse-power
     atoms, so (x+y) * (x+y)^-1 cancels exactly before any distribution,
-    which then carries one {monomial: coefficient} map through the sums.
+    which then carries one map through the sums: of packed exponent vectors
+    where ``_expand_atoms`` can, else of {monomial: coefficient}.
     """
     coeff = 1
     powers: dict[Expression, int | Fraction] = {}
@@ -548,14 +555,13 @@ def mul(*parts: Expression) -> Expression:
         # c*S keeps the order of S, whose terms sort by their monomials alone
         s = sums[0]
         return s if coeff == 1 else Add(tuple(_from_term(coeff * c, m) for c, m in map(_as_term, s.terms)))
+    if len(sums) > 1 and (expanded := _expand_atoms(coeff, mono, sums)) is not None:
+        return expanded
 
     acc = {mono: coeff}
     products = 0
     for s in sums:
-        # a map that cancelled to nothing is the one term 0
-        products += max(len(acc), 1) * len(s.terms)
-        if products > _MAX_EXPANSION_PRODUCTS:
-            raise DomainError(f"expansion needs more than {_MAX_EXPANSION_PRODUCTS} term products")
+        products = _count_products(products, acc, s)
         right = [(t, *_as_term(t)) for t in s.terms]
         step: dict[tuple[Expression, ...], int | Fraction] = {}
         for ma, ca in acc.items():
@@ -573,6 +579,43 @@ def mul(*parts: Expression) -> Expression:
 
 _MAX_EXPANSION_EXPONENT = 64
 _MAX_EXPANSION_PRODUCTS = 100_000
+
+
+def _count_products(products: int, acc: dict, s: Add) -> int:
+    """products plus those of acc times s, where a map that cancelled to nothing is the term 0."""
+    products += max(len(acc), 1) * len(s.terms)
+    if products > _MAX_EXPANSION_PRODUCTS:
+        raise DomainError(f"expansion needs more than {_MAX_EXPANSION_PRODUCTS} term products")
+    return products
+
+
+def _expand_atoms(coeff: int | Fraction, mono: tuple[Expression, ...], sums: list[Add]) -> Expression | None:
+    """coeff*mono times the sums over packed exponent vectors (see the module docstring);
+    None unless every factor of mono and of the sums' terms is a variable or function
+    with an integer exponent."""
+    parts = {s: [(c, [*map(_as_power, m)]) for c, m in map(_as_term, s.terms)] for s in sums}
+    parts[None] = [(coeff, [*map(_as_power, mono)])]
+    pairs = [p for terms in parts.values() for _, ps in terms for p in ps]
+    if not all(type(e) is int and isinstance(b, (Var, Func)) for b, e in pairs):
+        return None
+    k, bias = len(sums) + 1, max(abs(e) for _, e in pairs)   # an output term has k biased factors
+    width = (2 * bias * k).bit_length()
+    shifts = {b: i * width for i, b in enumerate(sorted({b for b, _ in pairs}, key=_sort_key))}
+    lift = sum(bias << shift for shift in shifts.values())
+    den = math.lcm(*[c.denominator for terms in parts.values() for c, _ in terms])
+    packed = {s: [(lift + sum(e << shifts[b] for b, e in ps), c.numerator * (den // c.denominator))
+                  for c, ps in terms] for s, terms in parts.items()}
+    acc, den, products = dict(packed[None]), den**k, 0
+    for s in sums:
+        products, step = _count_products(products, acc, s), {}
+        for pa, ca in acc.items():
+            for pb, cb in packed[s]:
+                step[pa + pb] = step.get(pa + pb, 0) + ca * cb
+        acc = {p: c for p, c in step.items() if c}
+    mask = (1 << width) - 1
+    return _assemble({tuple(b if e == 1 else Pow(b, e) for b, shift in shifts.items()
+                            if (e := (p >> shift & mask) - k * bias)): c if den == 1 else Fraction(c, den)
+                      for p, c in acc.items()})
 
 
 def _const_power(c: int | Fraction, k: int) -> int | Fraction:
@@ -1002,15 +1045,19 @@ def is_zero(e: Expression) -> str:
 
     Expects a canonical tree, as every factory builds.  "zero" only when
     normalization (after clearing denominators) cancels the tree to the
-    literal 0; "nonzero" from an exact nonzero constant or a numeric witness
-    above the probe threshold; "unknown" otherwise, and always when a
-    top-level term holds a factor 0^-k, which is undefined everywhere.
+    literal 0; "nonzero" from an exact nonzero constant, a polynomial other
+    than 0 or a numeric witness above the probe threshold; "unknown"
+    otherwise, and always when a top-level term holds a factor 0^-k, which
+    is undefined everywhere.
     """
     if e == ZERO:
         return "zero"
     if isinstance(e, Const):
         return "nonzero"
     need = _denominator_clearings(e)
+    if not need and all(isinstance(b, Var) and type(k) is int
+                        for t in _terms(e) for b, k in map(_as_power, _as_term(t)[1])):
+        return "nonzero"   # a polynomial other than 0, which is nonzero on any open set
     if ZERO in need:
         return "unknown"
     numerator = _numerator(e, need)

@@ -609,3 +609,87 @@ def test_a_group_repeated_near_the_nesting_limit_keeps_its_error(signs):
         assert outcome == ("DslError", message, 4, 12 + dsl.MAX_NESTING), outcome
     else:
         assert outcome == "vars x\nscalar a = x\nscalar b = x\nscalar c = " + "-" * (signs % 2) + "x\n"
+
+
+# --- monomial chains -------------------------------------------------------------------
+
+
+class _DescentParser(dsl._Parser):
+    """The parser with every chain read by recursive descent."""
+
+    def _monomial(self):
+        return None
+
+
+def _nested(depth, chain):
+    return "(" * depth + chain + ")" * depth
+
+
+MONOMIAL_EDGE_CASES = {
+    "divide-by-zero": "2/0*x", "power-chain": "x^2^3", "variable-exponent": "2^x",
+    "negative-exponent": "x^-2*y", "merged": "x*x^2", "zero-exponent": "x^0*y", "zero": "0*x",
+    "decimal": "2.5*x", "divide": "x/3*y", "huge-literal": f"x*{2**14001}*y",
+    "huge-product": f"{2**7001}*x*{2**7001}", "huge-cancelled": f"{2**14001}/{2**14001}*x",
+    "differential": "x*dx", "function": "2*sin(x)", "negated": "-3/2*x^2*y", "signed-exponent": "-x^-2*y",
+    # _unary nests a chain 1 deep, an operand's exponent 2, a first operand's sign one more
+    **{f"nested-{chain}-{depth}": _nested(depth, chain)
+       for chain, deepest in [("x*y/2", 1), ("x*y^2", 2), ("-x*y", 2), ("-x^-2*y", 4)]
+       for depth in (dsl.MAX_NESTING - deepest, dsl.MAX_NESTING - deepest + 1)},
+}
+
+
+@pytest.mark.parametrize("expression", MONOMIAL_EDGE_CASES.values(), ids=MONOMIAL_EDGE_CASES.keys())
+@pytest.mark.parametrize("keyword", ["scalar", "form"])
+def test_monomial_edge_cases_match_the_pairwise_parser(keyword, expression):
+    text = f"vars x, y, z\n{keyword} s = {expression}\n"
+    outcome, pairwise = _outcome(dsl._Parser, text), _outcome(_PairwiseParser, text)
+    assert outcome == _outcome(_DescentParser, text)
+    # the pairwise parser blames a bound on its declaration, not on the chain's first token
+    assert outcome == pairwise or outcome[:2] == pairwise[:2] and outcome[1].endswith("14000 bits")
+
+
+def test_monomial_chains_match_the_pairwise_parser():
+    rng = random.Random(0x3017)
+    operands = ["x", "y", "z", "0", "1", "3", "12", "0.5", "2.5", "x^2", "y^-1", "z^0", "x^-3", "2^2", "x^y"]
+    for _ in range(1000):
+        chain = rng.choice(["", "", "-"]) + rng.choice(operands)
+        for _ in range(rng.randint(0, 5)):
+            chain += rng.choice("**/") + rng.choice(operands)
+        text = f"vars x, y, z\nscalar a = {chain}\nform b = {chain}*dx + ({chain})*dy\n"
+        assert _outcome(dsl._Parser, text) == _outcome(_PairwiseParser, text) == _outcome(_DescentParser, text), text
+
+
+def test_a_monomial_chain_calls_no_general_path(monkeypatch):
+    def fail(*args):
+        raise AssertionError(f"general path called with {args}")
+
+    text = "vars x, y, z\nscalar a = -3/2*x^2*y/5*x^-1*2.5\nscalar b = 0*z\nform c = x*y^3 - 7*z\n"
+    # a chain as deep as _unary lets it nest
+    text += "".join(f"scalar n{i} = {_nested(dsl.MAX_NESTING - deepest, chain)}\n"
+                    for i, (chain, deepest) in enumerate([("x*y/2", 1), ("x*y^2", 2), ("-x*y", 2), ("-x^-2*y", 4)]))
+    expected = print_document(parse(text))
+    for name in ("mul", "power", "const"):
+        monkeypatch.setattr(dsl, name, fail)
+    assert print_document(parse(text)) == expected
+    assert expected.startswith("vars x, y, z\nscalar a = -3/4*x*y\nscalar b = 0\nform c = x*y^3 - 7*z\n")
+
+
+@pytest.mark.parametrize("signs", range(dsl.MAX_NESTING - 9, dsl.MAX_NESTING - 3))
+def test_a_repeated_monomial_group_keeps_its_nesting(signs):
+    """A chain read in one loop counts the nesting _unary would give it, 6 for this
+    group, so a deep repeat is reused only where a fresh parse would not fail."""
+    group = "((-x^-2*y))"
+    text = f"vars x, y\nscalar a = {group}\nscalar b = {'-' * signs}{group}\n"
+    outcome = _outcome(dsl._Parser, text)
+    assert outcome == _outcome(_DescentParser, text) == _outcome(_PairwiseParser, text)
+    assert (outcome[0] == "DslError") == (signs + 6 > dsl.MAX_NESTING)
+    parsed = []
+
+    class Counting(dsl._Parser):
+        def _expr(self):
+            parsed.append(self.pos)
+            return super()._expr()
+
+    if signs + 6 <= dsl.MAX_NESTING:
+        Counting(text).parse_document()
+        assert len(parsed) == 4   # a and its two groups, then b, which reuses the outer group

@@ -217,6 +217,30 @@ def _cross_product_mul(*parts):
     return expr_module._from_term(coeff, tuple(sorted(factors, key=expr_module._factor_key)))
 
 
+def _terms_of(e):
+    return e.terms if isinstance(e, Add) else (e,)
+
+
+def _pairwise_expansion(head, sums):
+    """head times the sums, as mul expanded them before it packed exponent vectors: a
+    {monomial: coefficient} map times one sum at a time, two monomials multiplying by
+    merging the exponents of their variables and functions."""
+    coeff, mono = expr_module._as_term(head)
+    acc = {mono: coeff}
+    for s in sums:
+        step = {}
+        for ma, ca in acc.items():
+            for cb, mb in map(expr_module._as_term, s.terms):
+                merged = dict(map(expr_module._as_power, ma))
+                for base, e in map(expr_module._as_power, mb):
+                    merged[base] = merged.get(base, 0) + e
+                m = tuple(sorted((b if e == 1 else Pow(b, e) for b, e in merged.items() if e),
+                                 key=expr_module._factor_key))
+                step[m] = step.get(m, 0) + ca * cb
+        acc = {m: c for m, c in step.items() if c}
+    return expr_module._assemble(acc)
+
+
 def _random_sum(rng, names):
     """A polynomial, rational-function or sin/exp sum of two or three terms."""
     kind = rng.randrange(3)
@@ -338,6 +362,55 @@ class TestExpansion:
             rng.shuffle(parts)
             assert expr_module.mul(*parts) == _cross_product_mul(*parts)
             assert expr_module.mul(ONE, s) is s
+
+    def test_atom_products_match_the_pairwise_expansion(self, monkeypatch):
+        """Products of 2 to 4 sums over variables and functions with integer exponents
+        expand over exponent vectors, node for node as merging monomials pair by pair
+        gives them, and never merge a pair."""
+        rng = random.Random(1009)
+        atoms = [x, y, var("z"), sin(x), exp(y)]
+        coefficients = [1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+
+        def term():
+            factors = [power(rng.choice(atoms), rng.choice([-2, -1, 1, 1, 2, 3])) for _ in range(rng.randint(0, 2))]
+            return expr_module.mul(const(rng.choice(coefficients)), *factors)
+
+        cases = []
+        while len(cases) < 3000:
+            sums = [add(*[term() for _ in range(rng.randint(2, 4))]) for _ in range(rng.randint(2, 4))]
+            if rng.random() < 0.3:
+                # (r + t)*(r - t): the cross terms cancel to 0
+                sums[1] = sums[0] - 2 * sums[0].terms[0] if isinstance(sums[0], Add) else sums[1]
+            if all(isinstance(s, Add) for s in sums):
+                cases.append((term() if rng.random() < 0.5 else ONE, sums))
+        expected = [_pairwise_expansion(head, sums) for head, sums in cases]
+        monkeypatch.setattr(expr_module, "_times", None)
+        cancelled = 0
+        for (head, sums), want in zip(cases, expected):
+            got = expr_module.mul(head, *sums)
+            assert got is want, (head, sums)
+            cancelled += len(_terms_of(got)) < math.prod(len(s.terms) for s in sums)
+        assert cancelled > 1000
+
+    def test_budget_trips_at_the_same_product_count(self, monkeypatch):
+        counts = []
+
+        class Budget(int):
+            def __lt__(self, products):   # products > budget asks the budget first
+                counts.append(products)
+                return int.__lt__(self, products)
+
+        monkeypatch.setattr(expr_module, "_MAX_EXPANSION_PRODUCTS", Budget(100_000))
+        z, w = var("z"), var("w")
+        with pytest.raises(DomainError, match="^expansion needs more than 100000 term products$"):
+            power(x + y + z + w + 1, 20)
+        # after j steps the map holds C(j + 4, 4) terms, so j steps form 5*C(j + 4, 5) products
+        assert counts == [5 * math.comb(j + 4, 5) for j in range(1, 18)]
+        assert counts[-2] <= 100_000 < counts[-1] == 101_745
+        # a term that cancels is not carried into the next step: (x + y)*(x - y) is 2 terms
+        counts.clear()
+        assert expr_module.mul(z + 1, x - y, x + y) == (x**2 - y**2) * (z + 1)
+        assert counts[:3] == [2, 6, 10]
 
     def test_large_powers_expand_quickly(self):
         z, w = var("z"), var("w")
@@ -1086,6 +1159,31 @@ class TestIsZero:
 
     def test_tiny_constant_is_nonzero_exactly(self):
         assert is_zero(const(Fraction(1, 10**12))) == "nonzero"
+
+    def test_polynomials_are_nonzero_without_a_probe(self, monkeypatch):
+        probed = []
+        probe = expr_module._probe_for_witness
+
+        def checked(e):
+            for t in _terms_of(e):
+                if all(isinstance(b, Var) and type(k) is int and k > 0
+                       for b, k in map(expr_module._as_power, expr_module._as_term(t)[1])):
+                    continue
+                probed.append(e)
+                return probe(e)
+            raise AssertionError(f"a polynomial was probed: {e}")
+
+        monkeypatch.setattr(expr_module, "_probe_for_witness", checked)
+        tiny = const(Fraction(1, 10**12))
+        # every probe of the first falls under the probe threshold
+        for e in (tiny * x, x - y, (x + y) ** 2 - x**2 - y**2, x**3 * y - tiny, tiny * x**2 * y**5 + 1):
+            assert is_zero(e) == "nonzero", e
+        assert probed == []
+        # a negative or fractional power, or a function, still asks for a witness
+        assert is_zero(tiny * sin(x)) == "unknown"
+        assert is_zero(power(x, -1) + y) == "nonzero"
+        assert is_zero(power(x, Fraction(1, 2)) + y) == "nonzero"
+        assert len(probed) == 3
 
     def test_no_probe_in_the_domain_is_unknown(self):
         # x - 3 < 0 at every probe of the box [-2, 2]
