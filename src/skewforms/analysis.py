@@ -86,6 +86,7 @@ MAX_CURVE_STEPS = 1_000_000  # each returned curve point holds about 112 bytes
 DEFAULT_STEPS = 10_000  # RK4 steps of a characteristic curve
 DEFAULT_STEP = 1e-3  # RK4 step size
 DEFAULT_TOL = 1e-6  # |K| bound of a pseudostructure point
+_GATHER_BLOCK = 1024  # locus nodes per intensity gather: 1,024 x 27 x 3 int64 indices in 3-D, 0.66 MB
 
 
 class AnalysisError(ValueError):
@@ -269,6 +270,8 @@ def _rk4_kernel(phi: Expression, names: Sequence[str]) -> FunctionType:
     phi and its partials are emitted together; phi's own lines, up to phi's
     temporary, run in the level's ``try`` block, and stage 1 runs the rest,
     reusing phi's temporaries.  Stages 2-4 run the partials emitted alone.
+    Stage 1 stops where hypot(phi_y, phi_x) < 1e-12, calling hypot only once both
+    lie within that bound: the same test, as hypot is never below either of them.
     """
     xn, yn = names
     args = {xn: "_a0", yn: "_a1"}
@@ -276,6 +279,7 @@ def _rk4_kernel(phi: Expression, names: Sequence[str]) -> FunctionType:
     lines, (level, phi_y, phi_x) = _emit([phi, *partials], args)
     cut = int(level[2:]) + 1 if level.startswith("_t") else 0  # phi's lines end at _t<k>
     field_lines, (field_y, field_x) = _emit(partials, args)
+    tol = repr(CRITICAL_GRADIENT_TOL)
 
     def block(*lines: str) -> str:
         return "".join(f"            {line}\n" for line in lines)
@@ -299,7 +303,7 @@ def _rk4_kernel(phi: Expression, names: Sequence[str]) -> FunctionType:
               "            return _points, _levels\n"
               "        try:\n"
               + block(*lines[cut:], f"_k1x, _k1y = -({phi_y}), {phi_x}",
-                      f"if _hypot(_k1x, _k1y) < {CRITICAL_GRADIENT_TOL!r}:",
+                      f"if -{tol} < _k1x < {tol} and -{tol} < _k1y < {tol} and _hypot(_k1x, _k1y) < {tol}:",
                       "    return _points, _levels")
               + stage(2, "_x + _hh * _k1x", "_y + _hh * _k1y")
               + stage(3, "_x + _hh * _k2x", "_y + _hh * _k2y")
@@ -433,7 +437,7 @@ def _bisect_edges(fn, point: np.ndarray, d: int, f_a: np.ndarray, b: np.ndarray,
 def _array_scan(comps: Sequence[Expression], names: Sequence[str], box, shape: tuple,
                 tol: float) -> tuple[list[tuple[float, ...]], float]:
     """The node pass of ``find_pseudostructure`` in array mode: the sorted locus points,
-    rounded to 9 digits, and the intensity."""
+    rounded to 9 digits, and the intensity (``_intensity``)."""
     import numpy as np
 
     n = len(shape)
@@ -495,15 +499,23 @@ def _array_scan(comps: Sequence[Expression], names: Sequence[str], box, shape: t
     for k, point in enumerate(np.concatenate(found_roots, axis=1).T.tolist()):
         accepted.setdefault(tuple(round(v, 9) for v in point), k)
 
-    # intensity: the largest |K| on grid nodes next to the locus where every component
-    # is finite, each read on its own grid (index 0 along an axis it does not read)
-    locus_nodes, intensity = nodes[list(accepted.values())], 0.0
-    for offsets in itertools.product((-1, 0, 1), repeat=n):
-        near = locus_nodes + offsets
+    return sorted(accepted), _intensity(comp_values, nodes[list(accepted.values())], shape)
+
+
+def _intensity(comp_values: Sequence[np.ndarray], nodes: np.ndarray, shape: tuple) -> float:
+    """The largest |K| on grid nodes next to the (m, n) locus nodes where every component is
+    finite, each read on its own grid (index 0 along an axis it does not read).  The 3^n
+    neighbours of each block of at most _GATHER_BLOCK nodes are read in one gather."""
+    import numpy as np
+
+    n, intensity = len(shape), 0.0
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
+    for start in range(0, len(nodes), _GATHER_BLOCK):
+        near = (nodes[start:start + _GATHER_BLOCK, None] + offsets).reshape(-1, n)
         near = near[((near >= 0) & (near < shape)).all(axis=1)]
         k = np.abs([np.broadcast_to(arr, shape)[tuple(near.T)] for arr in comp_values])
         intensity = max(intensity, float(k[:, np.isfinite(k).all(axis=0)].max(initial=0.0)))
-    return sorted(accepted), intensity
+    return intensity
 
 
 def _linspace(lo: float, hi: float, m: int) -> list[float]:

@@ -61,6 +61,7 @@ import random
 import weakref
 from _weakref import _remove_dead_weakref
 from fractions import Fraction
+from operator import itemgetter
 from types import CodeType, FunctionType
 from typing import Iterable, Mapping, Sequence
 
@@ -392,13 +393,14 @@ def _sort_key(e: Expression):
         return e._key
 
 
+# each key is (rank, height, ...), so the keys of nodes of different heights compare in O(1)
 _SORT_KEYS = {
-    Const: lambda e: (0, e.value),
-    Var: lambda e: (1, e.name),
-    Func: lambda e: (2, e.name, _sort_key(e.arg)),
-    Pow: lambda e: (3, _sort_key(e.base), e.exponent),
-    Mul: lambda e: (4, tuple(map(_sort_key, e.factors))),
-    Add: lambda e: (5, tuple(map(_sort_key, e.terms))),
+    Const: lambda e: (0, 0, e.value),
+    Var: lambda e: (1, 0, e.name),
+    Func: lambda e: (2, 1 + (k := _sort_key(e.arg))[1], e.name, k),
+    Pow: lambda e: (3, 1 + (k := _sort_key(e.base))[1], k, e.exponent),
+    Mul: lambda e: (4, 1 + max(map(itemgetter(1), ks := tuple(map(_sort_key, e.factors)))), ks),
+    Add: lambda e: (5, 1 + max(map(itemgetter(1), ks := tuple(map(_sort_key, e.terms)))), ks),
 }
 
 

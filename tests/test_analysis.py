@@ -371,6 +371,17 @@ class TestCurveMatchesReference:
         assert analysis._curve_and_levels(x ** Fraction(1, 2) + y, V2, (0.0, 0.5), 10, 1e-2) == (
             [(0.0, 0.5)], [0.5])
 
+    def test_critical_gradient_threshold(self):
+        # constant fields (-phi_y, phi_x) at the 1e-12 bound; the loop tests each
+        # component against it before hypot, the reference calls hypot alone
+        cases = [((7e-13, 7e-13), "critical"),   # hypot 9.9e-13
+                 ((7.1e-13, 7.1e-13), "steps"),  # each within the bound, hypot 1.004e-12
+                 ((1e-12, 0.0), "steps"),        # hypot exactly at the bound
+                 ((-1e-12, 5e-13), "steps")]
+        for (fx, fy), stop in cases:
+            phi = const(Fraction(fy)) * x - const(Fraction(fx)) * y
+            assert self._check(phi, (0.25, -0.5), 5, 0.1) == stop, (fx, fy)
+
     def test_overflow_of_a_product_stops_the_curve(self):
         # a product overflows to inf without raising: in phi_y = 3*c*y^2 at the
         # start, and in phi = c*x*y at the first new point, where the field
@@ -745,6 +756,26 @@ class TestPseudostructure:
         assert len(rep.locus.points) == 201 and {p[:2] for p in rep.locus.points} == {(0.0, 0.0)}
         assert peak < 4 * 2**20
 
+    def test_intensity_gathers_a_large_locus_in_blocks(self, monkeypatch):
+        # the plane z = 3/10 at grid 101: 20,402 locus points, a grid hit and a
+        # bisection root beside each of its nodes.  The scan's peak is 8.83 MiB;
+        # one gather over all of them held 20,402 x 27 x 3 int64 indices (35.5 MiB)
+        a = parse("vars x, y, z\nform b = (z - 3/10)^2*dx\n").find("b").form
+
+        def peak():
+            tracemalloc.start()
+            try:
+                rep = find_pseudostructure(a, Metric.euclidean(V3), [(-1.0, 1.0)] * 3, 101)
+                assert len(rep.locus.points) == 20402
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = (8.83 + 0.5) * 2**20
+        assert peak() < bound
+        monkeypatch.setattr(analysis, "_GATHER_BLOCK", 10**6)  # one gather: the bound tells it
+        assert peak() > bound
+
     def test_points_stay_finite_near_the_float_limit(self, monkeypatch):
         # K_xy = y reads no x, so x must stay a node coordinate: 0.5*(c + c)
         # would overflow above about 9e307
@@ -756,6 +787,53 @@ class TestPseudostructure:
             assert rep.locus.points == [(1e308, 0.0), (1.3e308, 0.0), (1.6e308, 0.0)]
             for point in rep.locus.points:
                 assert all(math.isfinite(c) and lo <= c <= hi for c, (lo, hi) in zip(point, box))
+
+
+def _per_offset_intensity(comp_values, nodes, shape):
+    """The intensity as one pass per neighbour offset: the reference for ``analysis._intensity``."""
+    intensity = 0.0
+    for offsets in itertools.product((-1, 0, 1), repeat=len(shape)):
+        near = nodes + offsets
+        near = near[((near >= 0) & (near < shape)).all(axis=1)]
+        k = np.abs([np.broadcast_to(arr, shape)[tuple(near.T)] for arr in comp_values])
+        intensity = max(intensity, float(k[:, np.isfinite(k).all(axis=0)].max(initial=0.0)))
+    return intensity
+
+
+class TestIntensityGather:
+    """The intensity's gather per block of locus nodes reads what one pass per offset reads."""
+
+    @pytest.mark.parametrize("shape, owns", [
+        ((40, 50), [(40, 50), (1, 50)]),
+        ((11, 12, 13), [(11, 12, 13), (11, 1, 13), (1, 12, 1)]),
+    ])
+    @pytest.mark.parametrize("count", [0, 1, 1024, 1025])  # 1,024 locus nodes fill one gather block
+    def test_gather_matches_the_per_offset_loop(self, shape, owns, count):
+        rng = np.random.default_rng(count + len(shape))
+        values = []
+        for own in owns:  # one own grid per component, with NaN and signed inf entries
+            arr = rng.standard_normal(own) * 10.0 ** rng.integers(-3, 4, own)
+            picks = rng.permutation(arr.size)[:arr.size // 5]
+            arr.reshape(-1)[picks] = rng.choice([np.nan, np.inf, -np.inf], picks.size)
+            values.append(arr)
+        n = len(shape)
+        nodes = rng.integers(0, shape, (count, n))
+        # a corner first, then nodes moved onto a face of the box
+        nodes[:1] = [[rng.choice([0, m - 1]) for m in shape]]
+        for node in nodes[1::3]:
+            axis = rng.integers(n)
+            node[axis] = rng.choice([0, shape[axis] - 1])
+        got = analysis._intensity(values, nodes, shape)
+        assert float.hex(got) == float.hex(_per_offset_intensity(values, nodes, shape))
+        if count >= 1024:
+            # the largest |K| at the last node, a corner no other node is next to: the
+            # last block is read
+            nodes[-1], nodes[:-1, 0] = 0, np.maximum(nodes[:-1, 0], 2)
+            for arr in values:
+                arr[(0,) * n] = 1.0
+            values[0][(0,) * n] = -1e9
+            assert analysis._intensity(values, nodes, shape) == 1e9
+            assert analysis._intensity(values, nodes[:-1], shape) < 1e9
 
 
 class TestScalarScan:

@@ -519,6 +519,23 @@ def test_module_entrypoint_runs_without_install():
     assert "k=1 dim=2" in proc.stdout
 
 
+@pytest.mark.parametrize("link, links", [("sin(s{})", 300), ("(s{} + x^2 + 1)^(1/2)", 100)])
+def test_deep_name_chains_run_in_bounded_time(tmp_path, link, links):
+    """The chain rule multiplies n factors as deep as the chain; their sort keys compare
+    heights first, so such a chain takes well under a second, not minutes."""
+    lines = ["vars x, y", "scalar s0 = x*y"]
+    lines += [f"scalar s{i} = {link.format(i - 1)}" for i in range(1, links)]
+    doc = tmp_path / "chain.forms"
+    doc.write_text("\n".join(lines) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewforms.cli", "characteristics", str(doc), "--scalar", f"s{links - 1}",
+         "--start=0.1,0.1", "--steps", "3"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("0.1 0.1\n") and f"s{links - 1}: 4 points" in proc.stdout
+
+
 def test_closed_stdout_exits_1_without_a_stack_trace():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     proc = subprocess.Popen(
