@@ -9,15 +9,17 @@ an atom is a variable, one of the elementary functions sin/cos/exp/ln, or a
 power of a base that cannot be expanded (a sum raised to a negative or
 fractional exponent).  Two expressions that normalize to the same tree
 compare equal with ``==``.  A sum, difference or negation is one pass over
-the parts' terms with each part's sign folded into its coefficients.  A
-product distributes its sums one at a time over a {monomial: coefficient}
-map.  Where two or more sums meet and every factor is a variable or function
-with an integer exponent, a monomial packs each exponent, plus a bias that
-makes it nonnegative, into a field of one int, atoms in key order, and each
-coefficient is an integer over one common denominator: two terms multiply by
-one int sum and one int product, and each output term is built once (sparse
-expansion after Johnson 1974).  Otherwise two monomials multiply by merging
-their factors.  A constant times a sum scales the sum's terms in their order.
+the parts' terms; each monomial's coefficients add as integers over the lcm
+of their denominators.  A product distributes its sums one at a time over a
+{monomial: coefficient} map.  Where two or more sums meet, or a sum of
+products is added (one key of a wedge), and every factor is a variable or
+function with an integer exponent, one map serves them all: a monomial packs
+each exponent, plus a bias that makes it nonnegative, into a field of one
+int, atoms in key order, and each coefficient is an integer over one common
+denominator, so two terms multiply by one int sum and one int product and
+each output term is built once (sparse expansion after Johnson 1974 and
+Monagan and Pearce 2009).  Otherwise two monomials multiply by merging their
+factors.  A constant times a sum scales the sum's terms in their order.
 The rules for one base raised to a power (constant roots and radicals, a
 power of a power, an integer power of a product, the content of a sum) live
 in one table, ``_split``; mul applies it to each base it accumulates, so
@@ -471,12 +473,22 @@ def _assemble(acc: dict[tuple[Expression, ...], int | Fraction]) -> Expression:
 
 
 def _combine(pairs: Iterable[tuple[int | Fraction, Expression]]) -> Expression:
-    """The canonical sum of k*part over (rational k, canonical part) pairs, in one walk."""
-    acc: dict[tuple[Expression, ...], int | Fraction] = {}
+    """The canonical sum of k*part over (rational k, canonical part) pairs, in one walk.  Each
+    monomial's k*coeff add as integers over the lcm of their denominators: a lone one with
+    k = 1 keeps its coefficient, and a sum builds no Fraction where it is integral or 0."""
+    acc: dict[tuple[Expression, ...], list] = {}
     for k, part in pairs:
         for coeff, mono in map(_as_term, _terms(part)):
-            coeff = coeff if k == 1 else coeff * k
-            acc[mono] = acc[mono] + coeff if mono in acc else coeff
+            acc.setdefault(mono, []).append((k, coeff))
+    for mono, ks in acc.items():
+        if len(ks) == 1 and ks[0][0] == 1:
+            acc[mono] = ks[0][1]
+            continue
+        num, den = 0, 1
+        for k, c in ks:
+            lcm = den if (d := k.denominator * c.denominator) == den else math.lcm(den, d)
+            num, den = num * (lcm // den) + k.numerator * c.numerator * (lcm // d), lcm
+        acc[mono] = num if den == 1 or num == 0 else Fraction(num, den)
     return _assemble(acc)
 
 
@@ -557,7 +569,7 @@ def mul(*parts: Expression) -> Expression:
         # c*S keeps the order of S, whose terms sort by their monomials alone
         s = sums[0]
         return s if coeff == 1 else Add(tuple(_from_term(coeff * c, m) for c, m in map(_as_term, s.terms)))
-    if len(sums) > 1 and (expanded := _expand_atoms(coeff, mono, sums)) is not None:
+    if len(sums) > 1 and (expanded := _expand_atoms([(coeff, (*mono, *sums))])) is not None:
         return expanded
 
     acc = {mono: coeff}
@@ -591,33 +603,48 @@ def _count_products(products: int, acc: dict, s: Add) -> int:
     return products
 
 
-def _expand_atoms(coeff: int | Fraction, mono: tuple[Expression, ...], sums: list[Add]) -> Expression | None:
-    """coeff*mono times the sums over packed exponent vectors (see the module docstring);
-    None unless every factor of mono and of the sums' terms is a variable or function
-    with an integer exponent."""
-    parts = {s: [(c, [*map(_as_power, m)]) for c, m in map(_as_term, s.terms)] for s in sums}
-    parts[None] = [(coeff, [*map(_as_power, mono)])]
-    pairs = [p for terms in parts.values() for _, ps in terms for p in ps]
+def _expand_atoms(products: list[tuple[int | Fraction, tuple[Expression, ...]]]) -> Expression | None:
+    """The sum of k times the factors over (rational k, equally many canonical factors) products,
+    in one packed map (see the module docstring), each sum counting its term products as in mul;
+    None unless every factor of every term is a variable or function with an integer exponent."""
+    rows = {f: [(c, [*map(_as_power, m)]) for c, m in map(_as_term, _terms(f))]
+            for _, fs in products for f in fs}
+    pairs = [p for terms in rows.values() for _, ps in terms for p in ps]
     if not all(type(e) is int and isinstance(b, (Var, Func)) for b, e in pairs):
         return None
-    k, bias = len(sums) + 1, max(abs(e) for _, e in pairs)   # an output term has k biased factors
-    width = (2 * bias * k).bit_length()
+    n = max([len(fs) for _, fs in products], default=0)   # an output term has n biased factors
+    bias = max([abs(e) for _, e in pairs], default=0)
+    width = (2 * bias * n).bit_length()
     shifts = {b: i * width for i, b in enumerate(sorted({b for b, _ in pairs}, key=_sort_key))}
     lift = sum(bias << shift for shift in shifts.values())
-    den = math.lcm(*[c.denominator for terms in parts.values() for c, _ in terms])
-    packed = {s: [(lift + sum(e << shifts[b] for b, e in ps), c.numerator * (den // c.denominator))
-                  for c, ps in terms] for s, terms in parts.items()}
-    acc, den, products = dict(packed[None]), den**k, 0
-    for s in sums:
-        products, step = _count_products(products, acc, s), {}
-        for pa, ca in acc.items():
-            for pb, cb in packed[s]:
-                step[pa + pb] = step.get(pa + pb, 0) + ca * cb
-        acc = {p: c for p, c in step.items() if c}
-    mask = (1 << width) - 1
+    den = math.lcm(*[k.denominator for k, _ in products],
+                   *[c.denominator for terms in rows.values() for c, _ in terms])
+    packed = {f: [(lift + sum(e << shifts[b] for b, e in ps), c.numerator * (den // c.denominator))
+                  for c, ps in terms] for f, terms in rows.items()}
+    total: dict[int, int] = {}
+    for k, fs in products:
+        acc, formed = {0: k.numerator * (den // k.denominator)}, 0
+        counted = sum(not isinstance(f, Const) for f in fs) > 1   # as in mul, c*S counts no products
+        for i, f in enumerate(fs, 1 - len(fs)):   # the last factor (i = 0) multiplies into total
+            if counted and isinstance(f, Add):
+                formed = _count_products(formed, acc, f)
+            step = {} if i else total
+            for pa, ca in acc.items():
+                for pb, cb in packed[f]:
+                    step[pa + pb] = step.get(pa + pb, 0) + ca * cb
+            if i:
+                acc = {p: c for p, c in step.items() if c}
+    mask, den = (1 << width) - 1, den ** (n + 1)
     return _assemble({tuple(b if e == 1 else Pow(b, e) for b, shift in shifts.items()
-                            if (e := (p >> shift & mask) - k * bias)): c if den == 1 else Fraction(c, den)
-                      for p, c in acc.items()})
+                            if (e := (p >> shift & mask) - n * bias)): c if den == 1 else Fraction(c, den)
+                      for p, c in total.items() if c})
+
+
+def _sum_of_products(triples: list[tuple[int, Expression, Expression]]) -> Expression:
+    """The canonical sum of k*a*b over (int k, canonical a, b) triples: one packed map where
+    ``_expand_atoms`` applies, else each mul(a, b) summed; b goes first, so the bound counts as in mul."""
+    expanded = _expand_atoms([(k, (b, a)) for k, a, b in triples])
+    return _combine((k, mul(a, b)) for k, a, b in triples) if expanded is None else expanded
 
 
 def _const_power(c: int | Fraction, k: int) -> int | Fraction:
@@ -647,19 +674,13 @@ def _nth_root_exact(value: int, n: int) -> int | None:
 def _content(e: Add, signed: bool) -> int | Fraction:
     """Rational content of a sum's coefficients; signed content carries the
     leading term's sign so that content-free bases are sign-normalized."""
-    num_gcd = 0
-    den_lcm = 1
-    for t in e.terms:
-        c, _ = _as_term(t)
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    coeffs = [_as_term(t)[0] for t in e.terms]
+    num_gcd, den_lcm = math.gcd(*[c.numerator for c in coeffs]), math.lcm(*[c.denominator for c in coeffs])
     if num_gcd == 0:
         return 1
     # gcd of numerators is coprime to the lcm of denominators
     content = num_gcd if den_lcm == 1 else Fraction(num_gcd, den_lcm)
-    if signed and _as_term(e.terms[0])[0] < 0:
-        return -content
-    return content
+    return -content if signed and coeffs[0] < 0 else content
 
 
 def _split(base: Expression, e: int | Fraction) -> tuple[int | Fraction, list[Expression]] | None:

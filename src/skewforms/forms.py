@@ -35,6 +35,7 @@ from .expr import (
     _combine,
     _evaluate_all,
     _signed_sum_text,
+    _sum_of_products,
     _term_texts,
 )
 
@@ -216,17 +217,20 @@ def _summed(parts: dict[tuple[int, ...], list[tuple[int, Expression]]]) -> dict[
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
-    """Exterior product; repeated indices annihilate, signs from sorting."""
+    """Exterior product; repeated indices annihilate, signs from sorting.  The signed
+    products a_I*b_J of each output key are summed in one expansion (``_sum_of_products``)."""
     if a.vars != b.vars:
         raise FormError("forms live over different variable sets")
     n = a.vars.dimension
     total = a.degree + b.degree
     if total > n:
         return DifferentialForm.zero(a.vars, n)
-    return DifferentialForm(a.vars, total, ((ia + ib, mul(ca, cb))
-                                            for ia, ca in a.items()
-                                            for ib, cb in b.items()
-                                            if set(ia).isdisjoint(ib)))
+    products: dict[tuple[int, ...], list[tuple[int, Expression, Expression]]] = {}
+    for (ia, ca), (ib, cb) in itertools.product(a.items(), b.items()):
+        sign, key = sort_index_tuple(ia + ib)
+        if sign:
+            products.setdefault(key, []).append((sign, ca, cb))
+    return DifferentialForm(a.vars, total, {key: _sum_of_products(ps) for key, ps in products.items()})
 
 
 def exterior_derivative(a: DifferentialForm) -> DifferentialForm:

@@ -1,5 +1,5 @@
-"""Shared random generators for the property suites, and the tree-walk
-reference for compiled evaluation.
+"""Shared random generators for the property suites, the tree-walk
+reference for compiled evaluation, and a recorder of the expansion bound's checks.
 
 Everything is seeded; the suites are deterministic across runs.
 """
@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewforms import expr as expr_module
 from skewforms.expr import Add, Const, Expression, Func, Mul, Pow, Var, VariableSet, ZERO, const, var
 from skewforms.forms import DifferentialForm
 
@@ -96,6 +97,20 @@ def tree_walk(e, point):
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+@pytest.fixture
+def product_counts(monkeypatch):
+    """The product count of each check of the 10^5 expansion bound, in order."""
+    counts = []
+
+    class Budget(int):
+        def __lt__(self, products):   # products > budget asks the budget first
+            counts.append(products)
+            return int.__lt__(self, products)
+
+    monkeypatch.setattr(expr_module, "_MAX_EXPANSION_PRODUCTS", Budget(100_000))
+    return counts
 
 
 VARSETS = {

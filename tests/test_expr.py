@@ -392,15 +392,8 @@ class TestExpansion:
             cancelled += len(_terms_of(got)) < math.prod(len(s.terms) for s in sums)
         assert cancelled > 1000
 
-    def test_budget_trips_at_the_same_product_count(self, monkeypatch):
-        counts = []
-
-        class Budget(int):
-            def __lt__(self, products):   # products > budget asks the budget first
-                counts.append(products)
-                return int.__lt__(self, products)
-
-        monkeypatch.setattr(expr_module, "_MAX_EXPANSION_PRODUCTS", Budget(100_000))
+    def test_budget_trips_at_the_same_product_count(self, product_counts):
+        counts = product_counts
         z, w = var("z"), var("w")
         with pytest.raises(DomainError, match="^expansion needs more than 100000 term products$"):
             power(x + y + z + w + 1, 20)
@@ -1331,14 +1324,19 @@ def test_derivative_matches_the_reference(e, v):
 
 
 _scales = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+# pairs (k, t) with their negations (-k, t) in any order, scales with denominators up to 12
+_cancelling_pairs = st.lists(st.tuples(st.fractions(-3, 3, max_denominator=12), _exprs(2)),
+                             max_size=3).flatmap(lambda pairs: st.permutations(pairs + [(-k, t) for k, t in pairs]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_scales, _exprs(2)), max_size=4))
+@given(st.one_of(st.lists(st.tuples(_scales, _exprs(2)), max_size=4), _cancelling_pairs))
 def test_signed_sums_match_scaling_then_adding(pairs):
     """One pass over (k, tree) pairs gives the sum of the scaled trees."""
     combined = expr_module._combine(pairs)
     assert combined == add(*[expr_module.mul(const(k), t) for k, t in pairs])
+    if all(pairs.count((-k, t)) == pairs.count((k, t)) for k, t in pairs):
+        assert combined is ZERO   # every pair met its negation
     _assert_one_representation(combined)
     trees = [t for _, t in pairs]
     if len(trees) == 2:

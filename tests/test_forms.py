@@ -182,6 +182,93 @@ class TestWedge:
                 sign = const((-1) ** (p * q))
                 assert wedge(a, b) == sign * wedge(b, a)
 
+    @staticmethod
+    def reference(a, b):
+        """The product as one mul per pair of coefficients, the pairs of each key summed by the form."""
+        return DifferentialForm(a.vars, a.degree + b.degree, ((ia + ib, expr_module.mul(ca, cb))
+                                                              for ia, ca in a.items()
+                                                              for ib, cb in b.items()
+                                                              if set(ia).isdisjoint(ib)))
+
+    @staticmethod
+    def coefficient(rng, names):
+        """1-3 terms with fractional coefficients over the variables, sin and exp; one in four
+        times a factor the packed expansion cannot take: (1 + x)^-1, x^(1/2) or 2^(1/2)."""
+        xs = [var(name) for name in names]
+        atoms = xs + [sin(xs[0]), exp(xs[-1])]
+        total = ZERO
+        for _ in range(rng.randint(1, 3)):
+            term = const(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 6])))
+            for _ in range(rng.randint(0, 3)):
+                term = term * power(rng.choice(atoms), rng.choice([1, 1, 2, -1, -2]))
+            total = total + term
+        if rng.random() < 0.25:
+            total = total * rng.choice([power(1 + xs[0], -1), power(xs[0], Fraction(1, 2)),
+                                        power(const(2), Fraction(1, 2))])
+        return total
+
+    def test_each_key_is_the_sum_of_its_products(self, monkeypatch):
+        expand, packed = expr_module._expand_atoms, []
+
+        def spy(products):
+            packed.append(result := expand(products))
+            return result
+
+        monkeypatch.setattr(expr_module, "_expand_atoms", spy)
+        rng = random.Random(2030)
+        cancelled = 0
+        for n in (2, 3, 4):
+            vs = VARSETS[n]
+            for _ in range(60):
+                p, q = rng.choice([(p, q) for p in (1, 2) for q in (1, 2) if p + q <= n])
+                a = DifferentialForm(vs, p, {k: self.coefficient(rng, vs.names)
+                                             for k in itertools.combinations(range(1, n + 1), p)
+                                             if rng.random() < 0.8})
+                if p == q and rng.random() < 0.3:
+                    b = a   # an odd form: the two products of each key cancel
+                else:
+                    b = DifferentialForm(vs, q, {k: self.coefficient(rng, vs.names)
+                                                 for k in itertools.combinations(range(1, n + 1), q)
+                                                 if rng.random() < 0.8})
+                got, want = wedge(a, b), self.reference(a, b)
+                assert got.degree == want.degree == p + q
+                assert [k for k, _ in got.items()] == [k for k, _ in want.items()]
+                assert all(got.coefficient(k) is c for k, c in want.items())
+                keys = {tuple(sorted(ia + ib)) for ia, _ in a.items() for ib, _ in b.items()
+                        if set(ia).isdisjoint(ib)}
+                cancelled += len(keys) - len(want.coefficients)
+        assert cancelled > 20
+        assert sum(e is None for e in packed) > 50 and sum(e is not None for e in packed) > 200
+
+    def test_each_product_meets_the_bound_as_its_mul(self, product_counts):
+        rng, checked = random.Random(2031), 0
+        for n in (3, 4):
+            vs = VARSETS[n]
+            for _ in range(20):
+                a, b = (DifferentialForm(vs, p, {k: self.coefficient(rng, vs.names)
+                                                 for k in itertools.combinations(range(1, n + 1), p)})
+                        for p in (1, n - 2))
+                a = a + DifferentialForm(vs, 1, {(1,): 3, (2,): x * y})   # a constant and a monomial
+                product_counts.clear()
+                wedge(a, b)
+                counts = sorted(product_counts)
+                product_counts.clear()
+                for ia, ca in a.items():
+                    for ib, cb in b.items():
+                        if set(ia).isdisjoint(ib):
+                            expr_module.mul(ca, cb)
+                assert counts == sorted(product_counts)
+                checked += len(counts)
+        assert checked > 200
+        sums = [expr_module.add(*[power(v, k) for k in range(1, 401)]) for v in (x, y)]
+        with pytest.raises(DomainError) as by_mul:
+            expr_module.mul(*sums)
+        product_counts.clear()
+        with pytest.raises(DomainError) as by_wedge:
+            wedge(DifferentialForm(V2, 1, {(1,): sums[0]}), DifferentialForm(V2, 1, {(2,): sums[1]}))
+        assert str(by_wedge.value) == str(by_mul.value) == "expansion needs more than 100000 term products"
+        assert product_counts == [400, 400 + 400 * 400]
+
 
 class TestExteriorDerivative:
     def test_gradient(self):
