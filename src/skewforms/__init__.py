@@ -32,11 +32,10 @@ from .forms import (
     exterior_derivative,
     commutator,
     pullback,
-    evaluate_form,
     zero_verdict,
     form_to_text,
 )
-from .duality import Metric, hodge_star, dual_closure_check
+from .duality import Metric, hodge_star
 from .analysis import (
     AnalysisError,
     ClosureVerdict,
@@ -46,7 +45,6 @@ from .analysis import (
     classify_closure,
     classify_relation,
     reconstruct_potential,
-    potential_at,
     frobenius_test,
     characteristic_curve,
     find_pseudostructure,
@@ -71,11 +69,11 @@ __all__ = [
     "differentiate", "substitute", "evaluate", "is_zero", "to_text",
     "DifferentialForm", "Parameterization", "FormError",
     "wedge", "exterior_derivative", "commutator", "pullback",
-    "evaluate_form", "zero_verdict", "form_to_text",
-    "Metric", "hodge_star", "dual_closure_check",
+    "zero_verdict", "form_to_text",
+    "Metric", "hodge_star",
     "AnalysisError", "ClosureVerdict", "Relation", "Locus", "StructureReport",
     "classify_closure", "classify_relation", "reconstruct_potential",
-    "potential_at", "frobenius_test", "characteristic_curve",
+    "frobenius_test", "characteristic_curve",
     "find_pseudostructure", "jacobian_determinant", "stokes_check",
     "classification_table",
     "BalanceSystem", "EvolutionaryRelation", "EquilibriumReport",

@@ -25,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 from types import FunctionType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .expr import (
     Const,
@@ -46,6 +46,7 @@ from .expr import (
     _emit,
     _exponents,
     _function_code,
+    _sum_of_products,
     _terms,
 )
 from .forms import (
@@ -68,7 +69,6 @@ __all__ = [
     "classify_closure",
     "classify_relation",
     "reconstruct_potential",
-    "potential_at",
     "frobenius_test",
     "characteristic_curve",
     "find_pseudostructure",
@@ -128,20 +128,6 @@ def reconstruct_potential(a: DifferentialForm) -> Expression | None:
                 return None
             parts.append((Fraction(1, sum(split[0]) + 1), mul(var(a.vars.name_at(i)), term)))
     return _combine(parts)
-
-
-def potential_at(a: DifferentialForm, point: Mapping[str, float]) -> float:
-    """Numeric homotopy potential at a point (for non-polynomial closed forms),
-    by the Gauss-Legendre rule of ``stokes_check``, summed with math.fsum."""
-    if a.degree != 1:
-        raise AnalysisError("potential evaluation needs a 1-form")
-    names = a.vars.names
-    xs = [float(point[name]) for name in names]
-    terms = [(xs[i - 1], compile_expression(ai, names).scalar)
-             for i in range(1, len(names) + 1)
-             if (ai := a.coefficient((i,))) != ZERO]
-    return math.fsum([w * xi * f(*[t * v for v in xs])
-                      for t, w in _UNIT_RULE for xi, f in terms])
 
 
 def classify_closure(a: DifferentialForm) -> ClosureVerdict:
@@ -220,10 +206,11 @@ def classify_relation(phi: DifferentialForm, eta: DifferentialForm) -> Relation:
 
 
 def _determinant(matrix: list[list[Expression]]) -> Expression:
+    """The cofactor expansion along the first row, its signed products summed in one expansion."""
     if len(matrix) == 1:
         return matrix[0][0]
-    return _combine(((-1) ** j, mul(entry, _determinant([row[:j] + row[j + 1:] for row in matrix[1:]])))
-                    for j, entry in enumerate(matrix[0]) if entry != ZERO)
+    return _sum_of_products([((-1) ** j, (entry, _determinant([row[:j] + row[j + 1:] for row in matrix[1:]])))
+                             for j, entry in enumerate(matrix[0]) if entry != ZERO])
 
 
 def jacobian_determinant(exprs: Sequence[Expression],

@@ -331,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        " write --box=-2:2,-2:2 for negatives")
         p.add_argument("--grid", type=int, default=DEFAULT_GRID,
                        help="nodes per axis (default: %(default)s); a grid of more than"
-                       f" {SCALAR_SCAN_NODES:,} nodes in all scans in array mode, imports numpy"
+                       f" {SCALAR_SCAN_NODES:,} nodes in all, scans in array mode, imports numpy"
                        " and prints floats that follow numpy's exp, ln, sin and cos")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 

@@ -10,9 +10,9 @@ convention against the known dual of a gradient field.
 from __future__ import annotations
 
 from .expr import VariableSet, mul, const, _Record, _immutable
-from .forms import DifferentialForm, FormError, exterior_derivative, sort_index_tuple, zero_verdict
+from .forms import DifferentialForm, FormError, sort_index_tuple
 
-__all__ = ["Metric", "hodge_star", "dual_closure_check"]
+__all__ = ["Metric", "hodge_star"]
 
 
 class Metric(_Record):
@@ -56,13 +56,3 @@ def hodge_star(a: DifferentialForm, g: Metric) -> DifferentialForm:
             factor *= g.signature[i - 1]
         pairs.append((complement, mul(const(factor), c)))
     return DifferentialForm(a.vars, n - a.degree, pairs)
-
-
-def dual_closure_check(a: DifferentialForm, g: Metric) -> str:
-    """Closure verdict for the dual form: is d(*a) zero?
-
-    Returns "closed", "unclosed" or "unknown"; unknown coefficient verdicts
-    propagate rather than being guessed.
-    """
-    verdict = zero_verdict(exterior_derivative(hodge_star(a, g)))
-    return {"zero": "closed", "nonzero": "unclosed", "unknown": "unknown"}[verdict]

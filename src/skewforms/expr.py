@@ -10,16 +10,15 @@ power of a base that cannot be expanded (a sum raised to a negative or
 fractional exponent).  Two expressions that normalize to the same tree
 compare equal with ``==``.  A sum, difference or negation is one pass over
 the parts' terms; each monomial's coefficients add as integers over the lcm
-of their denominators.  A product distributes its sums one at a time over a
-{monomial: coefficient} map.  Where two or more sums meet, or a sum of
-products is added (one key of a wedge), and every factor is a variable or
-function with an integer exponent, one map serves them all: a monomial packs
-each exponent, plus a bias that makes it nonnegative, into a field of one
-int, atoms in key order, and each coefficient is an integer over one common
-denominator, so two terms multiply by one int sum and one int product and
-each output term is built once (sparse expansion after Johnson 1974 and
-Monagan and Pearce 2009).  Otherwise two monomials multiply by merging their
-factors.  A constant times a sum scales the sum's terms in their order.
+of their denominators.  A product, or a sum of products (one key of a
+wedge), expands all its sums in one map: every base is an atom, a monomial
+packs each exponent (an integer over the lcm of the exponents' denominators,
+plus a bias that makes it nonnegative) into a field of one int, atoms in key
+order, and each coefficient is an integer over one common denominator, so
+two terms multiply by one int sum and one int product and each output term
+is built once (sparse expansion after Johnson 1974 and Monagan and Pearce
+2009); a term whose radicals or powers of a sum join goes through mul once.
+A constant times a sum scales the sum's terms in their order.
 The rules for one base raised to a power (constant roots and radicals, a
 power of a power, an integer power of a product, the content of a sum) live
 in one table, ``_split``; mul applies it to each base it accumulates, so
@@ -98,8 +97,6 @@ __all__ = [
     "is_zero",
     "to_text",
 ]
-
-FUNCTION_NAMES = ("sin", "cos", "exp", "ln")
 
 PROBE_POINTS = 64
 PROBE_THRESHOLD = 1e-9
@@ -497,31 +494,10 @@ def add(*parts: Expression) -> Expression:
     return _combine((1, part) for part in parts)
 
 
-def _times(a: tuple[Expression, ...], b: tuple[Expression, ...]) -> tuple[Expression, ...] | None:
-    """Sorted factors of the product of two canonical monomials; None where they share
-    a base other than a variable or function with integer exponents, which needs mul."""
-    merged = {_as_power(f)[0]: f for f in a}
-    for f in b:
-        base, e = _as_power(f)
-        if base in merged:
-            e += _as_power(merged.pop(base))[1]  # an int only when both are
-            if type(e) is not int or not isinstance(base, (Var, Func)):
-                return None
-            if e == 0:
-                continue
-            f = base if e == 1 else Pow(base, e)
-        merged[base] = f
-    return tuple(sorted(merged.values(), key=_factor_key))
-
-
-def mul(*parts: Expression) -> Expression:
-    """Canonical product: fold constants, merge exponents, distribute sums.
-
-    Sums accumulate in the same base/exponent table as their inverse-power
-    atoms, so (x+y) * (x+y)^-1 cancels exactly before any distribution,
-    which then carries one map through the sums: of packed exponent vectors
-    where ``_expand_atoms`` can, else of {monomial: coefficient}.
-    """
+def _factors(parts: Iterable[Expression]) -> tuple[int | Fraction, tuple[Expression, ...], list[Add]]:
+    """The product of canonical parts as (rational coefficient, sorted monomial, the sums to
+    distribute), or (0, (), []).  Sums accumulate in the same base/exponent table as their
+    inverse-power atoms, so (x+y) * (x+y)^-1 cancels exactly before any distribution."""
     coeff = 1
     powers: dict[Expression, int | Fraction] = {}
     stack = list(parts)
@@ -531,15 +507,15 @@ def mul(*parts: Expression) -> Expression:
             stack.extend(p.factors)
         elif isinstance(p, Const):
             if p.value == 0:
-                return ZERO
+                return 0, (), []
             coeff *= p.value
         else:
             base, e = _as_power(p)
             powers[base] = powers.get(base, 0) + e
         if not stack:
             # a base that _split splits goes back on the stack in pieces: (x*y)^(1/2) squared is x*y
-            for b in [b for b, e in powers.items() if e != 0 and not isinstance(b, (Var, Func)) and not (
-                    isinstance(b, Add) and e.denominator == 1 and 1 <= e <= _MAX_EXPANSION_EXPONENT)]:
+            for b in [b for b, e in powers.items()
+                      if e != 0 and not isinstance(b, (Var, Func)) and not _expands(b, e)]:
                 if (split := _split(b, _rational(powers[b]))) is not None:
                     del powers[b]
                     coeff *= split[0]
@@ -550,7 +526,6 @@ def mul(*parts: Expression) -> Expression:
             if (c := _content(b, signed=True)) != 1 and powers.get(r := mul(const(Fraction(1) / c), b), 0) < 0:
                 coeff *= _const_power(c, int(e))
                 powers[r] += powers.pop(b)
-
     factors: list[Expression] = []
     sums: list[Add] = []
     for base, e in powers.items():
@@ -561,90 +536,104 @@ def mul(*parts: Expression) -> Expression:
         else:
             factors.append(base if e == 1 else Pow(base, _rational(e)))
     if coeff == 0:
-        return ZERO
-    mono = tuple(sorted(factors, key=_factor_key))
+        return 0, (), []
+    return coeff, tuple(sorted(factors, key=_factor_key)), sums
+
+
+def mul(*parts: Expression) -> Expression:
+    """Canonical product of the parts' ``_factors``: a constant times one sum scales the sum's
+    terms in their order, and ``_expand_atoms`` distributes any other product of sums."""
+    coeff, mono, sums = _factors(parts)
     if not sums:
         return _from_term(coeff, mono)
     if not mono and len(sums) == 1:
         # c*S keeps the order of S, whose terms sort by their monomials alone
         s = sums[0]
         return s if coeff == 1 else Add(tuple(_from_term(coeff * c, m) for c, m in map(_as_term, s.terms)))
-    if len(sums) > 1 and (expanded := _expand_atoms([(coeff, (*mono, *sums))])) is not None:
-        return expanded
-
-    acc = {mono: coeff}
-    products = 0
-    for s in sums:
-        products = _count_products(products, acc, s)
-        right = [(t, *_as_term(t)) for t in s.terms]
-        step: dict[tuple[Expression, ...], int | Fraction] = {}
-        for ma, ca in acc.items():
-            for t, cb, mb in right:
-                mono = _times(ma, mb)
-                if mono is not None:
-                    step[mono] = step[mono] + ca * cb if mono in step else ca * cb
-                    continue
-                for u in _terms(mul(_from_term(ca, ma), t)):
-                    c, mono = _as_term(u)
-                    step[mono] = step[mono] + c if mono in step else c
-        acc = {mono: c for mono, c in step.items() if c != 0}
-    return _assemble(acc)
+    return _expand_atoms([(coeff, (*mono, *sums))])
 
 
 _MAX_EXPANSION_EXPONENT = 64
 _MAX_EXPANSION_PRODUCTS = 100_000
 
 
-def _count_products(products: int, acc: dict, s: Add) -> int:
-    """products plus those of acc times s, where a map that cancelled to nothing is the term 0."""
-    products += max(len(acc), 1) * len(s.terms)
-    if products > _MAX_EXPANSION_PRODUCTS:
-        raise DomainError(f"expansion needs more than {_MAX_EXPANSION_PRODUCTS} term products")
-    return products
+def _expands(base: Expression, e: int | Fraction) -> bool:
+    """Whether base^e is a sum that a product distributes: an integer power of it up to 64."""
+    return isinstance(base, Add) and e.denominator == 1 and 1 <= e <= _MAX_EXPANSION_EXPONENT
 
 
-def _expand_atoms(products: list[tuple[int | Fraction, tuple[Expression, ...]]]) -> Expression | None:
-    """The sum of k times the factors over (rational k, equally many canonical factors) products,
-    in one packed map (see the module docstring), each sum counting its term products as in mul;
-    None unless every factor of every term is a variable or function with an integer exponent."""
-    rows = {f: [(c, [*map(_as_power, m)]) for c, m in map(_as_term, _terms(f))]
-            for _, fs in products for f in fs}
-    pairs = [p for terms in rows.values() for _, ps in terms for p in ps]
-    if not all(type(e) is int and isinstance(b, (Var, Func)) for b, e in pairs):
-        return None
+def _expand_atoms(products: list[tuple[int | Fraction, tuple[Expression, ...]]]) -> Expression:
+    """The sum of k times the factors over (rational k, canonical factors) products, in one packed
+    map (see the module docstring), each sum counting its term products as in mul.  An output
+    term in which a base other than a variable or function reaches a power that ``_split``
+    splits, or a sum one that ``_expands``, is joined by one mul."""
+    rows = {f: [*map(_as_term, _terms(f))] for _, fs in products for f in fs}
+    powers = {g: _as_power(g) for terms in rows.values() for _, m in terms for g in m}
+    root = math.lcm(*[e.denominator for _, e in powers.values()])   # each exponent is an integer over root
+    scaled = powers if root == 1 else {g: (b, e.numerator * (root // e.denominator)) for g, (b, e) in powers.items()}
     n = max([len(fs) for _, fs in products], default=0)   # an output term has n biased factors
-    bias = max([abs(e) for _, e in pairs], default=0)
+    bias = max([abs(e) for _, e in scaled.values()], default=0)
     width = (2 * bias * n).bit_length()
-    shifts = {b: i * width for i, b in enumerate(sorted({b for b, _ in pairs}, key=_sort_key))}
-    lift = sum(bias << shift for shift in shifts.values())
+    shifts = {b: i * width for i, b in enumerate(sorted({b for b, _ in powers.values()}, key=_sort_key))}
+    lift = sum(map(bias.__lshift__, shifts.values()))
+    code = {g: e << shifts[b] for g, (b, e) in scaled.items()}
     den = math.lcm(*[k.denominator for k, _ in products],
                    *[c.denominator for terms in rows.values() for c, _ in terms])
-    packed = {f: [(lift + sum(e << shifts[b] for b, e in ps), c.numerator * (den // c.denominator))
-                  for c, ps in terms] for f, terms in rows.items()}
+    packed = {f: [(lift + sum(map(code.__getitem__, m)), c.numerator * (den // c.denominator)) for c, m in terms]
+              for f, terms in rows.items()}
     total: dict[int, int] = {}
     for k, fs in products:
-        acc, formed = {0: k.numerator * (den // k.denominator)}, 0
+        # a product of fewer factors starts from the unit rows it lacks
+        acc, formed = {lift * (n - len(fs)): k.numerator * (den // k.denominator) * den ** (n - len(fs))}, 0
         counted = sum(not isinstance(f, Const) for f in fs) > 1   # as in mul, c*S counts no products
         for i, f in enumerate(fs, 1 - len(fs)):   # the last factor (i = 0) multiplies into total
-            if counted and isinstance(f, Add):
-                formed = _count_products(formed, acc, f)
+            if counted and isinstance(f, Add):   # a map that cancelled to nothing is the term 0
+                formed += max(len(acc), 1) * len(f.terms)
+                if formed > _MAX_EXPANSION_PRODUCTS:
+                    raise DomainError(f"expansion needs more than {_MAX_EXPANSION_PRODUCTS} term products")
             step = {} if i else total
             for pa, ca in acc.items():
                 for pb, cb in packed[f]:
                     step[pa + pb] = step.get(pa + pb, 0) + ca * cb
-            if i:
-                acc = {p: c for p, c in step.items() if c}
-    mask, den = (1 << width) - 1, den ** (n + 1)
-    return _assemble({tuple(b if e == 1 else Pow(b, e) for b, shift in shifts.items()
-                            if (e := (p >> shift & mask) - n * bias)): c if den == 1 else Fraction(c, den)
-                      for p, c in total.items() if c})
+            if i:   # a one-term factor cancels nothing
+                acc = step if len(packed[f]) == 1 else {p: c for p, c in step.items() if c}
+    mask, den, origin = (1 << width) - 1, den ** (n + 1), n * bias
+    joins: set[Expression] = set()
+
+    def factor(b: Expression, v: int) -> Expression:
+        e, r = divmod(v - origin, root)
+        e = Fraction(v - origin, root) if r else e
+        f = b if e == 1 else Pow(b, e)
+        if not isinstance(b, (Var, Func)) and (_expands(b, e) or _split(b, e) is not None):
+            joins.add(f)
+        return f
+
+    seen = {b: {} for b in shifts}   # each atom's factor per field value, first the factors given
+    for g, (b, e) in scaled.items():
+        seen[b][e + origin] = g
+    fields = [(b, shift, seen[b]) for b, shift in shifts.items()]
+    out = {tuple([known.get(v) or known.setdefault(v, factor(b, v))
+                  for b, shift, known in fields if (v := p >> shift & mask) != origin]): c if den == 1 else Fraction(c, den)
+           for p, c in total.items() if c}
+    for mono in [mono for mono in out if not joins.isdisjoint(mono)] if joins else ():
+        for c, m in map(_as_term, _terms(mul(Const(out.pop(mono)), *mono))):
+            out[m] = out.get(m, 0) + c
+    return _assemble(out)
 
 
-def _sum_of_products(triples: list[tuple[int, Expression, Expression]]) -> Expression:
-    """The canonical sum of k*a*b over (int k, canonical a, b) triples: one packed map where
-    ``_expand_atoms`` applies, else each mul(a, b) summed; b goes first, so the bound counts as in mul."""
-    expanded = _expand_atoms([(k, (b, a)) for k, a, b in triples])
-    return _combine((k, mul(a, b)) for k, a, b in triples) if expanded is None else expanded
+def _sum_of_products(products: list[tuple[int, tuple[Expression, ...]]]) -> Expression:
+    """The canonical sum of k*mul(*parts) over (int k, canonical parts) pairs, in one packed map.
+    Parts go in last first, as mul takes them; where a part other than a sum holds a power of a
+    sum, mul's ``_factors`` join them first, so that (x+y)*(x+y)^-1 is 1."""
+    expansion = []
+    for k, parts in products:
+        if any(isinstance(f, Pow) and isinstance(f.base, Add)
+               for p in parts if not isinstance(p, Add) for f in _as_term(p)[1]):
+            c, mono, sums = _factors(parts)
+            expansion.append((k * c, (*mono, *sums) or (ONE,)))
+        else:
+            expansion.append((k, parts[::-1]))
+    return _expand_atoms(expansion)
 
 
 def _const_power(c: int | Fraction, k: int) -> int | Fraction:
@@ -713,11 +702,14 @@ def _split(base: Expression, e: int | Fraction) -> tuple[int | Fraction, list[Ex
     return None
 
 
-def power(base: Expression, exponent) -> Expression:
+def power(base: Expression | int | Fraction, exponent) -> Expression:
     """Canonical power with an exact rational exponent: the product of the one
-    factor base^exponent, split by the rules of ``_split`` or expanded."""
+    factor base^exponent, split by the rules of ``_split`` or expanded.  An int
+    or Fraction base is its constant, as in the operators."""
     if isinstance(exponent, float):
         raise TypeError("exponents must be exact; pass a Fraction, int or str")
+    if (base := _coerce(base)) is None:
+        raise TypeError("a base must be an Expression, int or Fraction")
     e = _rational(exponent)
     if e == 0:
         return ONE  # 0^0 := 1 by convention
@@ -725,7 +717,7 @@ def power(base: Expression, exponent) -> Expression:
         return base
     if isinstance(base, (Var, Func)):
         return Pow(base, e)
-    if isinstance(base, Add) and e.denominator == 1 and 1 < e <= _MAX_EXPANSION_EXPONENT:
+    if _expands(base, e):
         return mul(*([base] * e))
     if (split := _split(base, e)) is None:
         return Pow(base, e)
@@ -970,20 +962,6 @@ def _function_code(source: str) -> CodeType:
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
-def _scalar_code(exprs: Sequence[Expression], names: Sequence[str], returns: str) -> CodeType:
-    """The code of a function of the given names, in order, that computes the trees from
-    one ``_emit`` and returns ``returns`` with ``{}`` filled by their finite values."""
-    args = {name: f"_a{i}" for i, name in enumerate(names)}
-    lines, results = _emit(exprs, args)
-    source = (f"def _compiled({', '.join(args.values())}):\n"
-              "    try:\n"
-              + "".join(f"        {line}\n" for line in lines)
-              + f"        return {returns.format(', '.join(f'_finite({r})' for r in results))}\n"
-              "    except _ARITH:\n"
-              "        raise _DomainError('outside the real domain or the float range') from None\n")
-    return _function_code(source)
-
-
 def compile_expression(e: Expression, names: Sequence[str]) -> CompiledExpression:
     """Compile a canonical tree into a function of the given names, in order.
 
@@ -991,7 +969,15 @@ def compile_expression(e: Expression, names: Sequence[str]) -> CompiledExpressio
     again (``_function_code``).  A variable outside ``names`` raises
     UnknownVariableError.
     """
-    return CompiledExpression(_scalar_code([e], names, "{}"))
+    args = {name: f"_a{i}" for i, name in enumerate(names)}
+    lines, (result,) = _emit([e], args)
+    source = (f"def _compiled({', '.join(args.values())}):\n"
+              "    try:\n"
+              + "".join(f"        {line}\n" for line in lines)
+              + f"        return _finite({result})\n"
+              "    except _ARITH:\n"
+              "        raise _DomainError('outside the real domain or the float range') from None\n")
+    return CompiledExpression(_function_code(source))
 
 
 def evaluate(e: Expression, point: Mapping[str, float]) -> float:
@@ -1002,11 +988,6 @@ def evaluate(e: Expression, point: Mapping[str, float]) -> float:
         except OverflowError:
             raise DomainError("value is not finite") from None
     return compile_expression(e, tuple(point)).scalar(*map(float, point.values()))
-
-
-def _evaluate_all(exprs: Sequence[Expression], point: Mapping[str, float]) -> list[float]:
-    """What ``evaluate`` gives for each tree, from one compiled function."""
-    return FunctionType(_scalar_code(exprs, tuple(point), "[{}]"), _SCALAR_HELPERS)(*map(float, point.values()))
 
 
 # --- zero testing -----------------------------------------------------------
@@ -1026,8 +1007,8 @@ def _denominator_clearings(e: Expression) -> dict[Expression, int | Fraction]:
 
 def _numerator(e: Expression, need: dict[Expression, int | Fraction]) -> Expression:
     """Multiply every term by the missing denominators ``need`` (what
-    ``_denominator_clearings(e)`` gives), term by term, until no negative
-    powers remain (at most 8 passes).
+    ``_denominator_clearings(e)`` gives), term by term in one expansion,
+    until no negative powers remain (at most 8 passes).
 
     Term-wise multiplication lets sum bases meet their inverse atoms inside
     one product, where the exponents cancel exactly.  Zero-equivalence is
@@ -1039,7 +1020,7 @@ def _numerator(e: Expression, need: dict[Expression, int | Fraction]) -> Express
         if not need:
             return cur
         clearers = [Pow(base, k) for base, k in need.items()]
-        cur = add(*[mul(t, *clearers) for t in _terms(cur)])
+        cur = _sum_of_products([(1, (t, *clearers)) for t in _terms(cur)])
         need = _denominator_clearings(cur)
     return cur
 

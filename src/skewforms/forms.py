@@ -32,8 +32,8 @@ from .expr import (
     mul,
     substitute,
     to_text,
+    _Record,
     _combine,
-    _evaluate_all,
     _signed_sum_text,
     _sum_of_products,
     _term_texts,
@@ -48,7 +48,6 @@ __all__ = [
     "exterior_derivative",
     "commutator",
     "pullback",
-    "evaluate_form",
     "zero_verdict",
     "form_to_text",
 ]
@@ -225,11 +224,11 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     total = a.degree + b.degree
     if total > n:
         return DifferentialForm.zero(a.vars, n)
-    products: dict[tuple[int, ...], list[tuple[int, Expression, Expression]]] = {}
+    products: dict[tuple[int, ...], list[tuple[int, tuple[Expression, Expression]]]] = {}
     for (ia, ca), (ib, cb) in itertools.product(a.items(), b.items()):
         sign, key = sort_index_tuple(ia + ib)
         if sign:
-            products.setdefault(key, []).append((sign, ca, cb))
+            products.setdefault(key, []).append((sign, (ca, cb)))
     return DifferentialForm(a.vars, total, {key: _sum_of_products(ps) for key, ps in products.items()})
 
 
@@ -267,10 +266,10 @@ def commutator(a: DifferentialForm) -> DifferentialForm:
     return exterior_derivative(a)
 
 
-class Parameterization:
+class Parameterization(_Record):
     """Map from an m-dimensional parameter space into the coordinate space."""
 
-    __slots__ = ("params", "coords")
+    __slots__ = __match_args__ = ("params", "coords")
 
     def __init__(self, params: VariableSet, coords: Sequence[Expression]):
         coords = tuple(_coerce_coeff(c) for c in coords)
@@ -307,11 +306,6 @@ def pullback(a: DifferentialForm, chart: Parameterization) -> DifferentialForm:
                 term = mul(term, jac[i - 1][j - 1])
             pairs.append((choice, term))
     return DifferentialForm(chart.params, a.degree, pairs)
-
-
-def evaluate_form(a: DifferentialForm, point: Mapping[str, float]) -> dict[tuple[int, ...], float]:
-    """Evaluate every stored coefficient from one compiled function; absent keys are zero."""
-    return dict(zip(a._coeffs, _evaluate_all(list(a._coeffs.values()), point)))
 
 
 def _basis_text(variables: VariableSet, idx: tuple[int, ...]) -> str:

@@ -3,8 +3,8 @@
 import pytest
 
 from skewforms.expr import ONE, const, differentiate, exp, sin, var
-from skewforms.forms import DifferentialForm, FormError
-from skewforms.duality import Metric, dual_closure_check, hodge_star
+from skewforms.forms import DifferentialForm, FormError, exterior_derivative, zero_verdict
+from skewforms.duality import Metric, hodge_star
 
 from conftest import VARSETS, random_form
 
@@ -85,24 +85,28 @@ class TestHodgeStar:
         assert hodge_star(dy, g) == dx  # -1 metric factor times -1 permutation sign
 
 
+def dual_verdict(theta, g):
+    """The zero verdict of d(*theta): "zero" where the dual form closes."""
+    return zero_verdict(exterior_derivative(hodge_star(theta, g)))
+
+
 class TestDualClosure:
     def test_harmonic_closed(self):
         theta = gradient_form(x**2 - y**2, V2)
-        assert dual_closure_check(theta, Metric.euclidean(V2)) == "closed"
+        assert dual_verdict(theta, Metric.euclidean(V2)) == "zero"
 
     def test_exp_sin_closed(self):
         theta = gradient_form(exp(x) * sin(y), V2)
-        assert dual_closure_check(theta, Metric.euclidean(V2)) == "closed"
+        assert dual_verdict(theta, Metric.euclidean(V2)) == "zero"
 
     def test_x_squared_unclosed(self):
         theta = gradient_form(x**2, V2)
-        assert dual_closure_check(theta, Metric.euclidean(V2)) == "unclosed"
+        assert dual_verdict(theta, Metric.euclidean(V2)) == "nonzero"
 
     def test_gradient_dual_closure_tracks_laplacian(self, rng):
         """theta = df is always closed; *theta closes exactly when the zero
         test certifies the Laplacian."""
         from skewforms.expr import is_zero
-        from skewforms.forms import exterior_derivative, zero_verdict
         from conftest import random_polynomial
         g = Metric.euclidean(V2)
         for _ in range(25):
@@ -111,8 +115,7 @@ class TestDualClosure:
             assert zero_verdict(exterior_derivative(theta)) == "zero"
             laplacian = differentiate(differentiate(f, "x"), "x") \
                 + differentiate(differentiate(f, "y"), "y")
-            expected = {"zero": "closed", "nonzero": "unclosed", "unknown": "unknown"}
-            assert dual_closure_check(theta, g) == expected[is_zero(laplacian)]
+            assert dual_verdict(theta, g) == is_zero(laplacian)
 
     def test_cauchy_riemann_pair(self):
         """Both conditions hold: theta and *theta both close; a +x
@@ -121,10 +124,9 @@ class TestDualClosure:
         v = -2 * x * y
         g = Metric.euclidean(V2)
         theta = DifferentialForm.one_form(V2, [u, v])
-        from skewforms.forms import exterior_derivative, zero_verdict
         assert zero_verdict(exterior_derivative(theta)) == "zero"
-        assert dual_closure_check(theta, g) == "closed"
+        assert dual_verdict(theta, g) == "zero"
 
         perturbed = DifferentialForm.one_form(V2, [u, v + x])
         assert zero_verdict(exterior_derivative(perturbed)) == "nonzero"
-        assert dual_closure_check(perturbed, g) == "closed"
+        assert dual_verdict(perturbed, g) == "zero"

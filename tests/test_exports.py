@@ -90,10 +90,12 @@ def _names_called(tree: ast.Module, function: str) -> set[str]:
 
 def test_single_base_power_rules_have_one_home():
     """The rules for one base raised to a power live in expr._split, which
-    mul applies to each accumulated base and power to its one factor: mul
-    calls no power, and power calls neither itself nor a rule's helper."""
+    mul's factors (_factors) apply to each accumulated base and power to its
+    one factor: mul calls no power, and power calls neither itself nor a
+    rule's helper."""
     in_mul, in_power = _names_called(SOURCES["expr"], "mul"), _names_called(SOURCES["expr"], "power")
-    assert "_split" in in_mul and "power" not in in_mul
+    in_factors = _names_called(SOURCES["expr"], "_factors")
+    assert "_factors" in in_mul and "_split" in in_factors and "power" not in in_mul | in_factors
     assert "_split" in in_power and in_power.isdisjoint({"power", "_nth_root_exact", "_content"})
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import math
 import os
 import pickle
@@ -162,6 +163,14 @@ class TestCanonicalForm:
         assert cos(ZERO) == ONE
         assert exp(ZERO) == ONE
         assert ln(ONE) == ZERO
+
+    def test_plain_number_bases_are_constants(self):
+        assert power(2, 3) == const(8)
+        assert power(Fraction(1, 4), Fraction(1, 2)) == const(Fraction(1, 2))
+        assert expr_module.mul(power(2, Fraction(1, 2)), x) == power(const(2), Fraction(1, 2)) * x
+        for base in (2.0, "x", None):
+            with pytest.raises(TypeError):
+                power(base, 2)
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
@@ -363,10 +372,10 @@ class TestExpansion:
             assert expr_module.mul(*parts) == _cross_product_mul(*parts)
             assert expr_module.mul(ONE, s) is s
 
-    def test_atom_products_match_the_pairwise_expansion(self, monkeypatch):
+    def test_atom_products_match_the_pairwise_expansion(self):
         """Products of 2 to 4 sums over variables and functions with integer exponents
         expand over exponent vectors, node for node as merging monomials pair by pair
-        gives them, and never merge a pair."""
+        gives them."""
         rng = random.Random(1009)
         atoms = [x, y, var("z"), sin(x), exp(y)]
         coefficients = [1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
@@ -384,7 +393,6 @@ class TestExpansion:
             if all(isinstance(s, Add) for s in sums):
                 cases.append((term() if rng.random() < 0.5 else ONE, sums))
         expected = [_pairwise_expansion(head, sums) for head, sums in cases]
-        monkeypatch.setattr(expr_module, "_times", None)
         cancelled = 0
         for (head, sums), want in zip(cases, expected):
             got = expr_module.mul(head, *sums)
@@ -457,6 +465,19 @@ class TestExpansion:
         # a power base whose exponents sum to an integer joins its own base
         p = power(x**2, Fraction(1, 2))
         assert p * p * power(x, -2) == power(x, -2) * p * p == expr_module.mul(p, power(x, -2), p) == ONE
+        # sums that share a radical: each product of terms joins its radicals once
+        half = Fraction(1, 2)
+        r = power(1 + x, half)
+        assert expr_module.mul(r + y, r - y) == 1 + x - y**2
+        assert expr_module.mul(r * y + 1, r * x + 2, power(1 + x, -1)) == \
+            x * y + x * power(1 + x, -half) + 2 * y * power(1 + x, -half) + 2 * power(1 + x, -1)
+        # a base other than a variable under fractional exponents in three sums' terms sums
+        # its exponents once, as the product of the chosen terms as one monomial does
+        for s in (power(power(y, Fraction(-3, 2)), Fraction(-3, 2)), power(const(Fraction(-3, 4)), Fraction(3, 2))):
+            sums = (s * x + 1, s * y + 2, s + 3)
+            product = expr_module.mul(*sums)
+            assert product == add(*[expr_module.mul(*terms) for terms in itertools.product(*(t.terms for t in sums))])
+            assert expr_module.mul(x, y, s, s, s) in product.terms
 
     def test_cached_hash_and_key_leave_equality_alone(self):
         a = (x + 2 * y) * sin(x) ** 2 - exp(y) / (x + y)
@@ -520,6 +541,7 @@ def _memo_tree():
 def test_nodes_and_records_are_plain_values():
     from skewforms.analysis import ClosureVerdict, Locus
     from skewforms.duality import Metric
+    from skewforms.forms import Parameterization
 
     half = Fraction(1, 2)
     nodes = {
@@ -555,7 +577,7 @@ def test_nodes_and_records_are_plain_values():
     assert a == b and a.points == [] and a.points is not b.points
 
     records = [cls for cls in expr_module._Record.__subclasses__() if cls is not expr_module.Expression]
-    assert len(records) == 13 and Metric in records
+    assert len(records) == 14 and Metric in records and Parameterization in records
     for cls in records:
         if cls is not Metric:
             with pytest.raises(TypeError):
