@@ -42,6 +42,7 @@ from .expr import (
     var,
     _SCALAR_HELPERS,
     _Record,
+    _assemble,
     _combine,
     _emit,
     _exponents,
@@ -57,6 +58,7 @@ from .forms import (
     pullback,
     wedge,
     zero_verdict,
+    _derivative_minus,
 )
 from .duality import Metric, hodge_star
 
@@ -153,7 +155,7 @@ def classify_closure(a: DifferentialForm) -> ClosureVerdict:
     if a.degree == 1:
         potential = reconstruct_potential(a)
         if potential is not None:
-            residual = exterior_derivative(DifferentialForm.scalar(a.vars, potential)) - a
+            residual = _derivative_minus(DifferentialForm.scalar(a.vars, potential), a)
             if zero_verdict(residual) == "zero":
                 if closed != "closed":
                     notes.append("closure certified via the reconstructed potential")
@@ -195,7 +197,7 @@ def classify_relation(phi: DifferentialForm, eta: DifferentialForm) -> Relation:
         if not (expected > eta.vars.dimension and eta.is_structurally_zero()):
             raise AnalysisError(
                 f"relation needs deg(eta) = deg(phi)+1, got {eta.degree} and {phi.degree}")
-    residual = exterior_derivative(phi) - eta
+    residual = _derivative_minus(phi, eta)
     d_eta = exterior_derivative(eta)
     verdict = {"zero": "identical", "nonzero": "nonidentical",
                "unknown": "unknown"}[zero_verdict(residual, d_eta)]
@@ -209,8 +211,8 @@ def _determinant(matrix: list[list[Expression]]) -> Expression:
     """The cofactor expansion along the first row, its signed products summed in one expansion."""
     if len(matrix) == 1:
         return matrix[0][0]
-    return _sum_of_products([((-1) ** j, (entry, _determinant([row[:j] + row[j + 1:] for row in matrix[1:]])))
-                             for j, entry in enumerate(matrix[0]) if entry != ZERO])
+    return _assemble(_sum_of_products([((-1) ** j, (entry, _determinant([row[:j] + row[j + 1:] for row in matrix[1:]])))
+                                       for j, entry in enumerate(matrix[0]) if entry != ZERO]))
 
 
 def jacobian_determinant(exprs: Sequence[Expression],

@@ -36,6 +36,8 @@ its depth would pass MAX_NESTING, so every error keeps its message, line and
 column.  A monomial chain (literals and variables joined by '*' and '/', each
 variable with an optional integer-literal exponent, and an optional leading
 '-') is read in one loop into one term; any other chain by recursive descent.
+A '+'/'-' chain sums each run of one degree in one build; a run's sum meets an
+operand of another degree as in a left fold, so each error keeps its place.
 
 Printing is canonical: sorted index tuples, canonical expression order,
 one declaration per line.  ``parse(print(doc))`` reproduces the document.
@@ -47,6 +49,7 @@ import re
 from fractions import Fraction
 
 from .expr import (
+    Add,
     Const,
     DomainError,
     Expression,
@@ -67,8 +70,9 @@ from .expr import (
     _Record,
     _combine,
     _from_term,
+    _sort_key,
 )
-from .forms import DifferentialForm, form_to_text, wedge
+from .forms import DifferentialForm, form_to_text, wedge, _sum_of_forms
 from .duality import Metric
 from .balance import BalanceSystem
 
@@ -391,21 +395,27 @@ class _Parser:
     # expressions: scalars are Expressions; a form (degree >= 1) comes from a differential or name
 
     def _expr(self) -> Expression | DifferentialForm:
-        """A '+'/'-' chain with a left fold's degree checks; one pass sums each run of scalars."""
+        """A '+'/'-' chain: one pass sums each run of operands of one degree (a scalar's is 0);
+        where the degree changes, the run's sum meets the next operand as in a left fold."""
         run = [(1, self._mul_level())]   # (sign, operand) pairs whose sum is the value so far
         while (t := self.texts[self.pos]) == "+" or t == "-":
             op, self.pos = self.pos, self.pos + 1
             sign, right = -1 if t == "-" else 1, self._mul_level()
-            if isinstance(right, Expression) and isinstance(run[0][1], Expression):
-                run.append((sign, right))
-                continue
-            left, right = self._form(_combine(run) if len(run) > 1 else run[0][1]), self._form(right)
-            try:
-                total = left + right if sign > 0 else left - right
-            except ValueError:
-                self.error(f"cannot add forms of degree {left.degree} and {right.degree}", op)
-            run = [(1, total if total.degree else total.coefficient(()))]
-        return _combine(run) if len(run) > 1 else run[0][1]
+            if getattr(right, "degree", 0) != getattr(run[0][1], "degree", 0):
+                left, right = self._form(self._sum(run)), self._form(right)
+                try:
+                    right = left + right if sign > 0 else left - right
+                except ValueError:
+                    self.error(f"cannot add forms of degree {left.degree} and {right.degree}", op)
+                run, sign, right = [], 1, right if right.degree else right.coefficient(())
+            run.append((sign, right))
+        return self._sum(run)
+
+    def _sum(self, run: list) -> Expression | DifferentialForm:
+        """The sum of a run of (sign, operand) pairs of one degree, in one build."""
+        if len(run) == 1:
+            return run[0][1]   # no operand is a form of degree 0, so a run of degree 0 holds Expressions
+        return _combine(run) if isinstance(run[0][1], Expression) else _sum_of_forms(run, {})
 
     def _mul_level(self) -> Expression | DifferentialForm:
         """A '*'/'/' chain of scalars and at most one form; one mul call multiplies the
@@ -437,6 +447,8 @@ class _Parser:
             if not factors:
                 return form
             scalar = mul(*factors) if len(factors) > 1 else factors[0]
+            if form is not None and not isinstance(scalar, Add):
+                _sort_key(scalar)   # as mul(scalar, 1) did: a name chain too deep to walk fails at its statement
             return scalar if form is None else form * scalar
         except DomainError as exc:
             self.error(str(exc), first)

@@ -25,18 +25,18 @@ in one table, ``_split``; mul applies it to each base it accumulates, so
 (x*y)^(1/2) squared is x*y, and a power is the product of its one factor.
 A bare sum joins a negative power of its base through its signed content,
 so no term holds two factors of one base and (-1 - x)*(1 + x)^-1 is -1.
-A derivative walks the canonical terms: a power of the variable is lowered
-in place, and each other factor that depends on it costs one product.  Each
-node computes its sort key and each derivative taken of it once, on first
-use.  Nodes are interned: a class's ``__new__`` returns the one live node
-with the given fields from a table of weak references, which inserts by
-``dict.setdefault`` and removes only dead entries, so threads that build one
-value at once get one node.  ``==`` and ``hash`` are then identity, in C
-(hashing and comparing trees took a fifth of the symbolic benchmark), equal
-trees share one derivative memo, and no output may iterate a set of nodes,
-whose order follows addresses.  Nodes are plain slotted classes, not
-dataclasses: importing ``dataclasses`` took about a third of the start-up
-of a CLI call.
+A derivative lowers each power of the variable in place and sums the
+chain-rule products of the other factors in one expansion, into a map from
+monomials to coefficients.  Each node computes its sort key once, on first use,
+and keeps each derivative: the map, or its tree once a caller asks.  Nodes are
+interned: a class's ``__new__`` returns the one live node with the given
+fields from a table of weak references, which inserts by ``dict.setdefault``
+and removes only dead entries, so threads that build one value at once get one
+node.  ``==`` and ``hash`` are then identity, in C (hashing and comparing
+trees took a fifth of the symbolic benchmark), equal trees share one
+derivative memo, and no output may iterate a set of nodes, whose order follows
+addresses.  Nodes are plain slotted classes, not dataclasses: importing
+``dataclasses`` took about a third of the start-up of a CLI call.
 
 Constants and exponents are exact rationals with one representation: a
 plain ``int`` when the denominator is 1, otherwise a ``Fraction`` with
@@ -469,13 +469,13 @@ def _assemble(acc: dict[tuple[Expression, ...], int | Fraction]) -> Expression:
     return out[0] if len(out) == 1 else Add(tuple(out))
 
 
-def _combine(pairs: Iterable[tuple[int | Fraction, Expression]]) -> Expression:
-    """The canonical sum of k*part over (rational k, canonical part) pairs, in one walk.  Each
-    monomial's k*coeff add as integers over the lcm of their denominators: a lone one with
-    k = 1 keeps its coefficient, and a sum builds no Fraction where it is integral or 0."""
+def _combine(pairs: Iterable[tuple[int | Fraction, Expression | dict]]) -> Expression:
+    """The canonical sum of k*part over (rational k, canonical tree or {monomial: coefficient} map)
+    pairs, in one walk.  Each monomial's k*coeff add as integers over the lcm of their denominators:
+    a lone one with k = 1 keeps its coefficient, and a sum builds no Fraction where it is integral or 0."""
     acc: dict[tuple[Expression, ...], list] = {}
     for k, part in pairs:
-        for coeff, mono in map(_as_term, _terms(part)):
+        for coeff, mono in zip(part.values(), part) if type(part) is dict else map(_as_term, _terms(part)):
             acc.setdefault(mono, []).append((k, coeff))
     for mono, ks in acc.items():
         if len(ks) == 1 and ks[0][0] == 1:
@@ -550,7 +550,7 @@ def mul(*parts: Expression) -> Expression:
         # c*S keeps the order of S, whose terms sort by their monomials alone
         s = sums[0]
         return s if coeff == 1 else Add(tuple(_from_term(coeff * c, m) for c, m in map(_as_term, s.terms)))
-    return _expand_atoms([(coeff, (*mono, *sums))])
+    return _assemble(_expand_atoms([(coeff, (*mono, *sums))]))
 
 
 _MAX_EXPANSION_EXPONENT = 64
@@ -562,11 +562,11 @@ def _expands(base: Expression, e: int | Fraction) -> bool:
     return isinstance(base, Add) and e.denominator == 1 and 1 <= e <= _MAX_EXPANSION_EXPONENT
 
 
-def _expand_atoms(products: list[tuple[int | Fraction, tuple[Expression, ...]]]) -> Expression:
-    """The sum of k times the factors over (rational k, canonical factors) products, in one packed
-    map (see the module docstring), each sum counting its term products as in mul.  An output
-    term in which a base other than a variable or function reaches a power that ``_split``
-    splits, or a sum one that ``_expands``, is joined by one mul."""
+def _expand_atoms(products: list[tuple[int | Fraction, tuple[Expression, ...]]]) -> dict:
+    """The {monomial: coefficient} map of the sum of k times the factors over (rational k, canonical
+    factors) products, in one packed map (see the module docstring), each sum counting its term
+    products as in mul.  An output term in which a base other than a variable or function reaches
+    a power that ``_split`` splits, or a sum one that ``_expands``, is joined by one mul."""
     rows = {f: [*map(_as_term, _terms(f))] for _, fs in products for f in fs}
     powers = {g: _as_power(g) for terms in rows.values() for _, m in terms for g in m}
     root = math.lcm(*[e.denominator for _, e in powers.values()])   # each exponent is an integer over root
@@ -612,19 +612,23 @@ def _expand_atoms(products: list[tuple[int | Fraction, tuple[Expression, ...]]])
     for g, (b, e) in scaled.items():
         seen[b][e + origin] = g
     fields = [(b, shift, seen[b]) for b, shift in shifts.items()]
-    out = {tuple([known.get(v) or known.setdefault(v, factor(b, v))
-                  for b, shift, known in fields if (v := p >> shift & mask) != origin]): c if den == 1 else Fraction(c, den)
-           for p, c in total.items() if c}
+    decoded = [(tuple([known.get(v) or known.setdefault(v, factor(b, v)) for b, shift, known in fields
+                       if (v := p >> shift & mask) != origin]), c if den == 1 else Fraction(c, den))
+               for p, c in total.items() if c]
+    if len(out := dict(decoded)) < len(decoded):   # two fields decoded to one monomial: y*y and (y^2)^(1/2) squared
+        out = {}
+        for m, c in decoded:
+            out[m] = out.get(m, 0) + c
     for mono in [mono for mono in out if not joins.isdisjoint(mono)] if joins else ():
         for c, m in map(_as_term, _terms(mul(Const(out.pop(mono)), *mono))):
             out[m] = out.get(m, 0) + c
-    return _assemble(out)
+    return out
 
 
-def _sum_of_products(products: list[tuple[int, tuple[Expression, ...]]]) -> Expression:
-    """The canonical sum of k*mul(*parts) over (int k, canonical parts) pairs, in one packed map.
-    Parts go in last first, as mul takes them; where a part other than a sum holds a power of a
-    sum, mul's ``_factors`` join them first, so that (x+y)*(x+y)^-1 is 1."""
+def _sum_of_products(products: list[tuple[int | Fraction, tuple[Expression, ...]]]) -> dict:
+    """The {monomial: coefficient} map of the sum of k*mul(*parts) over (rational k, canonical parts)
+    pairs, in one packed map.  Parts go in last first, as mul takes them; where a part other than a
+    sum holds a power of a sum, mul's ``_factors`` join them first, so that (x+y)*(x+y)^-1 is 1."""
     expansion = []
     for k, parts in products:
         if any(isinstance(f, Pow) and isinstance(f.base, Add)
@@ -759,11 +763,17 @@ _OUTER = {"sin": lambda u: (1, cos(u)), "cos": lambda u: (-1, sin(u)),
 
 
 def differentiate(e: Expression, v: str) -> Expression:
-    """Partial derivative with respect to the variable named ``v``, in one walk
-    over the canonical terms: a factor v^k becomes k*v^(k-1) in place (factors
-    sort by base first), and any other factor f^k that depends on v costs one
-    ``mul`` of k*f^(k-1), the derivative of f and the term's other factors.
-    Each node keeps the derivatives taken of it, so a repeat is a lookup."""
+    """Partial derivative by the variable named ``v``: ``_partial``'s map as a tree, kept in its place."""
+    if type(derivative := _partial(e, v)) is dict:
+        e._derivatives[v] = derivative = _assemble(derivative)
+    return derivative
+
+
+def _partial(e: Expression, v: str) -> dict | Expression:
+    """The derivative by ``v`` as the node's memo keeps it: a {monomial: coefficient} map, or its
+    tree once a caller built one.  A factor v^k of a term becomes k*v^(k-1) in place (factors sort
+    by base first); each other factor f^k that depends on v gives the product of k*f^(k-1), f's
+    derivative and the term's other factors, all summed in one ``_sum_of_products`` call."""
     if not isinstance(e, Expression):
         raise TypeError(f"not an Expression node: {e!r}")
     try:
@@ -773,6 +783,7 @@ def differentiate(e: Expression, v: str) -> Expression:
     except KeyError:
         pass
     acc: dict[tuple[Expression, ...], int | Fraction] = {}   # each term's monomial -> its coefficient
+    products = []
     for t in _terms(e):
         coeff, mono = _as_term(t)
         for i, f in enumerate(mono):
@@ -782,17 +793,15 @@ def differentiate(e: Expression, v: str) -> Expression:
                     lowered = mono[:i] + (() if k == 1 else (power(base, k - 1),)) + mono[i + 1:]
                     acc[lowered] = acc.get(lowered, 0) + coeff * k
                 continue
-            inner = _derivative(base.arg if isinstance(base, Func) else base, v)
-            if inner == ZERO:
-                continue
-            sign, outer = _OUTER[base.name](base.arg) if isinstance(base, Func) else (1, ONE)
-            for c, m in map(_as_term, _terms(mul(power(base, k - 1), outer, inner, *mono[:i], *mono[i + 1:]))):
-                acc[m] = acc.get(m, 0) + c * coeff * k * sign
-    e._derivatives[v] = derivative = _assemble(acc)
-    return derivative
-
-
-_derivative = differentiate  # recursion's own binding: a wrapper on the public name sees outside calls only
+            if type(inner := _partial(u := base.arg if isinstance(base, Func) else base, v)) is dict:
+                u._derivatives[v] = inner = _assemble(inner)   # a factor of the product below
+            if inner is not ZERO:
+                sign, outer = _OUTER[base.name](base.arg) if isinstance(base, Func) else (1, ONE)
+                products.append((coeff * k * sign, (power(base, k - 1), outer, inner, *mono[:i], *mono[i + 1:])))
+    for m, c in _sum_of_products(products).items() if products else ():
+        acc[m] = acc.get(m, 0) + c
+    e._derivatives[v] = acc
+    return acc
 
 
 def substitute(e: Expression, mapping: Mapping[str, Expression]) -> Expression:
@@ -1020,7 +1029,7 @@ def _numerator(e: Expression, need: dict[Expression, int | Fraction]) -> Express
         if not need:
             return cur
         clearers = [Pow(base, k) for base, k in need.items()]
-        cur = _sum_of_products([(1, (t, *clearers)) for t in _terms(cur)])
+        cur = _assemble(_sum_of_products([(1, (t, *clearers)) for t in _terms(cur)]))
         need = _denominator_clearings(cur)
     return cur
 

@@ -1,12 +1,11 @@
 """Exterior algebra: degree-p skew-symmetric forms over a coordinate set.
 
 A form is a sparse map from strictly increasing 1-based index tuples to
-coefficient expressions.  Terms are accumulated in one place, which sums the
-(sign, coefficient) parts of each key in one pass: the constructor takes
-(index tuple, coefficient) pairs whose tuples may be unsorted or repeated,
-signs each by its permutation and drops repeated indices; a - b signs b's by -1.
-Structurally zero coefficients are dropped, so the dd = 0 identity is a
-structural test.
+coefficient expressions.  One accumulator sums the (sign, coefficient) parts of
+each key in one pass: the constructor's (index tuple, coefficient) pairs, signed
+by their permutations (repeated indices drop), a sum's signed forms, and for d
+the signed partial maps of each key, with eta's coefficient by -1 in d(a) - eta.
+Structurally zero coefficients are dropped, so dd = 0 is a structural test.
 
 Degrees above the space dimension collapse to a canonical zero form of the
 clamped degree rather than erroring, matching the algebra (Lambda^k = 0 for
@@ -16,6 +15,7 @@ k > n).
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from typing import Sequence
@@ -33,7 +33,9 @@ from .expr import (
     substitute,
     to_text,
     _Record,
+    _assemble,
     _combine,
+    _partial,
     _signed_sum_text,
     _sum_of_products,
     _term_texts,
@@ -101,7 +103,10 @@ class DifferentialForm:
             coeffs = coeffs.items()
         parts: dict[tuple[int, ...], list[tuple[int, Expression]]] = {}
         for raw_idx, raw_c in coeffs or ():
-            idx = tuple(int(i) for i in raw_idx)
+            try:
+                idx = tuple(map(operator.index, raw_idx))
+            except TypeError:
+                raise FormError(f"coordinate indices must be integers, got {raw_idx!r}") from None
             if len(idx) != degree:
                 raise FormError(f"index tuple {idx} has length {len(idx)}, expected {degree}")
             for i in idx:
@@ -111,9 +116,7 @@ class DifferentialForm:
             c = _coerce_coeff(raw_c)
             if sign and c != ZERO:
                 parts.setdefault(key, []).append((sign, c))
-        self.vars = variables
-        self.degree = degree
-        self._coeffs = _summed(parts)
+        self.vars, self.degree, self._coeffs = variables, degree, _summed(parts)
 
     @classmethod
     def zero(cls, variables: VariableSet, degree: int) -> "DifferentialForm":
@@ -175,10 +178,7 @@ class DifferentialForm:
             if other.is_structurally_zero():
                 return self
             raise FormError(f"cannot add forms of degree {self.degree} and {other.degree}")
-        parts = {k: [(1, c)] for k, c in self.items()}
-        for k, c in other.items():
-            parts.setdefault(k, []).append((sign, c))
-        return DifferentialForm(self.vars, self.degree, _summed(parts))
+        return _sum_of_forms(((1, self), (sign, other)), {})
 
     def __neg__(self):
         return self.map_coefficients(lambda c: -c)
@@ -187,7 +187,7 @@ class DifferentialForm:
         if isinstance(scalar, DifferentialForm):
             return NotImplemented
         s = _coerce_coeff(scalar)
-        return self.map_coefficients(lambda c: mul(s, c))
+        return self.map_coefficients(lambda c: s if c is ONE else mul(s, c))
 
     __rmul__ = __mul__
 
@@ -209,10 +209,18 @@ class DifferentialForm:
         return f"DifferentialForm({form_to_text(self)})"
 
 
-def _summed(parts: dict[tuple[int, ...], list[tuple[int, Expression]]]) -> dict[tuple[int, ...], Expression]:
-    """Sum each key's (sign, coefficient) parts in one pass; one positive part keeps its object."""
+def _summed(parts: dict[tuple[int, ...], list[tuple[int, Expression | dict]]]) -> dict[tuple[int, ...], Expression]:
+    """Sum each key's (sign, tree or monomial map) parts in one pass; one positive tree keeps its object."""
     return {k: c for k, ps in sorted(parts.items())
-            if (c := ps[0][1] if ps[0][0] > 0 and len(ps) == 1 else _combine(ps)) != ZERO}
+            if (c := _combine(ps) if len(ps) > 1 or ps[0][0] < 0 or type(ps[0][1]) is dict else ps[0][1]) != ZERO}
+
+
+def _sum_of_forms(signed: Iterable[tuple[int, DifferentialForm]], parts: dict) -> DifferentialForm:
+    """The sum of sign*form over (sign, form) pairs of one degree and variable set, plus the key parts given."""
+    for sign, form in signed:
+        for k, c in form.items():
+            parts.setdefault(k, []).append((sign, c))
+    return DifferentialForm(form.vars, form.degree, _summed(parts))
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
@@ -229,18 +237,26 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
         sign, key = sort_index_tuple(ia + ib)
         if sign:
             products.setdefault(key, []).append((sign, (ca, cb)))
-    return DifferentialForm(a.vars, total, {key: _sum_of_products(ps) for key, ps in products.items()})
+    return DifferentialForm(a.vars, total, {key: _assemble(_sum_of_products(ps)) for key, ps in products.items()})
 
 
 def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
     """d: degree p -> p+1; the d of an n-form is the canonical zero form."""
-    n = a.vars.dimension
-    if a.degree >= n:
-        return DifferentialForm.zero(a.vars, n)
-    names = a.vars.names
-    return DifferentialForm(a.vars, a.degree + 1, (((j,) + idx, differentiate(c, names[j - 1]))
-                                                   for idx, c in a.items()
-                                                   for j in range(1, n + 1) if j not in idx))
+    return _derivative_minus(a, DifferentialForm.zero(a.vars, min(a.degree + 1, a.vars.dimension)))
+
+
+def _derivative_minus(a: DifferentialForm, eta: DifferentialForm) -> DifferentialForm:
+    """d(a) - eta for an eta of d(a)'s degree (any zero form where a has top degree): each key's signed
+    partial maps (``expr._partial``) and eta's coefficient summed in one pass, no tree for a key that cancels."""
+    n, names = a.vars.dimension, a.vars.names
+    if eta.vars != a.vars:
+        raise FormError("forms live over different variable sets")
+    parts: dict[tuple[int, ...], list] = {}
+    for idx, c in a.items() if a.degree < n else ():
+        for j in itertools.filterfalse(idx.__contains__, range(1, n + 1)):
+            sign, key = sort_index_tuple((j, *idx))
+            parts.setdefault(key, []).append((sign, _partial(c, names[j - 1])))
+    return _sum_of_forms(((-1, eta),), parts)
 
 
 def zero_verdict(*forms: DifferentialForm) -> str:

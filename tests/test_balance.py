@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from skewforms import analysis as analysis_module
-from skewforms import balance as balance_module
 from skewforms import forms as forms_module
 from skewforms.analysis import Relation, classify_relation, reconstruct_potential
 from skewforms.dsl import BalanceDecl, parse
@@ -37,15 +36,16 @@ class TestBuildRelation:
     def test_reconstructed_relation_differentiates_omega_once(self, monkeypatch):
         degrees = []
 
-        def counted(form):
+        def counted(form, eta=None):
             degrees.append(form.degree)
-            return exterior_derivative(form)
+            return derivative_minus(form, eta)
 
-        monkeypatch.setattr(forms_module, "exterior_derivative", counted)
-        monkeypatch.setattr(balance_module, "exterior_derivative", counted)
-        monkeypatch.setattr(analysis_module, "exterior_derivative", counted)
+        # every d, and the residual d(phi) - eta, differentiates through this one helper
+        derivative_minus = forms_module._derivative_minus
+        monkeypatch.setattr(forms_module, "_derivative_minus", counted)
+        monkeypatch.setattr(analysis_module, "_derivative_minus", counted)
         rel = build_relation(BalanceSystem(XI, (xi2, xi1)))
-        assert degrees == [1, 0]  # d(omega) for the commutator, then d(psi)
+        assert degrees == [1, 0]  # d(omega) for the commutator, then d(psi) in the residual
         assert rel.verdict == "identical"
         assert rel.notes == "state functional reconstructed by homotopy integration"
         assert rel.relation.verdict == "identical"

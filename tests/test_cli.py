@@ -288,6 +288,16 @@ class TestExitCodes:
         assert "nested too deeply" in err
         assert "Traceback" not in err
 
+    def test_deep_name_chain_in_a_relation_exits_2(self, tmp_path):
+        lines = ["vars x, y", "scalar s0 = x"]
+        lines += [f"scalar s{i} = sin(s{i - 1})" for i in range(1, 1200)]
+        lines.append("relation r: d(s1199) = s1199*dx")
+        doc = tmp_path / "chain.forms"
+        doc.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli("relation", str(doc))
+        assert (code, out) == (2, "")
+        assert "line 1202, column 1: expression nested too deeply once names are inlined" in err
+
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
     def test_resource_errors_exit_2(self, monkeypatch, error):
         import skewforms.cli

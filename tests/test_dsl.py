@@ -575,6 +575,30 @@ def test_chain_edge_cases_match_the_pairwise_parser(keyword, expression):
     assert _outcome(dsl._Parser, text) == _outcome(_PairwiseParser, text)
 
 
+@pytest.mark.parametrize("expression, outcome", [
+    ("dx - dx + x", "form s = x"),
+    ("x + dx - dx", ("DslError", "cannot add forms of degree 0 and 1", 2, 12)),
+    ("dx^dy + dx", ("DslError", "cannot add forms of degree 2 and 1", 2, 16)),
+    ("x*dx + y*dx - (x + y)*dx + dy^dx + dx^dy", "form s = 0"),
+    ("x*dx + y*dy - dx*x + 2*dy^dx", ("DslError", "cannot add forms of degree 1 and 2", 2, 29)),
+])
+def test_form_chains_keep_the_left_fold_degree_checks(expression, outcome):
+    text = f"vars x, y\nform s = {expression}\n"
+    got = _outcome(dsl._Parser, text)
+    assert got == _outcome(_PairwiseParser, text)
+    assert got == (f"vars x, y\n{outcome}\n" if isinstance(outcome, str) else outcome)
+
+
+def test_a_chain_of_forms_of_one_degree_is_one_build(monkeypatch):
+    sums = []
+    real = dsl._sum_of_forms
+    monkeypatch.setattr(dsl, "_sum_of_forms", lambda run, parts: sums.append(len(run)) or real(run, parts))
+    monkeypatch.setattr(DifferentialForm, "_plus", None)   # a chain of one degree never folds
+    doc = parse("vars x, y, z\nform w = x*dx + y*dy - z*dz + (x + y)*dx + x*dz\n")
+    assert sums == [5]
+    assert print_document(doc) == "vars x, y, z\nform w = (2*x + y)*dx + y*dy + (x - z)*dz\n"
+
+
 def test_folded_chains_match_the_pairwise_parser():
     """The parser that folds scalar chains gives the same document, or the
     same error at the same line and column, as a pairwise left fold."""

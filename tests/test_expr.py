@@ -196,6 +196,17 @@ def _cross_product_mul(*parts):
         else:
             base, e = expr_module._as_power(p)
             powers[base] = powers.get(base, Fraction(0)) + e
+        if not stack:
+            # a power that splits goes back on the stack in pieces, as in mul: a power of a
+            # product at an integer exponent may hold a base the table already has
+            for base, e in list(powers.items()):
+                if e == 0 or isinstance(base, Add) and e.denominator == 1 and 1 <= e <= expr_module._MAX_EXPANSION_EXPONENT:
+                    continue
+                sub_c, sub_m = expr_module._as_term(power(base, e))
+                if sub_c != 1 or [expr_module._as_power(f) for f in sub_m] != [(base, e)]:
+                    del powers[base]
+                    coeff *= sub_c
+                    stack.extend(sub_m)
     # a bare sum joins the inverse power of its base through its signed content
     for base, e in list(powers.items()):
         if isinstance(base, Add) and e > 0 and e.denominator == 1:
@@ -371,6 +382,23 @@ class TestExpansion:
             rng.shuffle(parts)
             assert expr_module.mul(*parts) == _cross_product_mul(*parts)
             assert expr_module.mul(ONE, s) is s
+        # squares of sums of seeded raw trees (triples of random_raw_tree at depth 3, then 4,
+        # from one generator per seed) in which a power of a product or of a power splits at an
+        # integer exponent, y^3 from (y^3)^(1/2) squared, next to another factor of its base
+        for seed, depth, index in ((5, 3, 12), (5, 3, 332), (5, 4, 0), (6, 4, 61), (6, 4, 420)):
+            gen = random.Random(seed)
+            triples = {d: [[random_raw_tree(gen, d) for _ in range(3)] for _ in range(666)] for d in (3, 4)}
+            a, b, _ = (substitute(raw, {}) for raw in triples[depth][index])
+            s = add(a, b)
+            assert expr_module.mul(s, s) == _cross_product_mul(s, s) == power(s, 2)
+
+    def test_fields_that_decode_to_one_monomial_add_up(self):
+        """y*y and (y^2)^(1/2) squared both decode to the factor y^2: their coefficients add."""
+        r = power(y**2, Fraction(1, 2))
+        for s, want in [(y + r, 2 * y * r + 2 * y**2), (x * y + x * r, 2 * x**2 * y * r + 2 * x**2 * y**2)]:
+            square = expr_module.mul(s, s)
+            assert square == want and is_zero(square - power(s, 2)) == "zero"
+            assert math.isclose(evaluate(square, {"x": 0.7, "y": 1.3}), evaluate(s, {"x": 0.7, "y": 1.3}) ** 2)
 
     def test_atom_products_match_the_pairwise_expansion(self):
         """Products of 2 to 4 sums over variables and functions with integer exponents
@@ -521,17 +549,27 @@ class TestSingleBaseRules:
         assert checked > 6000
 
     def test_canonical_trees_match_the_golden(self):
-        lines = []
-        for raw in _raw_trees(800):
-            try:
-                lines.append(to_text(substitute(raw, {})))
-            except (ArithmeticError, ValueError) as exc:
-                lines.append(type(exc).__name__)
-        out = "".join(f"{line}\n" for line in lines)
-        path = Path(__file__).parent / "golden" / "canonical_trees.txt"
-        if os.environ.get("UPDATE_GOLDENS"):
-            path.write_text(out, encoding="utf-8")
-        assert out == path.read_text(encoding="utf-8")
+        _check_golden("canonical_trees.txt", [lambda raw=raw: substitute(raw, {}) for raw in _raw_trees(800)])
+
+    def test_derivatives_match_the_golden(self):
+        """The derivative in x, y and z of each canonical tree of the golden above."""
+        _check_golden("derivatives.txt", [lambda raw=raw, v=v: differentiate(substitute(raw, {}), v)
+                                          for raw in _raw_trees(800) for v in "xyz"])
+
+
+def _check_golden(name, builds):
+    """One line per build: the text of its tree, or the name of the error it raises."""
+    lines = []
+    for build in builds:
+        try:
+            lines.append(to_text(build()))
+        except (ArithmeticError, ValueError) as exc:
+            lines.append(type(exc).__name__)
+    out = "".join(f"{line}\n" for line in lines)
+    path = Path(__file__).parent / "golden" / name
+    if os.environ.get("UPDATE_GOLDENS"):
+        path.write_text(out, encoding="utf-8")
+    assert out == path.read_text(encoding="utf-8")
 
 
 def _memo_tree():
@@ -612,6 +650,17 @@ class TestDerivativeMemo:
         assert b._derivatives["x"] is da  # so the second call is a memo hit
         db = differentiate(b, "x")
         assert da is db and da == _reference_diff(b, "x")
+        assert expr_module._partial(b, "x") is da   # one entry per (node, variable), read by d too
+
+    def test_the_memo_keeps_the_map_until_a_tree_is_asked_for(self):
+        e = sin(var("memo_u") * y) * power(var("memo_u") + y, Fraction(1, 2)) - var("memo_u") ** 3
+        terms = expr_module._partial(e, "memo_u")
+        assert type(terms) is dict and e._derivatives == {"memo_u": terms}
+        assert expr_module._partial(e, "memo_u") is terms
+        tree = differentiate(e, "memo_u")
+        assert e._derivatives == {"memo_u": tree}   # the tree takes the map's place
+        assert tree == expr_module._assemble(terms) == _reference_diff(e, "memo_u")
+        assert expr_module._partial(e, "memo_u") is tree and differentiate(e, "memo_u") is tree
 
     def test_equality_hash_repr_and_pickling_ignore_the_memo(self):
         a, b = _memo_tree(), _memo_tree()
@@ -625,11 +674,13 @@ class TestDerivativeMemo:
 
     def test_nesting_costs_one_frame_per_level(self):
         # a chain of n sin links differentiates within n + 40 frames of the
-        # caller; a second frame per level would need 2n
+        # caller, as a tree and as d of a form; a second frame per level would need 2n
+        from skewforms.forms import DifferentialForm, exterior_derivative
+
         n = 80
-        e = x
+        e, chain = x, var("frame_w")
         for _ in range(n):
-            e = sin(e)
+            e, chain = sin(e), sin(chain)
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
@@ -637,9 +688,10 @@ class TestDerivativeMemo:
         sys.setrecursionlimit(depth + n + 40)
         try:
             d = differentiate(e, "x")
+            form = exterior_derivative(DifferentialForm.scalar(VariableSet(["frame_w", "y"]), chain))
         finally:
             sys.setrecursionlimit(limit)
-        assert len(d.factors) == n
+        assert len(d.factors) == n and form.coefficient((1,)) == substitute(d, {"x": var("frame_w")})
 
 
 class TestInterning:

@@ -62,6 +62,12 @@ class TestIndexTuples:
         with pytest.raises(FormError):
             DifferentialForm(V2, 5, {})
 
+    def test_indices_must_be_integers(self):
+        for bad in ((1.5,), (1.0,), ("1",)):
+            with pytest.raises(FormError, match="must be integers"):
+                DifferentialForm(V2, 1, {bad: x})
+        assert DifferentialForm(V2, 1, {(True,): x}) == DifferentialForm(V2, 1, {(1,): x})
+
 
 class TestAccumulator:
     @staticmethod
@@ -327,10 +333,73 @@ class TestExteriorDerivative:
         w = DifferentialForm.one_form(V3, [x * y, y * z, z * x])
         expected = d(w)
         calls = []
-        real = forms.differentiate
-        monkeypatch.setattr(forms, "differentiate", lambda e, v: calls.append(v) or real(e, v))
+        real = forms._partial
+        monkeypatch.setattr(forms, "_partial", lambda e, v: calls.append(v) or real(e, v))
         assert d(w) == expected
         assert len(calls) == 6  # not 9: d(w_i)/dx^i would only be dropped
+
+    @staticmethod
+    def reference(a):
+        """d as one tree per partial derivative, each key summed by _combine."""
+        n, names = a.vars.dimension, a.vars.names
+        if a.degree >= n:
+            return DifferentialForm.zero(a.vars, n)
+        parts = collections.defaultdict(list)
+        for idx, c in a.items():
+            for j in range(1, n + 1):
+                sign, key = sort_index_tuple((j, *idx))
+                if sign:
+                    parts[key].append((sign, differentiate(c, names[j - 1])))
+        coeffs = {k: expr_module._combine(ps) for k, ps in parts.items()}
+        return DifferentialForm(a.vars, a.degree + 1, {k: c for k, c in coeffs.items() if c != ZERO})
+
+    def test_matches_the_per_partial_reference(self):
+        """On random forms whose coefficients hold polynomials, powers of sums (negative and
+        fractional), sin, cos, exp and ln, d and d(phi) - eta agree node for node with one
+        tree per partial summed by _combine."""
+        rng = random.Random(235)
+        for _ in range(120):
+            vs = VARSETS[rng.randint(2, 4)]
+            names = vs.names
+            atoms = [var(v) for v in names] + [
+                power(random_polynomial(rng, names, 2) + rng.randint(1, 3), rng.choice(
+                    [-1, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])),
+                rng.choice([sin, cos, exp])(random_polynomial(rng, names, 2)),
+                expr_module.mul(var(rng.choice(names)), var(rng.choice(names))) + 1]
+            atoms.append(expr_module.ln(atoms[-1]))
+
+            def coefficient():
+                terms = [const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                         * expr_module.mul(*rng.sample(atoms, rng.randint(1, 3))) for _ in range(rng.randint(1, 3))]
+                return expr_module.add(*terms)
+
+            p = rng.randint(0, vs.dimension - 1)
+            keys = list(itertools.combinations(range(1, vs.dimension + 1), p))
+            phi = DifferentialForm(vs, p, {k: coefficient() for k in rng.sample(keys, rng.randint(1, len(keys)))})
+            want = self.reference(phi)
+            got = d(phi)
+            assert got.degree == want.degree and got.coefficients == want.coefficients
+            eta = want + DifferentialForm(vs, p + 1, {rng.choice(list(itertools.combinations(
+                range(1, vs.dimension + 1), p + 1))): coefficient()})
+            if rng.random() < 0.3:
+                eta = want   # the residual cancels on every key
+            residual = forms._derivative_minus(phi, eta)
+            assert residual.degree == p + 1 and residual.coefficients == (want - eta).coefficients
+
+    def test_a_closed_form_builds_no_derivative_tree(self, monkeypatch):
+        u, v, w = var("closed_u"), var("closed_v"), var("closed_w")
+        f = u**3 * v - 2 * u * v * w + w**2 * v
+        vs = VariableSet(["closed_u", "closed_v", "closed_w"])
+        closed = DifferentialForm.one_form(vs, [differentiate(f, name) for name in vs.names])
+        built = []
+        real = expr_module._from_term
+        monkeypatch.setattr(expr_module, "_from_term", lambda c, m: built.append(m) or real(c, m))
+        assert d(closed).is_structurally_zero()
+        assert built == []   # every key's partials cancelled as maps
+        for _, c in closed.items():
+            assert all(type(m) is dict for m in c._derivatives.values())
+        assert forms._derivative_minus(DifferentialForm.scalar(vs, f), closed).is_structurally_zero()
+        assert built == []
 
 
 class TestCommutator:
