@@ -122,13 +122,14 @@ def reconstruct_potential(a: DifferentialForm) -> Expression | None:
     if a.degree != 1:
         raise AnalysisError("potential reconstruction needs a 1-form")
     names = a.vars.names
-    parts = []
+    parts, scales = [], {}   # scales: 1/(m + 1) for a term of degree m, one Fraction per degree
     for (i,), ai in a.items():
         for term in _terms(ai):
             split = _exponents(term, names)
             if split is None:
                 return None
-            parts.append((Fraction(1, sum(split[0]) + 1), mul(var(a.vars.name_at(i)), term)))
+            m = sum(split[0])
+            parts.append((scales.get(m) or scales.setdefault(m, Fraction(1, m + 1)), mul(var(names[i - 1]), term)))
     return _combine(parts)
 
 

@@ -442,7 +442,7 @@ class _Parser:
                     if right == ZERO:
                         self.error("division by zero", op)
                     # a constant divisor is its exact reciprocal, as power(c, -1) would give
-                    factors.append(const(1 / Fraction(right.value)) if isinstance(right, Const)
+                    factors.append(const(Fraction(1, right.value)) if isinstance(right, Const)
                                    else power(right, -1))
             if not factors:
                 return form

@@ -9,8 +9,8 @@ convention against the known dual of a gradient field.
 
 from __future__ import annotations
 
-from .expr import VariableSet, mul, const, _Record, _immutable
-from .forms import DifferentialForm, FormError, sort_index_tuple
+from .expr import VariableSet, _Record, _immutable
+from .forms import DifferentialForm, FormError, sort_index_tuple, _trusted
 
 __all__ = ["Metric", "hodge_star"]
 
@@ -54,5 +54,5 @@ def hodge_star(a: DifferentialForm, g: Metric) -> DifferentialForm:
         factor, _ = sort_index_tuple(idx + complement)
         for i in idx:
             factor *= g.signature[i - 1]
-        pairs.append((complement, mul(const(factor), c)))
-    return DifferentialForm(a.vars, n - a.degree, pairs)
+        pairs.append((complement, c if factor > 0 else -c))
+    return _trusted(a.vars, n - a.degree, dict(sorted(pairs)))

@@ -41,7 +41,9 @@ addresses.  Nodes are plain slotted classes, not dataclasses: importing
 Constants and exponents are exact rationals with one representation: a
 plain ``int`` when the denominator is 1, otherwise a ``Fraction`` with
 denominator > 1.  ``int`` and ``Fraction`` compare and hash alike, so the
-choice never changes equality; integral arithmetic just skips ``Fraction``.
+choice never changes equality.  Hot paths build no throwaway ``Fraction``: a
+coefficient passed on unchanged keeps its object (no ``0 + c``, no ``1 * c``),
+and a product (``_product``) or ratio of ints is one only where it is not an int.
 Floats are rejected so that structural zero tests (e.g. dd = 0) stay exact.
 
 Evaluation compiles a tree to straight-line Python code.  One code object is
@@ -303,6 +305,12 @@ def _rational(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
+def _product(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """a*b for exact rationals, with no Fraction built where the product is an integer."""
+    num, den = a.numerator * b.numerator, a.denominator * b.denominator
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 def const(value) -> Const:
     """Exact rational constant. Floats are rejected; use Fraction or str."""
     if isinstance(value, float):
@@ -485,7 +493,7 @@ def _combine(pairs: Iterable[tuple[int | Fraction, Expression | dict]]) -> Expre
         for k, c in ks:
             lcm = den if (d := k.denominator * c.denominator) == den else math.lcm(den, d)
             num, den = num * (lcm // den) + k.numerator * c.numerator * (lcm // d), lcm
-        acc[mono] = num if den == 1 or num == 0 else Fraction(num, den)
+        acc[mono] = num // den if num % den == 0 else Fraction(num, den)
     return _assemble(acc)
 
 
@@ -508,7 +516,7 @@ def _factors(parts: Iterable[Expression]) -> tuple[int | Fraction, tuple[Express
         elif isinstance(p, Const):
             if p.value == 0:
                 return 0, (), []
-            coeff *= p.value
+            coeff = p.value if coeff == 1 else coeff * p.value
         else:
             base, e = _as_power(p)
             powers[base] = powers.get(base, 0) + e
@@ -523,7 +531,7 @@ def _factors(parts: Iterable[Expression]) -> tuple[int | Fraction, tuple[Express
     if any(e < 0 and isinstance(b, Add) for b, e in powers.items()):
         # a bare sum joins a negative power of its base through its signed content: (-2 - 2*x)*(1 + x)^-1 = -2
         for b, e in [(b, e) for b, e in powers.items() if isinstance(b, Add) and e > 0 and e.denominator == 1]:
-            if (c := _content(b, signed=True)) != 1 and powers.get(r := mul(const(Fraction(1) / c), b), 0) < 0:
+            if (c := _content(b, signed=True)) != 1 and powers.get(r := mul(const(Fraction(1, c)), b), 0) < 0:
                 coeff *= _const_power(c, int(e))
                 powers[r] += powers.pop(b)
     factors: list[Expression] = []
@@ -549,7 +557,7 @@ def mul(*parts: Expression) -> Expression:
     if not mono and len(sums) == 1:
         # c*S keeps the order of S, whose terms sort by their monomials alone
         s = sums[0]
-        return s if coeff == 1 else Add(tuple(_from_term(coeff * c, m) for c, m in map(_as_term, s.terms)))
+        return s if coeff == 1 else Add(tuple(_from_term(_product(coeff, c), m) for c, m in map(_as_term, s.terms)))
     return _assemble(_expand_atoms([(coeff, (*mono, *sums))]))
 
 
@@ -567,7 +575,7 @@ def _expand_atoms(products: list[tuple[int | Fraction, tuple[Expression, ...]]])
     factors) products, in one packed map (see the module docstring), each sum counting its term
     products as in mul.  An output term in which a base other than a variable or function reaches
     a power that ``_split`` splits, or a sum one that ``_expands``, is joined by one mul."""
-    rows = {f: [*map(_as_term, _terms(f))] for _, fs in products for f in fs}
+    rows = {f: [*map(_as_term, _terms(f))] for f in dict.fromkeys([f for _, fs in products for f in fs])}
     powers = {g: _as_power(g) for terms in rows.values() for _, m in terms for g in m}
     root = math.lcm(*[e.denominator for _, e in powers.values()])   # each exponent is an integer over root
     scaled = powers if root == 1 else {g: (b, e.numerator * (root // e.denominator)) for g, (b, e) in powers.items()}
@@ -613,7 +621,7 @@ def _expand_atoms(products: list[tuple[int | Fraction, tuple[Expression, ...]]])
         seen[b][e + origin] = g
     fields = [(b, shift, seen[b]) for b, shift in shifts.items()]
     decoded = [(tuple([known.get(v) or known.setdefault(v, factor(b, v)) for b, shift, known in fields
-                       if (v := p >> shift & mask) != origin]), c if den == 1 else Fraction(c, den))
+                       if (v := p >> shift & mask) != origin]), c // den if c % den == 0 else Fraction(c, den))
                for p, c in total.items() if c]
     if len(out := dict(decoded)) < len(decoded):   # two fields decoded to one monomial: y*y and (y^2)^(1/2) squared
         out = {}
@@ -698,7 +706,7 @@ def _split(base: Expression, e: int | Fraction) -> tuple[int | Fraction, list[Ex
         if content == 1:
             return None
         coeff, pieces = _split(Const(content), e) or (1, [Pow(Const(content), e)])
-        return coeff, pieces + [Pow(mul(const(Fraction(1) / content), base), e)]
+        return coeff, pieces + [Pow(mul(const(Fraction(1, content)), base), e)]
     if e.denominator == 1 and isinstance(base, (Pow, Mul)):
         # (c*f^k*...)^e = c^e * f^(k*e) * ... for an integer e
         c, mono = _as_term(base)
@@ -791,15 +799,17 @@ def _partial(e: Expression, v: str) -> dict | Expression:
             if isinstance(base, Var):
                 if base.name == v:
                     lowered = mono[:i] + (() if k == 1 else (power(base, k - 1),)) + mono[i + 1:]
-                    acc[lowered] = acc.get(lowered, 0) + coeff * k
+                    c = coeff if k == 1 else _product(coeff, k)
+                    acc[lowered] = acc[lowered] + c if lowered in acc else c
                 continue
             if type(inner := _partial(u := base.arg if isinstance(base, Func) else base, v)) is dict:
                 u._derivatives[v] = inner = _assemble(inner)   # a factor of the product below
             if inner is not ZERO:
                 sign, outer = _OUTER[base.name](base.arg) if isinstance(base, Func) else (1, ONE)
-                products.append((coeff * k * sign, (power(base, k - 1), outer, inner, *mono[:i], *mono[i + 1:])))
+                products.append((coeff if k * sign == 1 else _product(coeff, k * sign),
+                                 (power(base, k - 1), outer, inner, *mono[:i], *mono[i + 1:])))
     for m, c in _sum_of_products(products).items() if products else ():
-        acc[m] = acc.get(m, 0) + c
+        acc[m] = acc[m] + c if m in acc else c
     e._derivatives[v] = acc
     return acc
 

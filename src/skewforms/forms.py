@@ -7,6 +7,11 @@ by their permutations (repeated indices drop), a sum's signed forms, and for d
 the signed partial maps of each key, with eta's coefficient by -1 in d(a) - eta.
 Structurally zero coefficients are dropped, so dd = 0 is a structural test.
 
+The public constructor checks what a caller gives.  ``_trusted`` checks nothing: it
+takes a dict canonical by construction (strictly increasing int key tuples of the
+degree, in order, Expression coefficients, no ZERO) from ``basis``, ``scalar``,
+``map_coefficients`` (after coercing), sums, d, ``wedge`` and the Hodge star.
+
 Degrees above the space dimension collapse to a canonical zero form of the
 clamped degree rather than erroring, matching the algebra (Lambda^k = 0 for
 k > n).
@@ -124,7 +129,7 @@ class DifferentialForm:
 
     @classmethod
     def scalar(cls, variables: VariableSet, value) -> "DifferentialForm":
-        return cls(variables, 0, {(): _coerce_coeff(value)})
+        return _trusted(variables, 0, {} if (c := _coerce_coeff(value)) is ZERO else {(): c})
 
     @classmethod
     def one_form(cls, variables: VariableSet, coefficients) -> "DifferentialForm":
@@ -136,7 +141,7 @@ class DifferentialForm:
     @classmethod
     def basis(cls, variables: VariableSet, name: str) -> "DifferentialForm":
         """The basis 1-form d<name>."""
-        return cls(variables, 1, {(variables.position(name),): ONE})
+        return _trusted(variables, 1, {(variables.position(name),): ONE})
 
     @property
     def coefficients(self) -> dict[tuple[int, ...], Expression]:
@@ -157,8 +162,8 @@ class DifferentialForm:
         return not self._coeffs
 
     def map_coefficients(self, fn) -> "DifferentialForm":
-        return DifferentialForm(self.vars, self.degree,
-                                {k: fn(c) for k, c in self._coeffs.items()})
+        return _trusted(self.vars, self.degree, {k: c for k, old in self._coeffs.items()
+                                                 if (c := _coerce_coeff(fn(old))) is not ZERO})
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -209,6 +214,13 @@ class DifferentialForm:
         return f"DifferentialForm({form_to_text(self)})"
 
 
+def _trusted(variables: VariableSet, degree: int, coeffs: dict[tuple[int, ...], Expression]) -> DifferentialForm:
+    """A form over a dict that is canonical by construction (see the module docstring), unchecked."""
+    form = object.__new__(DifferentialForm)
+    form.vars, form.degree, form._coeffs = variables, degree, coeffs
+    return form
+
+
 def _summed(parts: dict[tuple[int, ...], list[tuple[int, Expression | dict]]]) -> dict[tuple[int, ...], Expression]:
     """Sum each key's (sign, tree or monomial map) parts in one pass; one positive tree keeps its object."""
     return {k: c for k, ps in sorted(parts.items())
@@ -220,7 +232,7 @@ def _sum_of_forms(signed: Iterable[tuple[int, DifferentialForm]], parts: dict) -
     for sign, form in signed:
         for k, c in form.items():
             parts.setdefault(k, []).append((sign, c))
-    return DifferentialForm(form.vars, form.degree, _summed(parts))
+    return _trusted(form.vars, form.degree, _summed(parts))
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
@@ -237,12 +249,13 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
         sign, key = sort_index_tuple(ia + ib)
         if sign:
             products.setdefault(key, []).append((sign, (ca, cb)))
-    return DifferentialForm(a.vars, total, {key: _assemble(_sum_of_products(ps)) for key, ps in products.items()})
+    return _trusted(a.vars, total, {key: c for key, ps in sorted(products.items())
+                                    if (c := _assemble(_sum_of_products(ps))) is not ZERO})
 
 
 def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
     """d: degree p -> p+1; the d of an n-form is the canonical zero form."""
-    return _derivative_minus(a, DifferentialForm.zero(a.vars, min(a.degree + 1, a.vars.dimension)))
+    return _derivative_minus(a, _trusted(a.vars, min(a.degree + 1, a.vars.dimension), {}))
 
 
 def _derivative_minus(a: DifferentialForm, eta: DifferentialForm) -> DifferentialForm:

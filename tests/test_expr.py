@@ -304,6 +304,26 @@ class TestExactRationals:
         assert made == []
         assert len(e.terms) > 20
 
+    def test_linear_partials_build_no_fraction(self, monkeypatch):
+        """The derivative of a term linear in the variable keeps the term's coefficient
+        object, and a constant times a monomial multiplies nothing by 1."""
+        u, v, w = var("lin_u"), var("lin_v"), var("lin_w")
+        e = add(Fraction(1, 3) * u * v, Fraction(-2, 5) * u * w**2, Fraction(7, 4) * u, Fraction(5, 6) * v)
+        two_thirds, made = const(Fraction(2, 3)), []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__",
+                            lambda cls, *args, **kwargs: made.append(args) or new(cls, *args, **kwargs))
+        if hasattr(Fraction, "_from_coprime_ints"):   # arithmetic builds its results here from Python 3.12 on
+            coprime = Fraction._from_coprime_ints
+            monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                                classmethod(lambda cls, n, d: made.append((n, d)) or coprime(n, d)))
+        partial = expr_module._partial(e, "lin_u")
+        product = expr_module.mul(two_thirds, u, v)
+        monkeypatch.undo()
+        assert made == []
+        assert partial == {(v,): Fraction(1, 3), (w**2,): Fraction(-2, 5), (): Fraction(7, 4)}
+        assert product == Fraction(2, 3) * u * v
+
     def test_radical_products_do_not_depend_on_grouping(self):
         a, b = power(const(2), Fraction(3, 2)), power(const(2), Fraction(1, 2))
         assert a == 2 * b
@@ -345,6 +365,16 @@ class TestExactRationals:
 
 
 class TestExpansion:
+    def test_a_repeated_factor_is_split_once(self, monkeypatch):
+        s = x + 2 * y + Fraction(1, 3) * var("z") + 1
+        split = []
+        terms = expr_module._terms
+        monkeypatch.setattr(expr_module, "_terms", lambda e: split.append(e) or terms(e))
+        eighth = power(s, 8)
+        monkeypatch.undo()
+        assert split == [s]
+        assert eighth == expr_module.mul(power(s, 4), power(s, 4))
+
     def test_matches_the_cross_product_reference(self):
         rng = random.Random(1974)
         names = ["x", "y", "z"]

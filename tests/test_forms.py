@@ -4,14 +4,16 @@ import collections
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from skewforms import expr as expr_module, forms
+from skewforms import classify_closure, expr as expr_module, forms
 from skewforms.dsl import Document, FormDecl, parse, print_document
+from skewforms.duality import Metric, hodge_star
 from skewforms.expr import (
-    Add, Const, DomainError, Mul, VariableSet, ZERO, ONE, const, cos, differentiate, evaluate, exp,
-    power, sin, to_text, var,
+    Add, Const, DomainError, Expression, Mul, VariableSet, ZERO, ONE, const, cos, differentiate, evaluate,
+    exp, power, sin, to_text, var,
 )
 from skewforms.forms import (
     DifferentialForm,
@@ -123,6 +125,65 @@ class TestAccumulator:
         coeffs = {(2, 1): x, (1, 2): y, (2, 2): ONE}
         assert DifferentialForm(V2, 2, coeffs) == DifferentialForm(V2, 2, coeffs.items())
         assert DifferentialForm(V2, 2, coeffs).coefficient((1, 2)) == y - x
+
+
+class TestTrustedConstruction:
+    """Forms built inside the package skip the checking constructor.  Each must be the
+    form that constructor gives for its own items: keys strictly increasing, in order,
+    no ZERO, every coefficient an Expression."""
+
+    @staticmethod
+    def assert_canonical(f):
+        items = list(f.items())
+        checked = DifferentialForm(f.vars, f.degree, dict(items))
+        assert f == checked and items == list(checked.items())
+        keys = [k for k, _ in items]
+        assert keys == sorted(set(keys))
+        for k, c in items:
+            assert len(k) == f.degree and all(type(i) is int and 1 <= i <= f.vars.dimension for i in k)
+            assert list(k) == sorted(set(k))
+            assert isinstance(c, Expression) and c is not ZERO
+
+    def test_internal_paths_give_the_checked_forms(self):
+        rng = random.Random(0x7A57)
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            vs = VARSETS[n]
+            q = const(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+            a, b = (random_form(rng, vs, rng.randint(0, n), max_degree=2) * q for _ in range(2))
+            a2 = random_form(rng, vs, a.degree, max_degree=2)
+            doc = parse(f"vars {', '.join(vs.names)}\nform fa = {form_to_text(a)}\nform fb = {form_to_text(b)}\n"
+                        f"form fs = fa - 2/3*fa + (x + 1)*fa\nform fw = fa^dx^fb\nform fn = -fb\n")
+            da = d(a)
+            eta = da + random_form(rng, vs, da.degree, max_degree=2) if rng.random() < 0.7 else da
+            params = VariableSet(["s", "t"][:rng.randint(1, n - 1)])
+            chart = Parameterization(params, [random_polynomial(rng, params.names, 2) for _ in range(n)])
+            metric = Metric(vs, tuple(rng.choice([1, -1]) for _ in range(n)))
+            built = [decl.form for decl in doc.declarations if isinstance(decl, FormDecl)] + [
+                a + a2, a - a2, a2 - a, -a, a * q, Fraction(2, 3) * a, a * ZERO, wedge(a, b), wedge(a, a), da,
+                forms._derivative_minus(a, eta), forms._derivative_minus(a, da), hodge_star(a, metric),
+                pullback(a, chart), DifferentialForm.basis(vs, rng.choice(vs.names)),
+                DifferentialForm.scalar(vs, Fraction(1, 3)), DifferentialForm.scalar(vs, 0)]
+            for f in built:
+                self.assert_canonical(f)
+
+    def test_map_coefficients_still_coerces(self):
+        dx_plus_dy = DifferentialForm.one_form(V2, [ONE, ONE])
+        assert dx_plus_dy.map_coefficients(lambda c: 0).is_structurally_zero()
+        assert form_to_text(dx_plus_dy.map_coefficients(lambda c: 2)) == "2*dx + 2*dy"
+        with pytest.raises(FormError):
+            dx_plus_dy.map_coefficients(lambda c: 1.5)
+
+    def test_parsing_and_classifying_skip_the_checking_constructor(self, monkeypatch):
+        checked = []
+        init = DifferentialForm.__init__
+        monkeypatch.setattr(DifferentialForm, "__init__", lambda self, *args: checked.append(args) or init(self, *args))
+        doc = parse((Path(__file__).parent / "data" / "basic2d.forms").read_text(encoding="utf-8"))
+        assert len(doc.declarations) == 11 and checked == []
+        w = parse("vars x, y\nform w = 2*x*y*dx + (x^2 + 1/2*y)*dy\n").find("w").form
+        verdict = classify_closure(w)
+        assert checked == []
+        assert (verdict.closed, verdict.exact, to_text(verdict.potential)) == ("closed", "exact", "x^2*y + 1/4*y^2")
 
 
 class TestZeroVerdict:
